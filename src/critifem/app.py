@@ -19,7 +19,7 @@ Three section kinds:
 
     [run]            domain, mesh, degree, resolutions, num, deck, bc,
                      out, dump_matrices
-    [solver]         tol, inner_tol, inner, subspace, max_restarts
+    [solver]         tol, subspace, max_restarts
     [deck]           inline region-1 constants: D1, D2, sigma_a1,
                      sigma_a2, sigma_12, nu_sigma_f1, nu_sigma_f2,
                      and optionally bc
@@ -107,7 +107,7 @@ _RUN_KEYS = {
     "domain", "mesh", "degree", "resolutions", "num", "deck", "bc",
     "out", "dump_matrices",
 }
-_SOLVER_KEYS = {"tol", "inner_tol", "inner", "subspace", "max_restarts"}
+_SOLVER_KEYS = {"tol", "subspace", "max_restarts"}
 _DECK_KEYS = {
     "D1", "D2", "sigma_a1", "sigma_a2", "sigma_12",
     "nu_sigma_f1", "nu_sigma_f2", "bc",
@@ -324,18 +324,10 @@ def build_config(ns):
     tol = _pick(getattr(ns, "tol", None), sections, "solver", "tol")
     if tol is not None:
         solver_kwargs["tol"] = _to_float(tol, "tol")
-    for key, name in (("inner_tol", "inner_tol"), ("subspace", "subspace"),
-                      ("max_restarts", "max_restarts"), ("inner", "inner_solver")):
+    for key in ("subspace", "max_restarts"):
         entry = sections.get("solver", {}).get(key)
-        if entry is None:
-            continue
-        value = entry[0]
-        if key == "inner":
-            solver_kwargs["inner_solver"] = value
-        elif key == "inner_tol":
-            solver_kwargs["inner_tol"] = _to_float(value, key)
-        else:
-            solver_kwargs[name] = _to_int(value, key, minimum=1)
+        if entry is not None:
+            solver_kwargs[key] = _to_int(entry[0], key, minimum=1)
     try:
         settings = SolverSettings(**solver_kwargs)
     except ValueError as e:

@@ -12,9 +12,7 @@ flux in block [n, 2n). With per-region constants the pencil realizes
 
 where K and M are stiffness and mass matrices with piecewise-constant
 region coefficients, and R_g is the Robin boundary mass term. The fission
-source is tested against the fast test function; a switch exists to test
-against the thermal one for comparison runs, but only the fast variant is
-part of the supported contract.
+source is tested against the fast test function.
 
 Dirichlet conditions are eliminated symmetrically (rows and columns
 dropped), which keeps both diagonal blocks symmetric positive definite.
@@ -24,7 +22,6 @@ Matrices are scipy CSR throughout.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,15 +118,13 @@ def _facet_measure(mesh, fverts):
     return float(np.linalg.norm(cr))  # = 2 * facet area; facet rule sums to 1/2
 
 
-def assemble(mesh, dofmap, deck, k, fission_test_space="fast"):
+def assemble(mesh, dofmap, deck, k):
     """Assemble the reduced block pencil for a deck on a mesh.
 
     deck maps every region tag to a (GroupConstants, BoundaryCondition)
     pair; a boundary facet takes the BC of the region of its adjacent
     cell. Facets sharing a boundary tag must agree on the BC kind.
     """
-    if fission_test_space not in ("fast", "thermal"):
-        raise ValueError("fission_test_space must be 'fast' or 'thermal'")
     if dofmap.degree != k or dofmap.dim != mesh.dim:
         raise ValueError("dofmap does not match mesh/degree")
 
@@ -229,10 +224,7 @@ def assemble(mesh, dofmap, deck, k, fission_test_space="fast"):
     zero = sp.csr_matrix((nf, nf))
 
     A = sp.bmat([[a11r, None], [-couplingr, a22r]], format="csr")
-    if fission_test_space == "fast":
-        B = sp.bmat([[f1r, f2r], [zero, zero]], format="csr")
-    else:
-        B = sp.bmat([[zero, zero], [f1r, f2r]], format="csr")
+    B = sp.bmat([[f1r, f2r], [zero, zero]], format="csr")
 
     return BlockSystem(
         n=nf,

@@ -32,7 +32,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import jn_zeros
 
 from .assembly import assemble
-from .eigensolver import SolverSettings, solve_primal
+from .eigensolver import SolverError, SolverSettings, solve_primal
 from .fem_space import build_dofmap
 from .materials import builtin_deck
 from .mesh import (
@@ -281,7 +281,8 @@ def run_study(domain, degree, resolutions, deck=None, deck_label="paper-table1",
     Eigenvalues are tracked purely by sorted position, which is exact as
     long as no crossing happens between indices that are separated at
     every resolution; a note flags finest-mesh gaps below 0.5% where a
-    mixed pair could silently corrupt the per-index fits.
+    mixed pair could silently corrupt the per-index fits. Raises
+    SolverError when a resolution certifies fewer than m pairs.
     """
     if domain not in _GENERATORS:
         raise ValueError(f"unknown domain {domain!r}; choose from {DOMAINS}")
@@ -303,7 +304,7 @@ def run_study(domain, degree, resolutions, deck=None, deck_label="paper-table1",
         system = assemble(mesh, dofmap, deck, degree)
         sols = solve_primal(system, base)
         if len(sols) < m:
-            raise RuntimeError(
+            raise SolverError(
                 f"{domain} N={n}: solver certified only {len(sols)} of {m} pairs"
             )
         lams = np.array([s.lam for s in sols[:m]])

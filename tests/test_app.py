@@ -63,6 +63,8 @@ def test_parse_config_sections_and_lines(tmp_path):
     ("[deck.0]\n", r"deck section tag"),
     ("[run]\n[run]\n", r":2: duplicate section"),
     ("[solver]\ndomain = square\n", r"unknown key 'domain'"),
+    ("[solver]\ninner = lu\n", r":2: unknown key 'inner'"),
+    ("[solver]\ninner_tol = 1e-12\n", r":2: unknown key 'inner_tol'"),
 ])
 def test_parse_config_errors(tmp_path, text, match):
     path = config_file(tmp_path, text)
@@ -91,14 +93,12 @@ def test_flags_override_config(tmp_path):
         "degree = 2",
         "[solver]",
         "tol = 1e-8",
-        "inner = lu",
     ]))
     cfg = build(["solve", "--config", path, "--num", "2"])
     assert cfg.num == 2  # flag wins
     assert cfg.degree == 2  # config fills the gap
     assert cfg.settings.m == 2
     assert cfg.settings.tol == 1e-8
-    assert cfg.settings.inner_solver == "lu"
     assert cfg.resolutions == (8,)
 
 
@@ -177,6 +177,21 @@ def test_exit_code_three_no_fission(tmp_path, capsys):
                 "--config", path, "--out", str(tmp_path)])
     assert code == 3
     assert "empty spectrum" in capsys.readouterr().err
+
+
+def test_exit_code_three_converge_no_fission(tmp_path, capsys):
+    # no fission: no resolution certifies a pair, which is a solver failure
+    path = config_file(tmp_path, "\n".join([
+        "[deck]",
+        "D1 = 1.0", "D2 = 0.5", "sigma_a1 = 0.2", "sigma_a2 = 0.1",
+        "sigma_12 = 0.1", "nu_sigma_f1 = 0.0", "nu_sigma_f2 = 0.0",
+    ]))
+    code = cli(["converge", "--domain", "square", "--resolutions", "4,8,16",
+                "--config", path, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "certified only 0 of 5" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

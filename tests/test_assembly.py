@@ -132,20 +132,6 @@ def test_extend_restrict_roundtrip(square16_system):
     assert np.array_equal(system.restrict(full), x)
 
 
-def test_fission_test_space_switch():
-    mesh = generate_unit_square(2)
-    dofmap = build_dofmap(mesh, 1)
-    deck = {1: (GC, ROBIN0)}
-    fast = assemble(mesh, dofmap, deck, 1)
-    thermal = assemble(mesh, dofmap, deck, 1, fission_test_space="thermal")
-    n = fast.n
-    Bf, Bt = fast.B.toarray(), thermal.B.toarray()
-    assert np.array_equal(Bf[:n, :], Bt[n:, :])
-    assert np.max(np.abs(Bt[:n, :])) == 0.0
-    with pytest.raises(ValueError, match="fission_test_space"):
-        assemble(mesh, dofmap, deck, 1, fission_test_space="both")
-
-
 # ---------------------------------------------------------------------------
 # independent quadrature oracle for the forms
 
