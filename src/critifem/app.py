@@ -9,7 +9,8 @@ oracle            closed-form eigenvalues of the homogeneous problem
 check-ellipticity coercivity report for a deck
 
 Exit codes: 0 success, 2 configuration error (bad flags, files, deck),
-3 solver failure (stagnation or an empty spectrum where one is needed).
+3 solver failure (stagnation, an empty spectrum where one is needed, or
+no free DOF left after the Dirichlet conditions).
 
 Config files
 ------------
@@ -67,14 +68,7 @@ from .materials import (
     ellipticity_check,
     validate_for_solve,
 )
-from .mesh import (
-    MeshFormatError,
-    generate_disk,
-    generate_lshape,
-    generate_unit_cube,
-    generate_unit_square,
-    read_gmsh,
-)
+from .mesh import GENERATORS, read_gmsh
 
 __all__ = [
     "ConfigError",
@@ -87,14 +81,6 @@ __all__ = [
     "cli",
     "main",
 ]
-
-_GENERATORS = {
-    "square": generate_unit_square,
-    "lshape": generate_lshape,
-    "cube": generate_unit_cube,
-    "disk": generate_disk,
-}
-
 
 class ConfigError(ValueError):
     """Configuration problem: bad flag, file, key or deck. Exit code 2."""
@@ -543,7 +529,7 @@ def _load_mesh(cfg):
             "--domain needs exactly one value in --resolutions, got "
             f"{list(cfg.resolutions) or 'none'}"
         )
-    return _GENERATORS[cfg.domain](cfg.resolutions[0])
+    return GENERATORS[cfg.domain](cfg.resolutions[0])
 
 
 def _spectrum_lines(solutions):
@@ -562,6 +548,13 @@ def _cmd_solve(cfg):
     mesh = _load_mesh(cfg)
     dofmap = build_dofmap(mesh, cfg.degree)
     system = assemble(mesh, dofmap, cfg.deck, cfg.degree)
+    if system.n == 0:
+        print(
+            "no free DOF: every node is Dirichlet-constrained; refine the mesh "
+            "or use a Robin bc",
+            file=sys.stderr,
+        )
+        return 3
     if cfg.dump_matrices:
         os.makedirs(cfg.out_dir, exist_ok=True)
         dump_matrix_market(system, cfg.out_dir)
@@ -725,13 +718,7 @@ def cli(argv=None):
         if ns.subcommand == "check-ellipticity":
             return _cmd_check_ellipticity(cfg)
         raise AssertionError(f"unhandled subcommand {ns.subcommand!r}")
-    except (ConfigError, MeshFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # ConfigError and MeshFormatError too
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SolverError as e:

@@ -110,12 +110,16 @@ def _scatter(cell_dofs, local, n):
     return mat.tocsr()
 
 
-def _facet_measure(mesh, fverts):
-    pts = mesh.vertices[fverts]
+def _facet_measure(mesh):
+    """Reference-scaled measure of every boundary facet.
+
+    The facet rule's weights sum to 1 on a segment and 1/2 on a
+    triangle, so this is the length in 2D and twice the area in 3D.
+    """
+    pts = mesh.vertices[mesh.boundary_facets]
     if mesh.dim == 2:
-        return float(np.linalg.norm(pts[1] - pts[0]))
-    cr = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-    return float(np.linalg.norm(cr))  # = 2 * facet area; facet rule sums to 1/2
+        return np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
+    return np.linalg.norm(np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]), axis=1)
 
 
 def assemble(mesh, dofmap, deck, k):
@@ -143,9 +147,12 @@ def assemble(mesh, dofmap, deck, k):
     G = np.einsum("cde,cfe,c->cdf", invJ, invJ, det)
     stiff_local = np.einsum("q,iqd,cdf,jqf->cij", w, grads, G, grads)
 
+    def per_region(value, tags):
+        """value(deck entry) of each tag's region; the tags are 1..R."""
+        return np.array([value(deck[t]) for t in regions])[tags - 1]
+
     def coef_per_cell(attr):
-        table = {t: getattr(deck[t][0], attr) for t in regions}
-        return np.array([table[int(t)] for t in mesh.region_tags])
+        return per_region(lambda entry: getattr(entry[0], attr), mesh.region_tags)
 
     def mass_with(coef):
         return _scatter(cd, np.einsum("c,ij->cij", coef * det, mass_ref), n)
@@ -166,52 +173,30 @@ def assemble(mesh, dofmap, deck, k):
     f1 = mass_with(coef_per_cell("nu_sigma_f1"))
     f2 = mass_with(coef_per_cell("nu_sigma_f2"))
 
-    # boundary handling: per-facet BC from the adjacent cell's region
-    facet2cell = {}
-    for c, cell in enumerate(mesh.cells):
-        for drop in range(mesh.dim + 1):
-            key = tuple(sorted(v for j, v in enumerate(cell) if j != drop))
-            facet2cell[key] = c  # boundary facets belong to exactly one cell
+    # boundary handling: each facet takes the BC of its owning cell's region
+    facet_region = mesh.region_tags[mesh.boundary_cells]
+    robin = per_region(lambda entry: entry[1].kind == "robin", facet_region)
+    for t in mesh.boundary_ids():
+        on_tag = robin[mesh.boundary_tags == t]
+        if on_tag.any() and not on_tag.all():
+            raise ValueError(f"boundary tag {t} mixes BC kinds (dirichlet and robin)")
 
-    facet_ref = _build_reference_any(mesh.dim - 1, k)
-    facet_quad = _simplex_rule(mesh.dim - 1, 2 * k)
-    fvals, _ = facet_ref.tabulate(facet_quad.points_ref)
-    facet_mass_ref = np.einsum("q,iq,jq->ij", facet_quad.weights, fvals, fvals)
+    if np.any(robin):
+        facet_ref = _build_reference_any(mesh.dim - 1, k)
+        facet_quad = _simplex_rule(mesh.dim - 1, 2 * k)
+        fvals, _ = facet_ref.tabulate(facet_quad.points_ref)
+        facet_mass_ref = np.einsum("q,iq,jq->ij", facet_quad.weights, fvals, fvals)
+        local = facet_mass_ref * _facet_measure(mesh)[robin, None, None]
+        fdofs = dofmap.facet_dofs[robin]
 
-    kinds_by_tag = {}
-    robin_rows1, robin_rows2 = [], []
-    robin_cols, robin_v1, robin_v2 = [], [], []
-    dirichlet = set()
-    for f, t in zip(mesh.boundary_facets, mesh.boundary_tags):
-        cell = facet2cell[tuple(sorted(int(v) for v in f))]
-        region = int(mesh.region_tags[cell])
-        bc = deck[region][1]
-        prev = kinds_by_tag.setdefault(int(t), bc.kind)
-        if prev != bc.kind:
-            raise ValueError(
-                f"boundary tag {t} mixes BC kinds ({prev} and {bc.kind})"
-            )
-        fdofs = dofmap.facet_dofs(f, facet_ref.nodes_lattice)
-        if bc.kind == "dirichlet":
-            dirichlet.update(int(d) for d in fdofs)
-        else:
-            meas = _facet_measure(mesh, f)
-            local = facet_mass_ref * meas
-            nb = len(fdofs)
-            robin_rows1.append(np.repeat(fdofs, nb))
-            robin_cols.append(np.tile(fdofs, nb))
-            robin_v1.append((bc.alpha1 * local).ravel())
-            robin_v2.append((bc.alpha2 * local).ravel())
+        def robin_term(attr):
+            alpha = per_region(lambda entry: getattr(entry[1], attr), facet_region[robin])
+            return _scatter(fdofs, alpha[:, None, None] * local, n)
 
-    if robin_cols:
-        rows = np.concatenate(robin_rows1)
-        cols = np.concatenate(robin_cols)
-        r1 = sp.coo_matrix((np.concatenate(robin_v1), (rows, cols)), shape=(n, n)).tocsr()
-        r2 = sp.coo_matrix((np.concatenate(robin_v2), (rows, cols)), shape=(n, n)).tocsr()
-        a11 = a11 + r1
-        a22 = a22 + r2
+        a11 = a11 + robin_term("alpha1")
+        a22 = a22 + robin_term("alpha2")
 
-    constrained = np.array(sorted(dirichlet), dtype=np.int64)
+    constrained = np.unique(dofmap.facet_dofs[~robin])
     free = np.setdiff1d(np.arange(n, dtype=np.int64), constrained)
     nf = len(free)
 

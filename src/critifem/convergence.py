@@ -35,13 +35,7 @@ from .assembly import assemble
 from .eigensolver import SolverError, SolverSettings, solve_primal
 from .fem_space import build_dofmap
 from .materials import builtin_deck
-from .mesh import (
-    generate_disk,
-    generate_lshape,
-    generate_unit_cube,
-    generate_unit_square,
-    mesh_size,
-)
+from .mesh import GENERATORS, mesh_size
 
 __all__ = [
     "RateFit",
@@ -238,13 +232,7 @@ def fit_rate(h, lam, rate_bounds=(0.25, 8.0)):
 # ---------------------------------------------------------------------------
 # study driver
 
-_GENERATORS = {
-    "square": generate_unit_square,
-    "lshape": generate_lshape,
-    "cube": generate_unit_cube,
-    "disk": generate_disk,
-}
-DOMAINS = tuple(sorted(_GENERATORS))
+DOMAINS = tuple(sorted(GENERATORS))
 
 
 @dataclass(frozen=True)
@@ -284,7 +272,7 @@ def run_study(domain, degree, resolutions, deck=None, deck_label="paper-table1",
     mixed pair could silently corrupt the per-index fits. Raises
     SolverError when a resolution certifies fewer than m pairs.
     """
-    if domain not in _GENERATORS:
+    if domain not in GENERATORS:
         raise ValueError(f"unknown domain {domain!r}; choose from {DOMAINS}")
     resolutions = tuple(int(n) for n in resolutions)
     if len(resolutions) < 3:
@@ -299,7 +287,7 @@ def run_study(domain, degree, resolutions, deck=None, deck_label="paper-table1",
     notes = []
     hs, rows = [], []
     for n in resolutions:
-        mesh = _GENERATORS[domain](n)
+        mesh = GENERATORS[domain](n)
         dofmap = build_dofmap(mesh, degree)
         system = assemble(mesh, dofmap, deck, degree)
         sols = solve_primal(system, base)

@@ -10,18 +10,20 @@ scipy.special.roots_jacobi: all weights are positive at every degree
 (unlike tabulated tetrahedron rules, which go negative beyond degree 2)
 and the one-point rule degenerates to the centroid rule.
 
-Global DOF identity: a Lagrange node is identified by the multiset of
-(global vertex id, integer lattice weight) pairs of the entity carrying
-it. Two cells sharing an entity derive identical keys for its nodes, so
-no edge or face orientation bookkeeping is needed. Sorting keys by
-(entity dimension, vertex ids, weights) makes vertex DOFs come first in
-vertex order, then edge DOFs, then face/interior DOFs, deterministically.
+Global DOF identity: a Lagrange node is identified by the entity carrying
+it, written as one integer row [number of vertices, their global ids in
+ascending order, their lattice weights], padded with -1 to a fixed
+width. Two cells sharing an entity derive identical rows for its nodes,
+so no edge or face orientation bookkeeping is needed. One np.unique over
+the rows of every cell node and every boundary facet node numbers them
+all: the lexicographic row order puts vertex DOFs first in vertex order,
+then edge DOFs, then face/interior DOFs, deterministically.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -233,17 +235,14 @@ def quadrature(dim, exactness_degree):
     return _simplex_rule(dim, exactness_degree)
 
 
-def _facet_lattice_count(dim, k):
-    # lattice points on a (dim-1)-simplex facet
-    return _lattice_nodes(dim - 1, k).shape[0]
-
-
 @dataclass(frozen=True)
 class DofMap:
     """Global numbering of the scalar degree-k Lagrange space on a mesh.
 
     cell_dofs[c, i] is the global index of local node i of cell c; n is
-    the total scalar DOF count; boundary_dofs maps each boundary tag to
+    the total scalar DOF count. facet_dofs[f, i] is the global index of
+    node i of the degree-k facet element on mesh.boundary_facets[f], in
+    that facet's vertex order. boundary_dofs maps each boundary tag to
     the sorted indices of all DOFs whose nodes lie on facets of that tag.
     Vertex DOFs occupy indices 0..num_vertices-1 in vertex order.
     """
@@ -252,62 +251,44 @@ class DofMap:
     degree: int
     n: int
     cell_dofs: np.ndarray
+    facet_dofs: np.ndarray
     boundary_dofs: dict
-    _key2dof: dict = field(repr=False)
 
-    def facet_dofs(self, facet_vertices, facet_lattice):
-        """Global DOFs of the nodes a facet element places on this facet.
 
-        facet_vertices are global vertex ids in the facet element's local
-        vertex order; facet_lattice is that element's nodes_lattice.
-        """
-        out = np.empty(facet_lattice.shape[0], dtype=np.int64)
-        for i, lat in enumerate(facet_lattice):
-            key = tuple(
-                sorted((int(facet_vertices[j]), int(w)) for j, w in enumerate(lat) if w)
-            )
-            out[i] = self._key2dof[key]
-        return out
+def _node_rows(simplices, lattice, width):
+    """Identity rows of every (simplex, lattice node) pair, simplex-major.
+
+    Each row is [count, vertex ids ascending, their weights], with the
+    vertex and weight parts padded by -1 to `width` entries.
+    """
+    pad = np.iinfo(np.int64).max
+    ids = np.where(lattice > 0, simplices[:, None, :], pad)
+    order = np.argsort(ids, axis=-1)
+    ids = np.take_along_axis(ids, order, axis=-1)
+    weights = np.take_along_axis(np.broadcast_to(lattice, ids.shape), order, axis=-1)
+    weights = np.where(ids == pad, -1, weights)
+    ids = np.where(ids == pad, -1, ids)
+    fill = np.full(ids.shape[:2] + (width - ids.shape[2],), -1, dtype=np.int64)
+    count = np.broadcast_to((lattice > 0).sum(axis=1)[:, None], ids.shape[:2] + (1,))
+    rows = np.concatenate([count, ids, fill, weights, fill], axis=-1)
+    return rows.reshape(-1, 1 + 2 * width)
 
 
 def build_dofmap(mesh, k):
     """Build the global DOF map for degree k on a conforming mesh."""
-    ref = build_reference(mesh.dim, k)
-    lattice = ref.nodes_lattice
-    ncells, nloc = mesh.num_cells, ref.num_nodes
-
-    keys_per_cell = []
-    allkeys = set()
-    cells = mesh.cells
-    for c in range(ncells):
-        g = cells[c]
-        ck = []
-        for lat in lattice:
-            key = tuple(sorted((int(g[j]), int(w)) for j, w in enumerate(lat) if w))
-            ck.append(key)
-        keys_per_cell.append(ck)
-        allkeys.update(ck)
-
-    # entity dimension first, then vertex ids, then lattice weights
-    def order(key):
-        return (len(key), tuple(p[0] for p in key), tuple(p[1] for p in key))
-
-    key2dof = {key: i for i, key in enumerate(sorted(allkeys, key=order))}
-
-    cell_dofs = np.empty((ncells, nloc), dtype=np.int64)
-    for c in range(ncells):
-        cell_dofs[c] = [key2dof[key] for key in keys_per_cell[c]]
-
-    facet_ref = _build_reference_any(mesh.dim - 1, k)
-    flat = facet_ref.nodes_lattice
-    bd = {}
-    for f, t in zip(mesh.boundary_facets, mesh.boundary_tags):
-        dofs = []
-        for lat in flat:
-            key = tuple(sorted((int(f[j]), int(w)) for j, w in enumerate(lat) if w))
-            dofs.append(key2dof[key])
-        bd.setdefault(int(t), set()).update(dofs)
-    boundary_dofs = {t: np.array(sorted(s), dtype=np.int64) for t, s in bd.items()}
+    lattice = build_reference(mesh.dim, k).nodes_lattice
+    facet_lattice = _build_reference_any(mesh.dim - 1, k).nodes_lattice
+    width = mesh.dim + 1
+    cell_rows = _node_rows(mesh.cells, lattice, width)
+    facet_rows = _node_rows(mesh.boundary_facets, facet_lattice, width)
+    unique, index = np.unique(
+        np.concatenate([cell_rows, facet_rows]), axis=0, return_inverse=True
+    )
+    cell_dofs = index[: len(cell_rows)].reshape(mesh.num_cells, -1)
+    facet_dofs = index[len(cell_rows) :].reshape(len(mesh.boundary_facets), -1)
+    tags = mesh.boundary_tags
+    boundary_dofs = {int(t): np.unique(facet_dofs[tags == t]) for t in np.unique(tags)}
 
     cell_dofs.flags.writeable = False
-    return DofMap(mesh.dim, k, len(key2dof), cell_dofs, boundary_dofs, key2dof)
+    facet_dofs.flags.writeable = False
+    return DofMap(mesh.dim, k, len(unique), cell_dofs, facet_dofs, boundary_dofs)

@@ -25,6 +25,7 @@ __all__ = [
     "generate_lshape",
     "generate_unit_cube",
     "generate_disk",
+    "GENERATORS",
     "read_gmsh",
     "write_msh",
     "mesh_size",
@@ -86,8 +87,10 @@ class Mesh:
         must actually lie on the boundary; boundary facets not listed
         default to tag 1.
     boundary_tags : (nb,) int array or None
-    resolution_hint : int or None
-        The generator's N, when the mesh came from a generator.
+
+    Validation replaces boundary_facets by the one-cell facets of the
+    cell complex, each vertex-sorted, and sets boundary_cells, the
+    owning cell of each of them (aligned with boundary_facets).
     """
 
     dim: int
@@ -96,7 +99,7 @@ class Mesh:
     region_tags: np.ndarray
     boundary_facets: np.ndarray | None = None
     boundary_tags: np.ndarray | None = None
-    resolution_hint: int | None = field(default=None, compare=False)
+    boundary_cells: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dim = self.dim
@@ -136,10 +139,14 @@ class Mesh:
 
         # conformity + true boundary: facets shared by exactly one cell
         fac = _all_facets(cells)
-        uniq, counts = np.unique(fac, axis=0, return_counts=True)
+        uniq, first, counts = np.unique(
+            fac, axis=0, return_index=True, return_counts=True
+        )
         if np.any(counts > 2):
             raise ValueError("non-conforming mesh: a facet is shared by >2 cells")
         true_bnd = uniq[counts == 1]
+        # _all_facets stacks one block of num_cells facets per dropped column
+        bcells = first[counts == 1] % len(cells)
 
         if self.boundary_facets is None:
             bfac = true_bnd
@@ -166,11 +173,13 @@ class Mesh:
         rtags.flags.writeable = False
         bfac.flags.writeable = False
         btags.flags.writeable = False
+        bcells.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "region_tags", rtags)
         object.__setattr__(self, "boundary_facets", bfac)
         object.__setattr__(self, "boundary_tags", btags)
+        object.__setattr__(self, "boundary_cells", bcells)
 
     @property
     def num_vertices(self):
@@ -204,6 +213,22 @@ def mesh_size(mesh):
     return float(np.sqrt(h2))
 
 
+def _grid_triangles(N):
+    """SW-NE split of the N x N grid: (N, N, 2, 3) vertex ids, [j, i] per square.
+
+    Vertex (i, j) of the (N+1) x (N+1) grid has id j (N+1) + i.
+    """
+    sw = np.arange((N + 1) ** 2, dtype=np.int64).reshape(N + 1, N + 1)[:N, :N]
+    se, nw, ne = sw + 1, sw + N + 1, sw + N + 2
+    return np.stack([sw, se, ne, sw, ne, nw], axis=-1).reshape(N, N, 2, 3)
+
+
+def _grid_vertices(N):
+    xs = np.linspace(0.0, 1.0, N + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="xy")
+    return np.column_stack([X.ravel(), Y.ravel()])
+
+
 def generate_unit_square(N):
     """Uniform triangulation of (0,1)^2: N x N squares, each split SW-NE.
 
@@ -213,23 +238,8 @@ def generate_unit_square(N):
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    xs = np.linspace(0.0, 1.0, N + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="xy")
-    verts = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return j * (N + 1) + i
-
-    tris = []
-    for j in range(N):
-        for i in range(N):
-            sw, se = vid(i, j), vid(i + 1, j)
-            nw, ne = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((sw, se, ne))
-            tris.append((sw, ne, nw))
-    cells = np.array(tris, dtype=np.int64)
-    return Mesh(2, verts, cells, np.ones(len(cells), dtype=np.int64),
-                resolution_hint=N)
+    cells = _grid_triangles(N).reshape(-1, 3)
+    return Mesh(2, _grid_vertices(N), cells, np.ones(len(cells), dtype=np.int64))
 
 
 def generate_lshape(N):
@@ -241,37 +251,29 @@ def generate_lshape(N):
     """
     if N < 2 or N % 2 != 0:
         raise ValueError("N must be even and >= 2 for the L-shape")
-    xs = np.linspace(0.0, 1.0, N + 1)
     half = N // 2
-
-    def vid(i, j):
-        return j * (N + 1) + i
-
-    tris = []
-    for j in range(N):
-        for i in range(N):
-            if i >= half and j >= half:
-                continue
-            sw, se = vid(i, j), vid(i + 1, j)
-            nw, ne = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((sw, se, ne))
-            tris.append((sw, ne, nw))
-    cells = np.array(tris, dtype=np.int64)
+    keep = np.ones((N, N), dtype=bool)
+    keep[half:, half:] = False
+    cells = _grid_triangles(N)[keep].reshape(-1, 3)
 
     # drop unused grid vertices and renumber
     used = np.unique(cells)
     remap = -np.ones((N + 1) * (N + 1), dtype=np.int64)
     remap[used] = np.arange(len(used))
-    X, Y = np.meshgrid(xs, xs, indexing="xy")
-    verts = np.column_stack([X.ravel(), Y.ravel()])[used]
+    verts = _grid_vertices(N)[used]
     cells = remap[cells]
-    return Mesh(2, verts, cells, np.ones(len(cells), dtype=np.int64),
-                resolution_hint=N)
+    return Mesh(2, verts, cells, np.ones(len(cells), dtype=np.int64))
 
 
 # vertex offsets visited on the path from a cube's origin corner to the
 # opposite corner, one permutation of the axes per tetrahedron
 _KUHN_PERMS = list(itertools.permutations(range(3)))
+# (6, 4, 3): the (i, j, k) offset of each tetrahedron's corners from the origin
+_KUHN_PATHS = np.concatenate(
+    [np.zeros((6, 1, 3), dtype=np.int64),
+     np.cumsum(np.eye(3, dtype=np.int64)[_KUHN_PERMS], axis=1)],
+    axis=1,
+)
 
 
 def generate_unit_cube(N):
@@ -281,40 +283,20 @@ def generate_unit_cube(N):
     its origin corner (i,j,k) to (i+1,j+1,k+1): for every permutation
     (p0,p1,p2) of the axes, the tetrahedron spans the corner path
     c, c+e_p0, c+e_p0+e_p1, c+e_p0+e_p1+e_p2. Identical in every cube, so
-    the triangulation is conforming.
+    the triangulation is conforming. Vertex (i,j,k) has id
+    k (N+1)^2 + j (N+1) + i, and cubes are numbered the same way.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     xs = np.linspace(0.0, 1.0, N + 1)
-    stride_j = N + 1
-    stride_k = (N + 1) ** 2
-
-    def vid(i, j, k):
-        return k * stride_k + j * stride_j + i
-
     grid = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1)
-    # vid(i,j,k) ordering: i fastest
-    verts = np.empty(((N + 1) ** 3, 3))
-    for k in range(N + 1):
-        for j in range(N + 1):
-            for i in range(N + 1):
-                verts[vid(i, j, k)] = grid[i, j, k]
+    verts = grid.transpose(2, 1, 0, 3).reshape(-1, 3)  # i fastest
 
-    tets = []
-    for k in range(N):
-        for j in range(N):
-            for i in range(N):
-                base = np.array([i, j, k])
-                for perm in _KUHN_PERMS:
-                    corner = base.copy()
-                    tet = [vid(*corner)]
-                    for axis in perm:
-                        corner[axis] += 1
-                        tet.append(vid(*corner))
-                    tets.append(tet)
-    cells = np.array(tets, dtype=np.int64)
-    return Mesh(3, verts, cells, np.ones(len(cells), dtype=np.int64),
-                resolution_hint=N)
+    ids = np.arange((N + 1) ** 3, dtype=np.int64).reshape(N + 1, N + 1, N + 1)
+    base = ids[:N, :N, :N].ravel()  # origin corner of each cube, [k, j, i]
+    strides = np.array([1, N + 1, (N + 1) ** 2], dtype=np.int64)
+    cells = (base[:, None, None] + _KUHN_PATHS @ strides).reshape(-1, 4)
+    return Mesh(3, verts, cells, np.ones(len(cells), dtype=np.int64))
 
 
 def generate_disk(N):
@@ -357,8 +339,16 @@ def generate_disk(N):
             for t in range(j - 1):
                 tris.append((outer[t + 1], inner[t + 1], inner[t]))
     cells = np.array(tris, dtype=np.int64)
-    return Mesh(2, verts, cells, np.ones(len(cells), dtype=np.int64),
-                resolution_hint=N)
+    return Mesh(2, verts, cells, np.ones(len(cells), dtype=np.int64))
+
+
+# the one domain registry: name -> generator of resolution N
+GENERATORS = {
+    "square": generate_unit_square,
+    "lshape": generate_lshape,
+    "cube": generate_unit_cube,
+    "disk": generate_disk,
+}
 
 
 # ---------------------------------------------------------------------------

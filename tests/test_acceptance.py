@@ -20,12 +20,7 @@ from critifem.convergence import fit_rate, run_study
 from critifem.eigensolver import SolverSettings, residual, solve_adjoint, solve_primal
 from critifem.fem_space import build_dofmap
 from critifem.materials import GroupConstants, builtin_deck, ellipticity_check
-from critifem.mesh import (
-    generate_disk,
-    generate_lshape,
-    generate_unit_cube,
-    generate_unit_square,
-)
+from critifem.mesh import GENERATORS
 
 # exact eigenvalues of the homogeneous problem (closed form, frozen)
 SQUARE_REF = (66.5747701901, 165.2710351639, 165.2710351639,
@@ -43,13 +38,6 @@ _STUDIES = {
     "disk_k3": ("disk", 3, (8, 16, 32, 64)),
     "lshape_k2": ("lshape", 2, (8, 16, 32, 64)),
     "cube_k1": ("cube", 1, (4, 8, 16, 32)),
-}
-
-_GENERATORS = {
-    "square": generate_unit_square,
-    "disk": generate_disk,
-    "lshape": generate_lshape,
-    "cube": generate_unit_cube,
 }
 
 
@@ -74,7 +62,7 @@ def representative():
     deck = builtin_deck("paper-table1")
     out = {}
     for name, (domain, n, degree) in cases.items():
-        mesh = _GENERATORS[domain](n)
+        mesh = GENERATORS[domain](n)
         dofmap = build_dofmap(mesh, degree)
         system = assemble(mesh, dofmap, deck, degree)
         out[name] = (system, solve_primal(system, SolverSettings(m=5)))

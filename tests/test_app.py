@@ -179,6 +179,17 @@ def test_exit_code_three_no_fission(tmp_path, capsys):
     assert "empty spectrum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain", ["square", "cube"])
+def test_exit_code_three_no_free_dof(domain, tmp_path, capsys):
+    # N=1: every node lies on the Dirichlet boundary
+    code = cli(["solve", "--domain", domain, "--resolutions", "1",
+                "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "no free DOF" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_three_converge_no_fission(tmp_path, capsys):
     # no fission: no resolution certifies a pair, which is a solver failure
     path = config_file(tmp_path, "\n".join([

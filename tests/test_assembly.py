@@ -189,13 +189,13 @@ def _forms_by_quadrature(mesh, dofmap, deck, k, u, v):
     for c, cell in enumerate(mesh.cells):
         for drop in range(mesh.dim + 1):
             facet2cell[tuple(sorted(int(x) for j, x in enumerate(cell) if j != drop))] = c
-    for f in mesh.boundary_facets:
+    for i, f in enumerate(mesh.boundary_facets):
         cell = facet2cell[tuple(sorted(int(x) for x in f))]
         bc = deck[int(mesh.region_tags[cell])][1]
         if bc.kind != "robin":
             continue
         length = float(np.linalg.norm(mesh.vertices[f[1]] - mesh.vertices[f[0]]))
-        fdofs = dofmap.facet_dofs(f, facet_ref.nodes_lattice)
+        fdofs = dofmap.facet_dofs[i]
         vb = {name: vec[fdofs] @ fvals for name, vec in
               (("u1", u1), ("u2", u2), ("v1", v1), ("v2", v2))}
         a_val += bc.alpha1 * length * float(wt @ (vb["u1"] * vb["v1"]))

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critifem.app import packaged_mesh_path
 from critifem.fem_space import (
+    _build_reference_any,
     build_dofmap,
     build_reference,
     quadrature,
@@ -17,6 +19,7 @@ from critifem.mesh import (
     generate_lshape,
     generate_unit_cube,
     generate_unit_square,
+    read_gmsh,
 )
 
 
@@ -225,3 +228,43 @@ def test_shared_edge_dofs_agree_between_cells():
             if len(shared_verts) == 2:
                 common = set(dofmap.cell_dofs[c1]) & set(dofmap.cell_dofs[c2])
                 assert len(common) == 4
+
+
+def tuple_key_numbering(mesh, k):
+    """Reference numbering: one (vertex id, weight) tuple key per node.
+
+    Keys are sorted by (entity dimension, vertex ids, weights). Returns
+    n, cell_dofs and the DOFs of every boundary facet's nodes.
+    """
+    def key(vertex_ids, lat):
+        return tuple(sorted((int(v), int(w)) for v, w in zip(vertex_ids, lat) if w))
+
+    lattice = build_reference(mesh.dim, k).nodes_lattice
+    facet_lattice = _build_reference_any(mesh.dim - 1, k).nodes_lattice
+    cell_keys = [[key(cell, lat) for lat in lattice] for cell in mesh.cells]
+    ordered = sorted({kk for ck in cell_keys for kk in ck},
+                     key=lambda kk: (len(kk), [p[0] for p in kk], [p[1] for p in kk]))
+    key2dof = {kk: i for i, kk in enumerate(ordered)}
+    cell_dofs = np.array([[key2dof[kk] for kk in ck] for ck in cell_keys])
+    facet_dofs = np.array([[key2dof[key(f, lat)] for lat in facet_lattice]
+                           for f in mesh.boundary_facets])
+    return len(key2dof), cell_dofs, facet_dofs
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_unit_square(16),
+    lambda: generate_disk(12),
+    lambda: generate_lshape(8),
+    lambda: generate_unit_cube(5),
+    lambda: read_gmsh(packaged_mesh_path()),
+], ids=["square16", "disk12", "lshape8", "cube5", "iaea2d"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_numbering_matches_tuple_key_reference(make, k):
+    mesh = make()
+    dofmap = build_dofmap(mesh, k)
+    n, cell_dofs, facet_dofs = tuple_key_numbering(mesh, k)
+    assert dofmap.n == n
+    assert np.array_equal(dofmap.cell_dofs, cell_dofs)
+    assert np.array_equal(dofmap.facet_dofs, facet_dofs)
+    for t, dofs in dofmap.boundary_dofs.items():
+        assert np.array_equal(dofs, np.unique(facet_dofs[mesh.boundary_tags == t]))

@@ -1,6 +1,7 @@
 """Mesh generators, validation, and the MSH subset reader/writer."""
 
 import importlib.resources
+import itertools
 import math
 
 import numpy as np
@@ -89,6 +90,72 @@ def test_cube_counts(N):
 
 def test_cube_smallest():
     assert generate_unit_cube(1).num_cells == 6
+
+
+def loop_grid_triangles(N, drop_quadrant=False):
+    """Reference SW-NE split of the N x N grid, one square at a time."""
+    tris = []
+    for j in range(N):
+        for i in range(N):
+            if drop_quadrant and i >= N // 2 and j >= N // 2:
+                continue
+            sw, se = j * (N + 1) + i, j * (N + 1) + i + 1
+            nw, ne = sw + N + 1, se + N + 1
+            tris += [(sw, se, ne), (sw, ne, nw)]
+    return np.array(tris, dtype=np.int64)
+
+
+def loop_cube(N):
+    """Reference Kuhn tetrahedralization, one cube and corner path at a time."""
+    xs = np.linspace(0.0, 1.0, N + 1)
+    verts = [(xs[i], xs[j], xs[k])
+             for k in range(N + 1) for j in range(N + 1) for i in range(N + 1)]
+
+    def vid(i, j, k):
+        return (k * (N + 1) + j) * (N + 1) + i
+
+    tets = []
+    for k in range(N):
+        for j in range(N):
+            for i in range(N):
+                for perm in itertools.permutations(range(3)):
+                    corner = [i, j, k]
+                    tet = [vid(*corner)]
+                    for axis in perm:
+                        corner[axis] += 1
+                        tet.append(vid(*corner))
+                    tets.append(tet)
+    return np.array(verts), np.array(tets, dtype=np.int64)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_structured_generators_match_loop_reference(N):
+    xs = np.linspace(0.0, 1.0, N + 1)
+    grid = np.array([(x, y) for y in xs for x in xs])
+    square = generate_unit_square(N)
+    ref = Mesh(2, grid, loop_grid_triangles(N), np.ones(2 * N * N, dtype=np.int64))
+    assert np.array_equal(square.vertices, ref.vertices)
+    assert np.array_equal(square.cells, ref.cells)
+
+    verts, tets = loop_cube(N)
+    cube = generate_unit_cube(N)
+    ref = Mesh(3, verts, tets, np.ones(len(tets), dtype=np.int64))
+    assert np.array_equal(cube.vertices, ref.vertices)
+    assert np.array_equal(cube.cells, ref.cells)
+
+    if N % 2 == 0:
+        tris = loop_grid_triangles(N, drop_quadrant=True)
+        lshape = generate_lshape(N)
+        assert np.array_equal(lshape.vertices, grid[np.unique(tris)])
+        assert np.array_equal(lshape.vertices[lshape.cells], grid[tris])
+
+
+def test_boundary_cells_own_their_facets():
+    for mesh in (generate_lshape(4), generate_disk(3), generate_unit_cube(2)):
+        owner = mesh.cells[mesh.boundary_cells]
+        on_owner = mesh.boundary_facets[:, :, None] == owner[:, None, :]
+        assert np.all(on_owner.any(axis=2))
+        assert not mesh.boundary_cells.flags.writeable
 
 
 @given(st.integers(min_value=2, max_value=12))
