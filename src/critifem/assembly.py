@@ -17,7 +17,13 @@ source is tested against the fast test function.
 Dirichlet conditions are eliminated symmetrically (rows and columns
 dropped), which keeps both diagonal blocks symmetric positive definite.
 
-Matrices are scipy CSR throughout.
+Every scalar block shares one CSR pattern: the sorted (row, col) pairs of
+the free DOFs of each cell, built once with np.unique. Each local entry
+has a slot in it, and a matrix's data is one np.bincount of its local
+entries over those slots; pairs touching a constrained DOF fall into a
+discard slot, so the reduction to free DOFs is part of the pattern. Robin
+facet entries reuse the slots of their owning cells. Matrices are scipy
+CSR throughout, with sorted, duplicate-free indices.
 """
 
 from __future__ import annotations
@@ -92,22 +98,32 @@ def _cell_geometry(mesh):
 
 
 def _element_tables(mesh, k):
+    """Reference mass (nb, nb) and stiffness tensor (dim, dim, nb, nb).
+
+    S[d, f, i, j] = sum_q w_q d_d phi_i d_f phi_j, so a cell with gradient
+    metric G has local stiffness sum_{d,f} G[d, f] S[d, f]; both scale
+    with the cell by |det J|, the stiffness through G.
+    """
     ref = build_reference(mesh.dim, k)
     quad = _simplex_rule(mesh.dim, 2 * k)
     vals, grads = ref.tabulate(quad.points_ref)
     w = quad.weights
-    # reference mass: scales by |det J| per cell
     mass_ref = np.einsum("q,iq,jq->ij", w, vals, vals)
-    return ref, quad, vals, grads, w, mass_ref
+    stiff_ref = np.einsum("q,iqd,jqf->dfij", w, grads, grads)
+    return mass_ref, stiff_ref
 
 
-def _scatter(cell_dofs, local, n):
-    """Accumulate per-cell local matrices into a CSR of size n x n."""
-    nb = cell_dofs.shape[1]
-    rows = np.repeat(cell_dofs, nb, axis=1).ravel()
-    cols = np.tile(cell_dofs, (1, nb)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n))
-    return mat.tocsr()
+def _pair_keys(dofs, index, nf):
+    """Key row * nf + col of every (simplex, i, j) node pair, flattened.
+
+    index maps a raw DOF to its free number, or -1 when it is constrained;
+    a pair touching a constrained DOF gets the key nf * nf, past every
+    free pair, so it lands in a discard slot.
+    """
+    r = index[dofs]
+    keys = r[:, :, None] * nf + r[:, None, :]
+    keys[(r[:, :, None] < 0) | (r[:, None, :] < 0)] = nf * nf
+    return keys.reshape(-1)
 
 
 def _facet_measure(mesh):
@@ -138,40 +154,12 @@ def assemble(mesh, dofmap, deck, k):
             raise ValueError(f"deck is missing region {t} present in the mesh")
         validate_for_solve(deck[t][0], region=t)
 
-    ref, quad, vals, grads, w, mass_ref = _element_tables(mesh, k)
-    det, invJ = _cell_geometry(mesh)
-    n = dofmap.n
-    cd = dofmap.cell_dofs
-
-    # physical gradient metric per cell: G = invJ invJ^T |detJ|
-    G = np.einsum("cde,cfe,c->cdf", invJ, invJ, det)
-    stiff_local = np.einsum("q,iqd,cdf,jqf->cij", w, grads, G, grads)
-
     def per_region(value, tags):
         """value(deck entry) of each tag's region; the tags are 1..R."""
         return np.array([value(deck[t]) for t in regions])[tags - 1]
 
     def coef_per_cell(attr):
         return per_region(lambda entry: getattr(entry[0], attr), mesh.region_tags)
-
-    def mass_with(coef):
-        return _scatter(cd, np.einsum("c,ij->cij", coef * det, mass_ref), n)
-
-    def stiff_with(coef):
-        return _scatter(cd, coef[:, None, None] * stiff_local, n)
-
-    mass = _scatter(cd, np.einsum("c,ij->cij", det, mass_ref), n)
-    stiffness = _scatter(cd, stiff_local, n)
-
-    sa1 = coef_per_cell("sigma_a1")
-    sa2 = coef_per_cell("sigma_a2")
-    s12 = coef_per_cell("sigma_12")
-
-    a11 = stiff_with(coef_per_cell("D1")) + mass_with(sa1 + s12)
-    a22 = stiff_with(coef_per_cell("D2")) + mass_with(sa2)
-    coupling = mass_with(s12)
-    f1 = mass_with(coef_per_cell("nu_sigma_f1"))
-    f2 = mass_with(coef_per_cell("nu_sigma_f2"))
 
     # boundary handling: each facet takes the BC of its owning cell's region
     facet_region = mesh.region_tags[mesh.boundary_cells]
@@ -181,48 +169,87 @@ def assemble(mesh, dofmap, deck, k):
         if on_tag.any() and not on_tag.all():
             raise ValueError(f"boundary tag {t} mixes BC kinds (dirichlet and robin)")
 
+    n = dofmap.n
+    constrained = np.unique(dofmap.facet_dofs[~robin])
+    free = np.setdiff1d(np.arange(n, dtype=np.int64), constrained)
+    nf = len(free)
+    index = np.full(n, -1, dtype=np.int64)
+    index[free] = np.arange(nf)
+
+    # one CSR pattern of the free cell-pair couplings, shared by every
+    # matrix; slot nnz collects the pairs that touch a constrained DOF
+    keys, cell_slot = np.unique(
+        _pair_keys(dofmap.cell_dofs, index, nf), return_inverse=True
+    )
+    nnz = int(np.searchsorted(keys, nf * nf))
+    indices = keys[:nnz] % nf
+    indptr = np.searchsorted(keys[:nnz], np.arange(nf + 1) * nf)
+
+    def fill(slot, local):
+        return np.bincount(slot, weights=local.ravel(), minlength=nnz)[:nnz]
+
+    def csr(data):
+        return sp.csr_matrix((data, indices, indptr), shape=(nf, nf))
+
+    mass_ref, stiff_ref = _element_tables(mesh, k)
+    det, invJ = _cell_geometry(mesh)
+    # physical gradient metric per cell: G = invJ invJ^T |detJ|
+    G = invJ @ invJ.transpose(0, 2, 1) * det[:, None, None]
+    dd = mesh.dim * mesh.dim
+    stiff_local = G.reshape(-1, dd) @ stiff_ref.reshape(dd, -1)
+    mass_local = det[:, None] * mass_ref.ravel()
+
+    def mass_with(coef):
+        return coef[:, None] * mass_local
+
+    def stiff_with(coef):
+        return coef[:, None] * stiff_local
+
+    s12 = coef_per_cell("sigma_12")
+    a11 = fill(cell_slot, stiff_with(coef_per_cell("D1"))
+               + mass_with(coef_per_cell("sigma_a1") + s12))
+    a22 = fill(cell_slot, stiff_with(coef_per_cell("D2"))
+               + mass_with(coef_per_cell("sigma_a2")))
+
     if np.any(robin):
+        # a facet's node pairs are pairs of its owning cell, so in the pattern
+        facet_slot = np.searchsorted(
+            keys, _pair_keys(dofmap.facet_dofs[robin], index, nf)
+        )
         facet_ref = _build_reference_any(mesh.dim - 1, k)
         facet_quad = _simplex_rule(mesh.dim - 1, 2 * k)
         fvals, _ = facet_ref.tabulate(facet_quad.points_ref)
         facet_mass_ref = np.einsum("q,iq,jq->ij", facet_quad.weights, fvals, fvals)
-        local = facet_mass_ref * _facet_measure(mesh)[robin, None, None]
-        fdofs = dofmap.facet_dofs[robin]
+        local = _facet_measure(mesh)[robin, None] * facet_mass_ref.ravel()
 
         def robin_term(attr):
             alpha = per_region(lambda entry: getattr(entry[1], attr), facet_region[robin])
-            return _scatter(fdofs, alpha[:, None, None] * local, n)
+            return fill(facet_slot, alpha[:, None] * local)
 
-        a11 = a11 + robin_term("alpha1")
-        a22 = a22 + robin_term("alpha2")
+        a11 += robin_term("alpha1")
+        a22 += robin_term("alpha2")
 
-    constrained = np.unique(dofmap.facet_dofs[~robin])
-    free = np.setdiff1d(np.arange(n, dtype=np.int64), constrained)
-    nf = len(free)
-
-    def reduce(mat):
-        return mat[free][:, free].tocsr()
-
-    a11r, a22r = reduce(a11), reduce(a22)
-    couplingr = reduce(coupling)
-    f1r, f2r = reduce(f1), reduce(f2)
+    a11, a22 = csr(a11), csr(a22)
+    coupling = csr(fill(cell_slot, mass_with(s12)))
+    f1 = csr(fill(cell_slot, mass_with(coef_per_cell("nu_sigma_f1"))))
+    f2 = csr(fill(cell_slot, mass_with(coef_per_cell("nu_sigma_f2"))))
     zero = sp.csr_matrix((nf, nf))
 
-    A = sp.bmat([[a11r, None], [-couplingr, a22r]], format="csr")
-    B = sp.bmat([[f1r, f2r], [zero, zero]], format="csr")
+    A = sp.bmat([[a11, None], [-coupling, a22]], format="csr")
+    B = sp.bmat([[f1, f2], [zero, zero]], format="csr")
 
     return BlockSystem(
         n=nf,
         n_raw=n,
         A=A,
         B=B,
-        mass=reduce(mass),
-        stiffness=reduce(stiffness),
-        a11=a11r,
-        a22=a22r,
-        coupling=couplingr,
-        f1=f1r,
-        f2=f2r,
+        mass=csr(fill(cell_slot, mass_local)),
+        stiffness=csr(fill(cell_slot, stiff_local)),
+        a11=a11,
+        a22=a22,
+        coupling=coupling,
+        f1=f1,
+        f2=f2,
         free_dofs=free,
         constrained_dofs=constrained,
     )

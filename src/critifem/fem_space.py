@@ -14,10 +14,11 @@ Global DOF identity: a Lagrange node is identified by the entity carrying
 it, written as one integer row [number of vertices, their global ids in
 ascending order, their lattice weights], padded with -1 to a fixed
 width. Two cells sharing an entity derive identical rows for its nodes,
-so no edge or face orientation bookkeeping is needed. One np.unique over
-the rows of every cell node and every boundary facet node numbers them
-all: the lexicographic row order puts vertex DOFs first in vertex order,
-then edge DOFs, then face/interior DOFs, deterministically.
+so no edge or face orientation bookkeeping is needed. One lexicographic
+sort over the rows of every cell node and every boundary facet node
+(mesh._group_rows) numbers them all: the row order puts vertex DOFs
+first in vertex order, then edge DOFs, then face/interior DOFs,
+deterministically.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
+
+from .mesh import _group_rows
 
 __all__ = [
     "ReferenceElement",
@@ -281,9 +284,7 @@ def build_dofmap(mesh, k):
     width = mesh.dim + 1
     cell_rows = _node_rows(mesh.cells, lattice, width)
     facet_rows = _node_rows(mesh.boundary_facets, facet_lattice, width)
-    unique, index = np.unique(
-        np.concatenate([cell_rows, facet_rows]), axis=0, return_inverse=True
-    )
+    index, _, counts = _group_rows(np.concatenate([cell_rows, facet_rows]))
     cell_dofs = index[: len(cell_rows)].reshape(mesh.num_cells, -1)
     facet_dofs = index[len(cell_rows) :].reshape(len(mesh.boundary_facets), -1)
     tags = mesh.boundary_tags
@@ -291,4 +292,4 @@ def build_dofmap(mesh, k):
 
     cell_dofs.flags.writeable = False
     facet_dofs.flags.writeable = False
-    return DofMap(mesh.dim, k, len(unique), cell_dofs, facet_dofs, boundary_dofs)
+    return DofMap(mesh.dim, k, len(counts), cell_dofs, facet_dofs, boundary_dofs)

@@ -57,6 +57,24 @@ def _all_facets(cells):
     return fac
 
 
+def _group_rows(rows):
+    """Group the equal rows of a 2-D integer array, in lexicographic row order.
+
+    Returns (inverse, first, counts) as np.unique(rows, axis=0,
+    return_index=True, return_inverse=True, return_counts=True) does:
+    group g is the g-th distinct row in ascending lexicographic order,
+    rows[first[g]] is its first occurrence and counts[g] its multiplicity.
+    """
+    order = np.lexsort(rows.T[::-1])  # stable, first column most significant
+    srt = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    np.any(srt[1:] != srt[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    starts = np.flatnonzero(starts)
+    return inverse, order[starts], np.diff(starts, append=len(rows))
+
+
 def _signed_volumes(vertices, cells):
     dim = vertices.shape[1]
     v0 = vertices[cells[:, 0]]
@@ -139,34 +157,40 @@ class Mesh:
 
         # conformity + true boundary: facets shared by exactly one cell
         fac = _all_facets(cells)
-        uniq, first, counts = np.unique(
-            fac, axis=0, return_index=True, return_counts=True
-        )
+        _, first, counts = _group_rows(fac)
         if np.any(counts > 2):
             raise ValueError("non-conforming mesh: a facet is shared by >2 cells")
-        true_bnd = uniq[counts == 1]
+        first = first[counts == 1]
+        bfac = fac[first]
         # _all_facets stacks one block of num_cells facets per dropped column
-        bcells = first[counts == 1] % len(cells)
+        bcells = first % len(cells)
 
         if self.boundary_facets is None:
-            bfac = true_bnd
             btags = np.ones(len(bfac), dtype=np.int64)
         else:
-            given = np.sort(np.asarray(self.boundary_facets, dtype=np.int64), axis=1)
+            given = np.asarray(self.boundary_facets, dtype=np.int64)
+            if given.ndim != 2 or given.shape[1] != dim:
+                raise ValueError(
+                    f"boundary_facets must be (nb, {dim}), got {given.shape}"
+                )
+            given = np.sort(given, axis=1)
             gtags = np.asarray(self.boundary_tags, dtype=np.int64)
             if gtags.shape != (len(given),):
                 raise ValueError("boundary_tags length must match boundary_facets")
-            tagmap = {tuple(f): int(t) for f, t in zip(given, gtags)}
-            if len(tagmap) != len(given):
+            # listed facets first, then the true boundary, whose rows are distinct
+            group, _, counts = _group_rows(np.concatenate([given, bfac]))
+            listed, true = group[: len(given)], group[len(given) :]
+            if np.any(np.bincount(listed, minlength=len(counts)) > 1):
                 raise ValueError("duplicate boundary facet listed")
-            true_keys = {tuple(f) for f in true_bnd}
-            for key in tagmap:
-                if key not in true_keys:
-                    raise ValueError(
-                        f"listed facet {key} is not a boundary facet of the cell complex"
-                    )
-            bfac = true_bnd
-            btags = np.array([tagmap.get(tuple(f), 1) for f in true_bnd], dtype=np.int64)
+            outside = np.flatnonzero(~np.isin(listed, true))
+            if len(outside):
+                raise ValueError(
+                    f"listed facet {tuple(given[outside[0]])} is not a boundary "
+                    "facet of the cell complex"
+                )
+            tag_of = np.ones(len(counts), dtype=np.int64)
+            tag_of[listed] = gtags
+            btags = tag_of[true]
 
         verts.flags.writeable = False
         cells.flags.writeable = False

@@ -3,12 +3,26 @@ oracle for the bilinear forms, block pattern, and boundary handling."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from critifem.app import packaged_mesh_path
 from critifem.assembly import apply, assemble, dump_matrix_market
-from critifem.fem_space import _build_reference_any, build_dofmap, build_reference
+from critifem.fem_space import (
+    _build_reference_any,
+    _simplex_rule,
+    build_dofmap,
+    build_reference,
+)
 from critifem.materials import BoundaryCondition, GroupConstants, builtin_deck
-from critifem.mesh import Mesh, generate_unit_square
+from critifem.mesh import (
+    Mesh,
+    generate_disk,
+    generate_lshape,
+    generate_unit_cube,
+    generate_unit_square,
+    read_gmsh,
+)
 
 GC = GroupConstants(D1=1.0, D2=0.5, sigma_a1=0.2, sigma_a2=0.1, sigma_12=0.1,
                     nu_sigma_f1=0.3, nu_sigma_f2=0.1)
@@ -218,6 +232,124 @@ def test_matrices_match_quadrature_oracle(k, rng):
         b_mat = float(v @ (system.B @ u))
         assert abs(a_mat - a_oracle) < 1e-11 * max(1.0, abs(a_oracle))
         assert abs(b_mat - b_oracle) < 1e-11 * max(1.0, abs(b_oracle))
+
+
+# ---------------------------------------------------------------------------
+# element-loop reference for every assembled matrix
+
+def coo_reference_system(mesh, dofmap, deck, k):
+    """Every matrix of the pencil the plain way: local matrices by einsum,
+    one COO->CSR sum per matrix, Dirichlet rows and columns dropped by
+    indexing. Returns ({name: csr}, free DOFs)."""
+    n = dofmap.n
+    ref = build_reference(mesh.dim, k)
+    quad = _simplex_rule(mesh.dim, 2 * k)
+    vals, grads = ref.tabulate(quad.points_ref)
+    w = quad.weights
+    v0 = mesh.vertices[mesh.cells[:, 0]]
+    J = np.stack([mesh.vertices[mesh.cells[:, j + 1]] - v0 for j in range(mesh.dim)],
+                 axis=-1)
+    det = np.abs(np.linalg.det(J))
+    invJ = np.linalg.inv(J)
+    G = np.einsum("cde,cfe,c->cdf", invJ, invJ, det)
+    stiff_local = np.einsum("q,iqd,cdf,jqf->cij", w, grads, G, grads)
+    mass_local = np.einsum("c,ij->cij", det, np.einsum("q,iq,jq->ij", w, vals, vals))
+
+    def scatter(dofs, local):
+        nb = dofs.shape[1]
+        rows = np.repeat(dofs, nb, axis=1).ravel()
+        cols = np.tile(dofs, (1, nb)).ravel()
+        return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+    def coef(attr):
+        return np.array([getattr(deck[int(t)][0], attr) for t in mesh.region_tags])
+
+    def with_coef(c, local):
+        return scatter(dofmap.cell_dofs, c[:, None, None] * local)
+
+    bcs = [deck[int(mesh.region_tags[c])][1] for c in mesh.boundary_cells]
+    robin = np.array([bc.kind == "robin" for bc in bcs])
+    facet_quad = _simplex_rule(mesh.dim - 1, 2 * k)
+    fvals, _ = _build_reference_any(mesh.dim - 1, k).tabulate(facet_quad.points_ref)
+    facet_mass = np.einsum("q,iq,jq->ij", facet_quad.weights, fvals, fvals)
+    pts = mesh.vertices[mesh.boundary_facets]
+    if mesh.dim == 2:
+        measure = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
+    else:
+        measure = np.linalg.norm(np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]),
+                                 axis=1)
+
+    def robin_term(attr):
+        alpha = np.array([getattr(bc, attr) if r else 0.0 for bc, r in zip(bcs, robin)])
+        local = np.einsum("f,ij->fij", alpha * measure, facet_mass)
+        return scatter(dofmap.facet_dofs[robin], local[robin])
+
+    a11 = with_coef(coef("D1"), stiff_local) \
+        + with_coef(coef("sigma_a1") + coef("sigma_12"), mass_local) \
+        + robin_term("alpha1")
+    a22 = with_coef(coef("D2"), stiff_local) + with_coef(coef("sigma_a2"), mass_local) \
+        + robin_term("alpha2")
+    free = np.setdiff1d(np.arange(n), dofmap.facet_dofs[~robin])
+    raw = {
+        "mass": scatter(dofmap.cell_dofs, mass_local),
+        "stiffness": scatter(dofmap.cell_dofs, stiff_local),
+        "a11": a11,
+        "a22": a22,
+        "coupling": with_coef(coef("sigma_12"), mass_local),
+        "f1": with_coef(coef("nu_sigma_f1"), mass_local),
+        "f2": with_coef(coef("nu_sigma_f2"), mass_local),
+    }
+    mats = {name: m[free][:, free].tocsr() for name, m in raw.items()}
+    zero = sp.csr_matrix(mats["f1"].shape)
+    mats["A"] = sp.bmat([[mats["a11"], None], [-mats["coupling"], mats["a22"]]], "csr")
+    mats["B"] = sp.bmat([[mats["f1"], mats["f2"]], [zero, zero]], "csr")
+    return mats, free
+
+
+def two_region_square():
+    """Square N=4, left half Dirichlet (region 1), right half Robin (region 2);
+    boundary facets tagged by region, so Robin facets meet constrained DOFs."""
+    base = generate_unit_square(4)
+    right = base.vertices[base.cells].mean(axis=1)[:, 0] > 0.5
+    regions = np.where(right, 2, 1)
+    mesh = Mesh(2, base.vertices, base.cells, regions,
+                boundary_facets=base.boundary_facets,
+                boundary_tags=regions[base.boundary_cells])
+    gc2 = GroupConstants(D1=1.3, D2=0.4, sigma_a1=0.1, sigma_a2=0.2, sigma_12=0.05,
+                         nu_sigma_f1=0.2, nu_sigma_f2=0.4)
+    deck = {1: (GC, BoundaryCondition.dirichlet()),
+            2: (gc2, BoundaryCondition.robin(0.3, 0.8))}
+    return mesh, deck
+
+
+ORACLE_CASES = {
+    "square": lambda: (generate_unit_square(4), builtin_deck("paper-table1")),
+    "disk": lambda: (generate_disk(3), builtin_deck("paper-table1")),
+    "lshape": lambda: (generate_lshape(4), builtin_deck("paper-table1")),
+    "cube": lambda: (generate_unit_cube(3), builtin_deck("paper-table1")),
+    "disk-robin": lambda: (generate_disk(3), {1: (GC, BoundaryCondition.robin(0.3, 0.7))}),
+    "square-mixed": two_region_square,
+    "iaea2d": lambda: (read_gmsh(packaged_mesh_path()), builtin_deck("iaea-2d")),
+}
+
+
+@pytest.mark.filterwarnings("ignore:sigma_a1 = 0")
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_matrices_match_coo_reference(case, k):
+    mesh, deck = ORACLE_CASES[case]()
+    dofmap = build_dofmap(mesh, k)
+    system = assemble(mesh, dofmap, deck, k)
+    expect, free = coo_reference_system(mesh, dofmap, deck, k)
+    assert np.array_equal(system.free_dofs, free)
+    for name, ref in expect.items():
+        got = getattr(system, name)
+        assert isinstance(got, sp.csr_matrix)
+        assert got.shape == ref.shape
+        # the LU and bmat rely on sorted, duplicate-free indices
+        assert got.has_canonical_format, name
+        scale = max(abs(ref).max(), 1e-300)
+        assert abs(got - ref).max() <= 1e-13 * scale, name
 
 
 # ---------------------------------------------------------------------------

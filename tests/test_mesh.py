@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from critifem.mesh import (
     Mesh,
     MeshFormatError,
+    _group_rows,
     cell_volumes,
     generate_disk,
     generate_lshape,
@@ -238,6 +240,32 @@ def test_nonconforming_rejected():
         Mesh(2, verts, cells, np.array([1, 1, 1]))
 
 
+def test_nonconforming_tetrahedra_rejected():
+    # three tetrahedra on one triangle: a facet shared by three cells
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                      [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 1.0, 1.0]])
+    cells = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
+    with pytest.raises(ValueError, match=r"a facet is shared by >2 cells"):
+        Mesh(3, verts, cells, np.array([1, 1, 1]))
+
+
+@pytest.mark.parametrize("facets,tags", [
+    ([[0, 1], [0, 1]], [1, 1]),
+    ([[0, 1], [1, 0]], [2, 3]),  # vertex order does not make a facet distinct
+    ([[0, 2], [1, 2], [2, 0]], [1, 1, 1]),
+])
+def test_duplicate_boundary_facet_rejected(facets, tags):
+    with pytest.raises(ValueError, match="duplicate boundary facet listed"):
+        Mesh(2, TRI, np.array([[0, 1, 2]]), np.array([1]),
+             boundary_facets=np.array(facets), boundary_tags=np.array(tags))
+
+
+def test_boundary_facets_of_wrong_width_rejected():
+    with pytest.raises(ValueError, match=r"boundary_facets must be \(nb, 2\)"):
+        Mesh(2, TRI, np.array([[0, 1, 2]]), np.array([1]),
+             boundary_facets=np.array([[0, 1, 2]]), boundary_tags=np.array([1]))
+
+
 def test_interior_facet_listed_as_boundary_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     cells = np.array([[0, 1, 2], [1, 3, 2]])
@@ -255,6 +283,27 @@ def test_boundary_tags_applied_and_defaulted():
     assert tags[(0, 1)] == 7
     assert tags[(0, 2)] == 1  # unlisted boundary facets default to tag 1
     assert tags[(1, 2)] == 1
+
+
+@given(
+    hnp.arrays(np.int64, st.tuples(st.integers(1, 60), st.integers(1, 7)),
+               elements=st.integers(-1, 3))
+)
+@settings(max_examples=60, deadline=None)
+def test_group_rows_matches_unique(rows):
+    inverse, first, counts = _group_rows(rows)
+    uniq, ref_first, ref_inverse, ref_counts = np.unique(
+        rows, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    assert np.array_equal(rows[first], uniq)
+    assert np.array_equal(first, ref_first)
+    assert np.array_equal(inverse, ref_inverse.ravel())
+    assert np.array_equal(counts, ref_counts)
+
+
+def test_group_rows_single_row():
+    inverse, first, counts = _group_rows(np.array([[4, -1, -1]], dtype=np.int64))
+    assert inverse.tolist() == [0] and first.tolist() == [0] and counts.tolist() == [1]
 
 
 def test_mesh_arrays_immutable():
