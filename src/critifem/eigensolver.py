@@ -1,28 +1,37 @@
 """Shift-invert Arnoldi eigensolver for the assembled pencil A x = lambda B x.
 
-The operator iterated is x -> A^{-1}(B x) (shift 0): its dominant
-eigenvalues mu are the reciprocals of the pencil eigenvalues of smallest
-magnitude, which carry the physics (lambda = 1/k). Every application of
-A^{-1} exploits the block lower triangular structure: solve the SPD fast
-block, move the down-scattering term to the right-hand side, solve the
-SPD thermal block. The adjoint pencil transposes A into block UPPER
-triangular form, so the thermal block is solved first there. The inner
-solves are sparse LU factors of the two SPD blocks in symmetric mode,
-computed once per solve and shared by every operator application.
+B has no thermal rows, so the thermal equation fixes the thermal flux
+from the fast flux, and eliminating it leaves an n x n operator on the
+fast flux alone (shift 0):
+
+    T x1 = a11^{-1} (F1 x1 + F2 a22^{-1} C x1),   x2 = a22^{-1} C x1.
+
+Its dominant eigenvalues mu are the reciprocals of the pencil eigenvalues
+of smallest magnitude, which carry the physics (lambda = 1/k). The
+adjoint pencil A^T y = lambda B^T y eliminates the same way, with every
+off-diagonal block transposed:
+
+    T* y1 = a11^{-1} (F1^T y1 + C^T a22^{-1} F2^T y1),   y2 = lambda a22^{-1} F2^T y1.
+
+One application costs one solve with each SPD diagonal block; the inner
+solves are sparse LU factors of the two blocks in symmetric mode,
+computed once per solve and shared by every operator application and by
+the thermal recovery of the wanted eigenvectors.
 
 Arnoldi itself is ARPACK's real nonsymmetric iteration (scipy
 sparse.linalg.eigs) with a fixed start vector for reproducibility;
 conjugate Ritz pairs come back as genuinely complex eigenvalues, which
 the physical problems never produce but the solver must be able to
-report. Systems too small for ARPACK fall back to a dense solve of the
-composed operator.
+report. Systems too small for ARPACK fall back to a dense eigensolve of
+T.
 
 Every returned eigenpair is certified by explicitly forming
-||A x - lambda B x||_2 / ||B x||_2 on the sparse pencil. An attempt is
-accepted only when every Ritz pair up to and including the m-th smallest
-|lambda| meets 10x the Arnoldi tolerance; otherwise the iteration is
-retried with more wanted pairs and a larger subspace before giving up,
-so a poorly converged wanted pair is never replaced by a higher mode.
+||A x - lambda B x||_2 / ||B x||_2 on the full sparse pencil. An attempt
+is accepted only when every Ritz pair up to and including the m-th
+smallest |lambda| meets 10x the Arnoldi tolerance; otherwise the
+iteration is retried with more wanted pairs and a larger subspace before
+giving up, so a poorly converged wanted pair is never replaced by a
+higher mode.
 """
 
 from __future__ import annotations
@@ -42,10 +51,12 @@ __all__ = [
     "residual",
 ]
 
-# Eigenvalues of the shift-inverted operator below this fraction of the
-# largest are zeros in exact arithmetic (infinite pencil eigenvalues: B
-# has no thermal rows). Defective zeros move by about sqrt(eps), so the
-# cut sits just above that.
+# Eigenvalues of the fast-flux operator below this fraction of the
+# largest are zeros in exact arithmetic (infinite pencil eigenvalues):
+# its range lies in a11^{-1} of the fission rows, so every fast DOF with
+# no fission production, such as a reflector region, adds a zero.
+# Defective zeros move by about sqrt(eps), so the cut sits just above
+# that.
 _ZERO_MU = 1e-7
 
 
@@ -115,33 +126,52 @@ def _factor(block):
 
 
 class _BlockSolver:
-    """Triangular block solves for A or A^T.
+    """The n x n fast-flux operator T (T* in adjoint mode) and the
+    thermal half of its eigenvectors.
+
+    Primal: T x1 = a11^{-1} (F1 x1 + F2 a22^{-1} C x1), x2 = a22^{-1} C x1.
+    Adjoint: T* y1 = a11^{-1} (F1^T y1 + C^T a22^{-1} F2^T y1),
+    y2 = lambda a22^{-1} F2^T y1. Both are a11^{-1} (fast x + up a22^{-1}
+    down x) with the three off-diagonal blocks below.
 
     Both diagonal blocks are SPD, so each is factored once by SuperLU in
     symmetric mode: minimum degree ordering on the block's own graph and
     diagonal pivots, which keeps the fill at about half of a general
-    column ordering. The blocks are symmetric, so the same factors solve
-    the transposed (adjoint) triangle.
+    column ordering. The diagonal blocks are symmetric, so the same
+    factors serve the adjoint (a11^T = a11, a22^T = a22); the coupling
+    and fission blocks are not, and are transposed there.
     """
 
     def __init__(self, system, adjoint):
-        self.system = system
         self.adjoint = adjoint
         self._lu11 = _factor(system.a11)
         self._lu22 = _factor(system.a22)
-
-    def apply_inverse(self, y):
-        """x = A^{-1} y (or A^{-T} y in adjoint mode) via the triangle."""
-        n = self.system.n
-        y1, y2 = y[:n], y[n:]
-        cpl = self.system.coupling
-        if not self.adjoint:
-            x1 = self._lu11.solve(y1)
-            x2 = self._lu22.solve(y2 + cpl @ x1)
+        if adjoint:
+            self._fast = system.f1.T
+            self._down = system.f2.T  # fast -> thermal right-hand side
+            self._up = system.coupling.T  # thermal -> fast
         else:
-            x2 = self._lu22.solve(y2)
-            x1 = self._lu11.solve(y1 + cpl.T @ x2)
-        return np.concatenate([x1, x2])
+            self._fast = system.f1
+            self._down = system.coupling
+            self._up = system.f2
+
+    def apply(self, x1):
+        """T x1 (T* x1 in adjoint mode); x1 is real, one vector or columns."""
+        x2 = self._lu22.solve(self._down @ x1)
+        return self._lu11.solve(self._fast @ x1 + self._up @ x2)
+
+    def thermal(self, lams, x1):
+        """Thermal half of the eigenvectors with fast halves x1 (columns)
+        and eigenvalues lams, by one multi-column a22 solve."""
+        rhs = self._down @ x1
+        if np.iscomplexobj(rhs):
+            # the factors are real: solve real and imaginary parts as columns
+            k = rhs.shape[1]
+            parts = self._lu22.solve(np.hstack([rhs.real, rhs.imag]))
+            x2 = parts[:, :k] + 1j * parts[:, k:]
+        else:
+            x2 = self._lu22.solve(rhs)
+        return x2 * lams if self.adjoint else x2
 
 
 def _mass_norm(system, x):
@@ -195,26 +225,15 @@ def residual(system, solution):
 
 
 def _dense_pairs(system, solver, want):
-    nn = 2 * system.n
-    C = np.empty((nn, nn))
-    Bd = (system.B.T if solver.adjoint else system.B).toarray()
-    for j in range(nn):
-        C[:, j] = solver.apply_inverse(Bd[:, j])
-    mu, vecs = np.linalg.eig(C)
+    mu, vecs = np.linalg.eig(solver.apply(np.eye(system.n)))
     return mu, vecs
 
 
 def _arpack_pairs(system, solver, want, ncv, tol):
-    nn = 2 * system.n
-    op = spla.LinearOperator(
-        (nn, nn),
-        matvec=lambda x: solver.apply_inverse(
-            (system.B.T if solver.adjoint else system.B) @ x
-        ),
-        dtype=np.float64,
-    )
-    v0 = np.cos(0.7 * np.arange(nn) + 0.3)  # fixed, generic start vector
-    ncv_eff = min(nn, max(ncv, 2 * want + 1))
+    n = system.n
+    op = spla.LinearOperator((n, n), matvec=solver.apply, dtype=np.float64)
+    v0 = np.cos(0.7 * np.arange(n) + 0.3)  # fixed, generic start vector
+    ncv_eff = min(n, max(ncv, 2 * want + 1))
     mu, vecs = spla.eigs(
         op, k=want, which="LM", v0=v0, ncv=ncv_eff, tol=tol, maxiter=8000
     )
@@ -238,7 +257,7 @@ def _solve(system, settings, adjoint):
     if system.B.nnz == 0 or abs(system.B).max() == 0:
         return []  # the pencil has no finite eigenvalues
     solver = _BlockSolver(system, adjoint)
-    nn = 2 * system.n
+    n = system.n
     m = settings.m
     ncv = settings.effective_subspace
     tol = settings.tol
@@ -246,8 +265,8 @@ def _solve(system, settings, adjoint):
 
     last_error = None
     for attempt in range(settings.max_restarts + 1):
-        want = min(m + 3 + attempt, nn - 2) if nn > 4 else m
-        use_dense = nn < 80 or want < 1 or want >= nn - 1 or ncv >= nn
+        want = min(m + 3 + attempt, n - 2)
+        use_dense = n < 40 or ncv >= n
         try:
             if use_dense:
                 mu, vecs = _dense_pairs(system, solver, want)
@@ -255,12 +274,15 @@ def _solve(system, settings, adjoint):
                 mu, vecs = _arpack_pairs(system, solver, want, ncv, tol)
         except spla.ArpackNoConvergence as exc:
             last_error = exc
-            ncv = min(2 * ncv, nn)
+            ncv = min(2 * ncv, n)
             continue
         finite = np.abs(mu) > _ZERO_MU * np.abs(mu).max()
-        lams, vecs = 1.0 / mu[finite], vecs[:, finite]
+        lams, x1 = 1.0 / mu[finite], vecs[:, finite]
         first = np.lexsort((lams.imag, np.abs(lams)))[:m]
-        lams, vecs = lams[first], vecs[:, first]
+        lams, x1 = lams[first], x1[:, first]
+        if not lams.imag.any():
+            lams, x1 = lams.real, np.ascontiguousarray(x1.real)
+        vecs = np.vstack([x1, solver.thermal(lams, x1)])
         res = _pencil_residual(system, lams, vecs, adjoint)
         # every pair up to the m-th smallest |lambda| must certify; the
         # dense solve has the whole spectrum, so it may hold fewer than m
@@ -275,7 +297,7 @@ def _solve(system, settings, adjoint):
                 f"dense solve: eigenpair {bad + 1} (lambda={lams[bad]:.6g}) "
                 f"misses certification with residual {res[bad]:.2e}"
             )
-        ncv = min(2 * ncv, nn)
+        ncv = min(2 * ncv, n)
     raise SolverError(
         f"Arnoldi stagnation: {settings.max_restarts} restarts exhausted "
         f"without {m} certified eigenpairs"

@@ -185,7 +185,8 @@ class Mesh:
             outside = np.flatnonzero(~np.isin(listed, true))
             if len(outside):
                 raise ValueError(
-                    f"listed facet {tuple(given[outside[0]])} is not a boundary "
+                    "listed facet with 0-based vertex indices "
+                    f"{tuple(given[outside[0]].tolist())} is not a boundary "
                     "facet of the cell complex"
                 )
             tag_of = np.ones(len(counts), dtype=np.int64)

@@ -212,6 +212,65 @@ def test_adjoint_spectrum_and_biorthogonality(square16_system):
     assert np.min(np.abs(np.diag(G))) > 0.0
 
 
+def _nonsymmetric_pencil(n, seed):
+    """SPD diagonal blocks; non-symmetric, non-negative coupling and
+    fission blocks, so a missing transpose changes the adjoint."""
+    rng = np.random.default_rng(seed)
+    lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+
+    def nonneg():
+        return rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.2)
+
+    a11 = lap + np.diag(rng.uniform(0.5, 1.5, n))
+    a22 = 2.0 * lap + np.diag(rng.uniform(0.2, 1.0, n))
+    return make_system(a11, a22, nonneg(), nonneg(), nonneg())
+
+
+# dense path, ARPACK path; with these seeds the first five eigenvalues
+# hold a whole conjugate pair and split none
+@pytest.mark.parametrize("n, seed", [(12, 2), (60, 60)])
+def test_nonsymmetric_blocks_match_qz(n, seed):
+    system = _nonsymmetric_pencil(n, seed)
+    settings = SolverSettings(m=5)
+    A, B = system.A.toarray(), system.B.toarray()
+    primal = solve_primal(system, settings)
+    adjoint = solve_adjoint(system, settings)
+    for sols, (a, b) in ((primal, (A, B)), (adjoint, (A.T, B.T))):
+        alpha, beta = scipy.linalg.eig(a, b, homogeneous_eigvals=True)[0]
+        finite = np.abs(beta) > 1e-8 * np.max(np.abs(beta))
+        lams = alpha[finite] / beta[finite]
+        lams = lams[np.argsort(np.abs(lams))][:5]
+        # the moduli of a conjugate pair differ by rounding, so match sets
+        matched = [int(np.argmin(np.abs(lams - sol.lam))) for sol in sols]
+        assert sorted(matched) == list(range(5))
+        for sol, want in zip(sols, lams[matched]):
+            assert abs(sol.lam - want) <= 1e-8 * abs(want)
+            assert sol.residual <= 10 * settings.tol
+            assert residual(system, sol) <= 10 * settings.tol
+    # left and right eigenvectors of distinct eigenvalues are B-orthogonal
+    X = np.column_stack([np.concatenate([s.phi1, s.phi2]) for s in primal])
+    Y = np.column_stack([np.concatenate([s.phi1, s.phi2]) for s in adjoint])
+    G = Y.T @ (B @ X)
+    off = G - np.diag(np.diag(G))
+    assert np.max(np.abs(off)) <= 1e-8 * np.max(np.abs(np.diag(G)))
+
+
+def test_arnoldi_iterates_the_fast_flux_operator(monkeypatch):
+    system = _nonsymmetric_pencil(60, seed=60)
+    shapes = []
+    original = eigensolver.spla.eigs
+
+    def spy(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolver.spla, "eigs", spy)
+    solve_primal(system, SolverSettings(m=5))
+    solve_adjoint(system, SolverSettings(m=5))
+    assert len(shapes) >= 2
+    assert set(shapes) == {(system.n, system.n)}
+
+
 def test_rejected_wanted_pair_is_retried_not_skipped(monkeypatch, table1_gc):
     # The first Arnoldi attempt hands back a corrupted Ritz vector for the
     # 2nd-smallest |lambda| (one of the double (1,2)/(2,1) modes), so that

@@ -3,6 +3,7 @@
 import importlib.resources
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,7 +270,9 @@ def test_boundary_facets_of_wrong_width_rejected():
 def test_interior_facet_listed_as_boundary_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     cells = np.array([[0, 1, 2], [1, 3, 2]])
-    with pytest.raises(ValueError, match="not a boundary facet"):
+    message = ("listed facet with 0-based vertex indices (1, 2) is not a "
+               "boundary facet of the cell complex")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Mesh(2, verts, cells, np.array([1, 1]),
              boundary_facets=np.array([[1, 2]]), boundary_tags=np.array([1]))
 
