@@ -19,7 +19,7 @@ Blank lines and lines starting with # are ignored; no inline comments.
 Three section kinds:
 
     [run]            domain, mesh, degree, resolutions, num, deck, bc,
-                     out, dump_matrices
+                     out
     [solver]         tol, subspace, max_restarts
     [deck]           inline region-1 constants: D1, D2, sigma_a1,
                      sigma_a2, sigma_12, nu_sigma_f1, nu_sigma_f2,
@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import assemble, dump_matrix_market
+from .assembly import assemble
 from .convergence import (
     DOMAINS,
     analytic_eigenvalue,
@@ -90,8 +90,7 @@ class ConfigError(ValueError):
 # config file
 
 _RUN_KEYS = {
-    "domain", "mesh", "degree", "resolutions", "num", "deck", "bc",
-    "out", "dump_matrices",
+    "domain", "mesh", "degree", "resolutions", "num", "deck", "bc", "out",
 }
 _SOLVER_KEYS = {"tol", "subspace", "max_restarts"}
 _DECK_KEYS = {
@@ -209,7 +208,6 @@ class RunConfig:
     bc_override: BoundaryCondition | None
     out_dir: str
     settings: SolverSettings
-    dump_matrices: bool
 
 
 def _pick(cli_value, sections, section, key):
@@ -234,17 +232,6 @@ def _to_float(value, name):
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
-
-
-def _to_bool(value, name):
-    if isinstance(value, bool):
-        return value
-    lowered = str(value).lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{name} must be a boolean, got {value!r}")
 
 
 def build_config(ns):
@@ -320,15 +307,12 @@ def build_config(ns):
         raise ConfigError(str(e)) from None
 
     out_dir = _pick(getattr(ns, "out", None), sections, "run", "out") or "."
-    dump = _pick(getattr(ns, "dump_matrices", None) or None, sections, "run",
-                 "dump_matrices")
-    dump_matrices = _to_bool(dump, "dump_matrices") if dump is not None else False
 
     return RunConfig(
         subcommand=ns.subcommand, domain=domain, mesh_path=mesh_path,
         degree=degree, resolutions=resolutions, num=num, deck=deck,
         deck_label=deck_label, bc_override=bc_override, out_dir=out_dir,
-        settings=settings, dump_matrices=dump_matrices,
+        settings=settings,
     )
 
 
@@ -555,9 +539,6 @@ def _cmd_solve(cfg):
             file=sys.stderr,
         )
         return 3
-    if cfg.dump_matrices:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        dump_matrix_market(system, cfg.out_dir)
     solutions = solve_primal(system, cfg.settings)
     if not solutions:
         print("empty spectrum: the deck has no fission production", file=sys.stderr)
@@ -666,8 +647,6 @@ def _parser():
     sp.add_argument("--num", help="eigenpairs to compute (default 5)")
     sp.add_argument("--deck", help=f"built-in deck: {', '.join(BUILTIN_DECKS)}")
     sp.add_argument("--bc", help="dirichlet or robin:<alpha>, overrides the deck")
-    sp.add_argument("--dump-matrices", dest="dump_matrices", action="store_const",
-                    const="true", help="write MatrixMarket files of the pencil")
     common(sp)
 
     sp = sub.add_parser("converge", help="refinement study and CSV table")

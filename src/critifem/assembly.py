@@ -35,8 +35,9 @@ import scipy.sparse as sp
 
 from .fem_space import _build_reference_any, _simplex_rule, build_reference
 from .materials import validate_for_solve
+from .mesh import _jacobians
 
-__all__ = ["BlockSystem", "assemble", "apply", "dump_matrix_market"]
+__all__ = ["BlockSystem", "assemble"]
 
 
 @dataclass(frozen=True)
@@ -75,26 +76,22 @@ class BlockSystem:
         return np.asarray(full)[self.free_dofs]
 
 
-def apply(matrix, x):
-    """Matrix-vector product with an explicit dimension check."""
-    x = np.asarray(x)
-    if matrix.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {matrix.shape}, vector has {x.shape[0]}"
-        )
-    return matrix @ x
+def _gradient_metric(mesh):
+    """|det J| and the gradient metric G = J^-1 J^-T |det J| of every cell.
 
-
-def _cell_geometry(mesh):
-    """Jacobians of the affine maps: |det| and inverse-transpose, per cell."""
-    dim = mesh.dim
-    v0 = mesh.vertices[mesh.cells[:, 0]]
-    J = np.stack(
-        [mesh.vertices[mesh.cells[:, j + 1]] - v0 for j in range(dim)], axis=-1
-    )
-    det = np.linalg.det(J)
-    invJ = np.linalg.inv(J)
-    return np.abs(det), invJ
+    J^-1 is the adjugate over det J: in 2D the swapped and negated
+    entries, in 3D the cross products of the rows of J as columns.
+    """
+    J, det = _jacobians(mesh.vertices, mesh.cells)
+    if mesh.dim == 2:
+        adj = np.stack(
+            [J[:, 1, 1], -J[:, 0, 1], -J[:, 1, 0], J[:, 0, 0]], axis=-1
+        ).reshape(-1, 2, 2)
+    else:
+        r0, r1, r2 = J[:, 0], J[:, 1], J[:, 2]
+        adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-1)
+    det = np.abs(det)
+    return det, adj @ adj.transpose(0, 2, 1) / det[:, None, None]
 
 
 def _element_tables(mesh, k):
@@ -192,9 +189,7 @@ def assemble(mesh, dofmap, deck, k):
         return sp.csr_matrix((data, indices, indptr), shape=(nf, nf))
 
     mass_ref, stiff_ref = _element_tables(mesh, k)
-    det, invJ = _cell_geometry(mesh)
-    # physical gradient metric per cell: G = invJ invJ^T |detJ|
-    G = invJ @ invJ.transpose(0, 2, 1) * det[:, None, None]
+    det, G = _gradient_metric(mesh)
     dd = mesh.dim * mesh.dim
     stiff_local = G.reshape(-1, dd) @ stiff_ref.reshape(dd, -1)
     mass_local = det[:, None] * mass_ref.ravel()
@@ -254,13 +249,3 @@ def assemble(mesh, dofmap, deck, k):
         constrained_dofs=constrained,
     )
 
-
-def dump_matrix_market(system, directory):
-    """Write A, B and the scalar mass to MatrixMarket files for cross-checks."""
-    import os
-
-    from scipy.io import mmwrite
-
-    os.makedirs(directory, exist_ok=True)
-    for name, mat in (("A", system.A), ("B", system.B), ("mass", system.mass)):
-        mmwrite(os.path.join(directory, f"{name}.mtx"), mat)

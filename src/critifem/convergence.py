@@ -28,8 +28,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import jn_zeros
 
 from .assembly import assemble
 from .eigensolver import SolverError, SolverSettings, solve_primal
@@ -118,6 +116,8 @@ def laplacian_modes(domain, count):
             for n in range(1, r + 1)
         ]
     elif domain == "disk":
+        from scipy.special import jn_zeros  # reference-only, kept off the import path
+
         vals = []
         for n in range(count + 1):
             mult = 1 if n == 0 else 2
@@ -160,11 +160,19 @@ class RateFit(NamedTuple):
 
 
 def _profile(h_pow, lam):
-    # linear LS in (extrapolated, scale) for a fixed rate
-    design = np.column_stack([np.ones_like(h_pow), h_pow])
-    coef, *_ = np.linalg.lstsq(design, lam, rcond=None)
-    res = design @ coef - lam
-    return coef, float(res @ res)
+    """Linear LS in (extrapolated, scale) for each fixed rate, one per row.
+
+    h_pow is (rates, points); returns the extrapolated values, scales and
+    residual sums of squares of every row, from the centered normal
+    equations of the two-column design [1, h**rate].
+    """
+    x = h_pow - h_pow.mean(axis=-1, keepdims=True)
+    y = lam - lam.mean()
+    sxx = np.einsum("...i,...i->...", x, x)
+    scale = np.divide(x @ y, sxx, out=np.zeros_like(sxx), where=sxx > 0)
+    res = y - scale[..., None] * x
+    extrap = lam.mean() - scale * h_pow.mean(axis=-1)
+    return extrap, scale, np.einsum("...i,...i->...", res, res)
 
 
 def fit_rate(h, lam, rate_bounds=(0.25, 8.0)):
@@ -172,11 +180,13 @@ def fit_rate(h, lam, rate_bounds=(0.25, 8.0)):
 
     h, lam: matching sequences, at least three pairs, h positive and
     distinct.  The rate is profiled out: for each candidate rate the
-    remaining two parameters are a linear solve, and the 1-D problem is
-    minimized over rate_bounds by bounded search, then the full
-    three-parameter problem is polished by Gauss-Newton.  Data that is
-    constant to machine precision short-circuits to
-    RateFit(lam[0], inf, 0.0, 0.0): already converged, nothing to fit.
+    remaining two parameters are a linear solve.  The 1-D misfit is
+    searched on a 65-point grid over rate_bounds, which is zoomed into
+    the bracket around its best point until the bracket is narrower than
+    1e-12, and the full three-parameter problem is then polished by
+    Gauss-Newton.  Data that is constant to machine precision
+    short-circuits to RateFit(lam[0], inf, 0.0, 0.0): already converged,
+    nothing to fit.
     """
     h = np.asarray(h, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -192,24 +202,27 @@ def fit_rate(h, lam, rate_bounds=(0.25, 8.0)):
         return RateFit(float(lam[0]), math.inf, 0.0, 0.0)
 
     lo, hi = rate_bounds
+    if lo > hi:
+        raise ValueError("rate_bounds: the lower bound exceeds the upper bound")
     logh = np.log(h)
 
-    def objective(rate):
-        return _profile(np.exp(rate * logh), lam)[1]
+    # A single fine grid is not enough: Gauss-Newton stalls when started
+    # from a coarse rate, so the bracket is zoomed to the 1e-12 scale.
+    a, b = float(lo), float(hi)
+    while True:
+        rates = np.linspace(a, b, 65)
+        i = int(np.argmin(_profile(np.exp(rates[:, None] * logh), lam)[2]))
+        if b - a < 1e-12:
+            break
+        a, b = rates[max(i - 1, 0)], rates[min(i + 1, 64)]
+    rate = float(rates[i])
+    extrap, scale, best = (float(v) for v in _profile(np.exp(rate * logh), lam))
 
-    opt = minimize_scalar(
-        objective, bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12, "maxiter": 500},
-    )
-    rate = float(opt.x)
-    (extrap, scale), _ = _profile(np.exp(rate * logh), lam)
-
-    # Gauss-Newton polish of (extrapolated, scale, rate); the bounded
+    # Gauss-Newton polish of (extrapolated, scale, rate); the grid
     # search already lands close, so a handful of steps reaches the
     # floating-point floor.  A step that leaves the bounds or fails to
     # reduce the misfit is rejected and the loop stops.
     theta = np.array([extrap, scale, rate])
-    best = objective(rate)
     for _ in range(30):
         hp = np.exp(theta[2] * logh)
         r = theta[0] + theta[1] * hp - lam

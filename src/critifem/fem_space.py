@@ -5,10 +5,10 @@ tetrahedra. Basis functions are represented by their coefficients over
 the monomial basis (obtained from the inverse node Vandermonde matrix),
 which is well conditioned for the low degrees supported here.
 
-Quadrature uses conical-product Gauss-Jacobi rules built from
-scipy.special.roots_jacobi: all weights are positive at every degree
-(unlike tabulated tetrahedron rules, which go negative beyond degree 2)
-and the one-point rule degenerates to the centroid rule.
+Quadrature uses conical-product Gauss-Jacobi rules whose 1-D factors
+come from the Golub-Welsch eigenproblem: all weights are positive at
+every degree (unlike tabulated tetrahedron rules, which go negative
+beyond degree 2) and the one-point rule degenerates to the centroid rule.
 
 Global DOF identity: a Lagrange node is identified by the entity carrying
 it, written as one integer row [number of vertices, their global ids in
@@ -27,7 +27,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .mesh import _group_rows
 
@@ -186,34 +185,44 @@ class QuadratureRule:
         return self.points[:, 1:]
 
 
-def _gauss01(n):
-    t, w = roots_legendre(n)
-    return (t + 1.0) / 2.0, w / 2.0
+def _gauss_jacobi01(n, alpha):
+    """n-point Gauss rule on [0, 1] for the weight (1 - x)^alpha.
 
-
-def _jacobi01(n, alpha):
-    # nodes/weights for integral over [0,1] with weight (1-x)^alpha
-    t, w = roots_jacobi(n, alpha, 0.0)
-    return (t + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
+    of the symmetric tridiagonal Jacobi matrix of the Jacobi polynomials
+    P_j^(alpha, 0), mapped from [-1, 1] to [0, 1], and the weights are
+    mu0 v0^2, with v0 the first entry of each unit eigenvector and
+    mu0 = 1 / (alpha + 1) the integral of the weight. alpha = 0 is
+    Gauss-Legendre.
+    """
+    a = float(alpha)
+    j = np.arange(1.0, n)
+    s = 2.0 * j + a
+    # diagonal -a^2 / (s (s + 2)) with s = 2j + a; at j = 0 that is 0/0
+    # for a = 0, and it reduces to -a / (a + 2) for every a
+    diag = np.concatenate([[-a / (a + 2.0)], -a * a / (s * (s + 2.0))])
+    off = np.sqrt(4.0 * j * j * (j + a) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return (nodes + 1.0) / 2.0, vecs[0] ** 2 / (a + 1.0)
 
 
 def _simplex_rule(dim, exactness):
     n = max(1, (int(exactness) + 2) // 2)  # 2n-1 >= exactness
     if dim == 1:
-        x, w = _gauss01(n)
+        x, w = _gauss_jacobi01(n, 0.0)
         pts = x[:, None]
         wts = w
     elif dim == 2:
         # Duffy collapse x = xi (1 - eta), y = eta, Jacobian (1 - eta)
-        xi, wx = _gauss01(n)
-        eta, we = _jacobi01(n, 1.0)
+        xi, wx = _gauss_jacobi01(n, 0.0)
+        eta, we = _gauss_jacobi01(n, 1.0)
         XI, ETA = np.meshgrid(xi, eta, indexing="ij")
         pts = np.column_stack([(XI * (1.0 - ETA)).ravel(), ETA.ravel()])
         wts = np.outer(wx, we).ravel()
     elif dim == 3:
-        xi, wx = _gauss01(n)
-        eta, we = _jacobi01(n, 1.0)
-        zeta, wz = _jacobi01(n, 2.0)
+        xi, wx = _gauss_jacobi01(n, 0.0)
+        eta, we = _gauss_jacobi01(n, 1.0)
+        zeta, wz = _gauss_jacobi01(n, 2.0)
         XI, ETA, ZETA = np.meshgrid(xi, eta, zeta, indexing="ij")
         x = XI * (1.0 - ETA) * (1.0 - ZETA)
         y = ETA * (1.0 - ZETA)

@@ -75,15 +75,24 @@ def _group_rows(rows):
     return inverse, order[starts], np.diff(starts, append=len(rows))
 
 
+def _jacobians(vertices, cells):
+    """Jacobian J of each simplex's affine map and det J, in closed form.
+
+    Column j of J[c] is the edge from vertex 0 to vertex j + 1 of cell c;
+    det J is the 2x2 cofactor formula or the triple product of its rows.
+    """
+    v = vertices[cells]
+    J = (v[:, 1:] - v[:, :1]).transpose(0, 2, 1)
+    if J.shape[1] == 2:
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    else:
+        det = np.einsum("ci,ci->c", J[:, 0], np.cross(J[:, 1], J[:, 2]))
+    return J, det
+
+
 def _signed_volumes(vertices, cells):
-    dim = vertices.shape[1]
-    v0 = vertices[cells[:, 0]]
-    edges = np.stack([vertices[cells[:, j]] - v0 for j in range(1, dim + 1)], axis=-1)
-    if dim == 2:
-        det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-        return det / 2.0
-    det = np.linalg.det(edges)
-    return det / 6.0
+    _, det = _jacobians(vertices, cells)
+    return det / (2.0 if vertices.shape[1] == 2 else 6.0)
 
 
 @dataclass(frozen=True)
@@ -437,8 +446,11 @@ def read_gmsh(path):
         parts = line.split()
         if len(parts) != 4:
             err(f"bad node line {line!r}", ln0 + 2 + r)
-        ids[r] = int(parts[0])
-        xyz[r] = [float(p) for p in parts[1:]]
+        try:
+            ids[r] = int(parts[0])
+            xyz[r] = [float(p) for p in parts[1:]]
+        except ValueError:
+            err(f"bad node line {line!r}", ln0 + 2 + r)
     id2idx = {int(v): k for k, v in enumerate(ids)}
     if len(id2idx) != nnodes:
         err("duplicate node id", ln0 + 1)
@@ -456,19 +468,19 @@ def read_gmsh(path):
     by_type = {1: ([], []), 2: ([], []), 4: ([], [])}
     for r, line in enumerate(body[1:]):
         ln = ln0 + 2 + r
-        parts = line.split()
-        if len(parts) < 3:
+        try:
+            # every field after the element id is an integer
+            etype, ntags, *rest = map(int, line.split()[1:])
+        except ValueError:
             err(f"bad element line {line!r}", ln)
-        etype = int(parts[1])
         if etype not in _MSH_NODES_PER_TYPE:
             err(f"unsupported element type {etype}", ln)
-        ntags = int(parts[2])
         nv = _MSH_NODES_PER_TYPE[etype]
-        if len(parts) != 3 + ntags + nv:
-            err(f"element line has wrong field count", ln)
-        tag = int(parts[3]) if ntags >= 1 else 1
+        if len(rest) != ntags + nv:
+            err("element line has wrong field count", ln)
+        tag = rest[0] if ntags >= 1 else 1
         try:
-            conn = [id2idx[int(p)] for p in parts[3 + ntags :]]
+            conn = [id2idx[p] for p in rest[ntags:]]
         except KeyError as e:
             err(f"element references unknown node {e.args[0]}", ln)
         by_type[etype][0].append(conn)

@@ -2,15 +2,21 @@
 and the packaged quarter-core benchmark."""
 
 import filecmp
+import hashlib
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
 import pytest
 
+import critifem
 from critifem.app import (
     ConfigError,
     FieldOutput,
     _parser,
+    _write_coefficient_csv,
     build_config,
     cli,
     field_output,
@@ -19,7 +25,14 @@ from critifem.app import (
     run_iaea2d,
     write_vtk,
 )
-from critifem.mesh import Mesh, generate_unit_cube, generate_unit_square, write_msh
+from critifem.fem_space import build_dofmap
+from critifem.mesh import (
+    Mesh,
+    generate_unit_cube,
+    generate_unit_square,
+    read_gmsh,
+    write_msh,
+)
 
 SQUARE_REF = (66.5747701901, 165.2710351639, 165.2710351639,
               263.9671349734, 329.7645162969)
@@ -65,6 +78,7 @@ def test_parse_config_sections_and_lines(tmp_path):
     ("[solver]\ndomain = square\n", r"unknown key 'domain'"),
     ("[solver]\ninner = lu\n", r":2: unknown key 'inner'"),
     ("[solver]\ninner_tol = 1e-12\n", r":2: unknown key 'inner_tol'"),
+    ("[run]\ndump_matrices = true\n", r":2: unknown key 'dump_matrices'"),
 ])
 def test_parse_config_errors(tmp_path, text, match):
     path = config_file(tmp_path, text)
@@ -241,13 +255,6 @@ def test_solve_degree_two_writes_coefficient_sidecar(tmp_path):
     assert max(values) > 0.0
 
 
-def test_solve_dump_matrices(tmp_path):
-    assert cli(["solve", "--domain", "square", "--resolutions", "4",
-                "--dump-matrices", "--out", str(tmp_path)]) == 0
-    for name in ("A", "B", "mass"):
-        assert (tmp_path / f"{name}.mtx").exists()
-
-
 def test_solve_from_mesh_file(tmp_path):
     mesh_path = tmp_path / "patch.msh"
     write_msh(generate_unit_square(4), mesh_path)
@@ -325,6 +332,59 @@ def test_write_vtk_3d_cells(tmp_path):
     assert text[-1] == "0.0"
 
 
+# golden bytes of the writers on the packaged quarter-core mesh, from fixed
+# synthetic fields (no solver output, so no BLAS or ARPACK dependence)
+
+def synthetic_column(n, salt):
+    """Exactly rounded values over nine decades, with -0.0, 1e-300, 1/3
+    and 1e16 at positions salt..salt+3."""
+    i = np.arange(n)
+    col = ((i * 7919 + salt * 104729) % 2003 - 1001) / 37.0
+    col = col * np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4])[i % 9]
+    col[salt:salt + 4] = [-0.0, 1e-300, 1.0 / 3.0, 1e16]
+    return col
+
+
+def synthetic_solution(n):
+    """phi1 real, phi2 complex (its imaginary part carries a -0.0 too)."""
+    phi2 = synthetic_column(n, 2).astype(complex)
+    phi2.imag = synthetic_column(n, 3)
+    return types.SimpleNamespace(phi1=synthetic_column(n, 1), phi2=phi2)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_write_vtk_bytes_are_pinned(tmp_path):
+    mesh = read_gmsh(packaged_mesh_path())
+    path = tmp_path / "fields.vtk"
+    write_vtk(field_output(mesh, [synthetic_solution(mesh.num_vertices)]), path)
+    assert sha256(path) == (
+        "273fbfcb47a73bf16c73874d201b83b67f0ae7230853f95647140cec9f33091c"
+    )
+
+
+@pytest.mark.parametrize("k,digest", [
+    (1, "13bacc6b4644fc82e8d3aa5985c2b2524ea0fd5546f342fd16b3e46ffd7e22e2"),
+    (2, "67322ad4aaa2ac23b6c53d60f067215135f2bad5011a5f92c35a6a1c12e739ef"),
+])
+def test_coefficient_csv_bytes_are_pinned(tmp_path, k, digest):
+    n = build_dofmap(read_gmsh(packaged_mesh_path()), k).n
+    path = tmp_path / "coefficients.csv"
+    _write_coefficient_csv([synthetic_solution(n)], n, path)
+    assert sha256(path) == digest
+
+
+def test_write_msh_round_trip_bytes_are_pinned(tmp_path):
+    first, second = tmp_path / "first.msh", tmp_path / "second.msh"
+    write_msh(read_gmsh(packaged_mesh_path()), first)
+    write_msh(read_gmsh(first), second)
+    digest = "1fae1ca65b4cda35b8e2a45874560750aec03538a5f379a531a3ff62cbc7dcc0"
+    assert sha256(first) == digest
+    assert sha256(second) == digest
+
+
 # ---------------------------------------------------------------------------
 # quarter-core benchmark
 
@@ -370,3 +430,24 @@ def test_benchmark_cli_rejects_other_deck(tmp_path, capsys):
     path = config_file(tmp_path, "[run]\ndeck = paper-table1\n")
     assert cli(["benchmark", "iaea2d", "--config", path]) == 2
     assert "iaea-2d" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+
+def test_import_loads_no_optional_scipy_subpackage():
+    # a fresh interpreter, because this one already has scipy loaded
+    code = (
+        "import sys, critifem.app; "
+        "print(' '.join(m for m in ('scipy.optimize', 'scipy.special', 'scipy.io') "
+        "if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(critifem.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert done.stdout.split() == []

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from critifem.app import packaged_mesh_path
-from critifem.assembly import apply, assemble, dump_matrix_market
+from critifem.assembly import assemble
 from critifem.fem_space import (
     _build_reference_any,
     _simplex_rule,
@@ -402,21 +402,3 @@ def test_dofmap_mismatch_rejected():
     dofmap = build_dofmap(mesh, 2)
     with pytest.raises(ValueError, match="dofmap"):
         assemble(mesh, dofmap, {1: (GC, ROBIN0)}, 1)
-
-
-def test_apply_checks_dimensions(square16_system):
-    _, _, system = square16_system
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        apply(system.A, np.zeros(3))
-    out = apply(system.A, np.zeros(2 * system.n))
-    assert np.max(np.abs(out)) == 0.0
-
-
-def test_matrix_market_dump_roundtrip(tmp_path, square16_system):
-    from scipy.io import mmread
-
-    _, _, system = square16_system
-    dump_matrix_market(system, tmp_path)
-    for name, mat in (("A", system.A), ("B", system.B), ("mass", system.mass)):
-        back = mmread(tmp_path / f"{name}.mtx").tocsr()
-        assert (back != mat).nnz == 0

@@ -47,6 +47,22 @@ def test_fit_recovers_planted_model(rate):
     assert fit.rms <= 1e-9
 
 
+def test_fit_reaches_floor_on_planted_models():
+    # A coarse rate start lets Gauss-Newton stall far above the floor on
+    # a few percent of three-point sequences, so this sweep needs the
+    # search to resolve the rate to its final scale.
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(1000):
+        h = np.sort(rng.uniform(0.01, 1.0, rng.integers(3, 6)))[::-1]
+        lam_star = rng.uniform(1.0, 100.0)
+        scale = rng.choice([-1.0, 1.0]) * lam_star * 10.0 ** rng.uniform(-4.0, 1.0)
+        lam = lam_star + scale * h ** rng.uniform(0.8, 6.5)
+        fit = fit_rate(h, lam)
+        worst = max(worst, fit.rms / (np.finfo(float).eps * np.max(np.abs(lam))))
+    assert worst <= 4.0
+
+
 def test_fit_quadratic_example():
     h = (1 / 8, 1 / 16, 1 / 32, 1 / 64)
     lam = [10.0 + 3.0 * hh ** 2 for hh in h]
@@ -84,6 +100,8 @@ def test_fit_input_validation():
         fit_rate((0.5, 0.25, 0.0), (1.0, 2.0, 3.0))
     with pytest.raises(ValueError, match="equal length"):
         fit_rate((0.5, 0.25, 0.125), (1.0, 2.0))
+    with pytest.raises(ValueError, match="lower bound exceeds the upper bound"):
+        fit_rate((0.5, 0.25, 0.125), (3.0, 2.0, 1.5), rate_bounds=(8.0, 0.25))
 
 
 # ---------------------------------------------------------------------------

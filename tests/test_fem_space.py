@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from critifem.app import packaged_mesh_path
 from critifem.fem_space import (
     _build_reference_any,
+    _gauss_jacobi01,
     build_dofmap,
     build_reference,
     quadrature,
@@ -145,6 +146,18 @@ def test_barycentric_points_consistent():
     quad = quadrature(3, 4)
     assert np.max(np.abs(quad.points.sum(axis=1) - 1.0)) < 1e-14
     assert np.all(quad.points >= -1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])  # quadrature() uses n <= 4
+def test_gauss_jacobi_matches_scipy(alpha, n):
+    from scipy.special import roots_jacobi, roots_legendre
+
+    t, w = roots_legendre(n) if alpha == 0 else roots_jacobi(n, alpha, 0.0)
+    x, v = _gauss_jacobi01(n, float(alpha))
+    assert np.max(np.abs(x - (t + 1.0) / 2.0)) <= 1e-14
+    ref = w / 2.0 ** (alpha + 1)
+    assert np.max(np.abs(v - ref) / ref) <= 1e-14
 
 
 def test_unsupported_quadrature_rejected():

@@ -393,6 +393,27 @@ def test_read_error_carries_line_number(tmp_path):
         read_gmsh(path)
 
 
+@pytest.mark.parametrize("line,bad", [
+    (6, "2 1.0x 0 0"),  # coordinate
+    (5, "one 0 0 0"),  # node id
+    (12, "1 tri 2 1 1 1 2 3"),  # element type
+    (12, "1 2 two 1 1 1 2 3"),  # tag count
+    (13, "2 2 2 1 1 1 3 four"),  # connectivity entry
+])
+def test_read_non_numeric_field_reports_its_line(tmp_path, line, bad):
+    lines = [
+        "$MeshFormat", "2.2 0 8", "$EndMeshFormat",
+        "$Nodes", "4", "1 0 0 0", "2 1 0 0", "3 1 1 0", "4 0 1 0", "$EndNodes",
+        "$Elements", "2", "1 2 2 1 1 1 2 3", "2 2 2 1 1 1 3 4", "$EndElements",
+    ]
+    lines[line] = bad
+    path = tmp_path / "typo.msh"
+    path.write_text("\n".join(lines) + "\n")
+    where = rf"typo\.msh:{line + 1}: bad (node|element) line "
+    with pytest.raises(MeshFormatError, match=where):
+        read_gmsh(path)
+
+
 def test_read_unclosed_section(tmp_path):
     path = tmp_path / "open.msh"
     path.write_text("$MeshFormat\n2.2 0 8\n")
