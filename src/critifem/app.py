@@ -9,8 +9,9 @@ oracle            closed-form eigenvalues of the homogeneous problem
 check-ellipticity coercivity report for a deck
 
 Exit codes: 0 success, 2 configuration error (bad flags, files, deck),
-3 solver failure (stagnation, an empty spectrum where one is needed, or
-no free DOF left after the Dirichlet conditions).
+3 solver failure (stagnation, an empty spectrum where one is needed,
+fewer certified pairs than --num, or no free DOF left after the
+Dirichlet conditions).
 
 Config files
 ------------
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.resources
+import itertools
 import math
 import os
 import sys
@@ -357,12 +359,14 @@ def field_output(mesh, solutions):
     return FieldOutput(mesh=mesh, fields=fields)
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, lines):
+    """Write the lines, each ended by a newline, to path via temp file + rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.write("\n".join(lines))
+            fh.write("\n")
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp defaults to 0600
@@ -382,47 +386,42 @@ def write_vtk(output, path):
     mesh = output.mesh
     nv, nc = mesh.num_vertices, mesh.num_cells
     nloc = mesh.dim + 1
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "critifem fields",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {nv} double",
+    xyz = mesh.vertices.T.tolist()
+    if mesh.dim == 2:
+        xyz.append([0.0] * nv)
+    parts = [
+        [
+            "# vtk DataFile Version 3.0",
+            "critifem fields",
+            "ASCII",
+            "DATASET UNSTRUCTURED_GRID",
+            f"POINTS {nv} double",
+        ],
+        map("{!r} {!r} {!r}".format, *xyz),
+        [f"CELLS {nc} {nc * (nloc + 1)}"],
+        map((f"{nloc}" + " {}" * nloc).format, *mesh.cells.T.tolist()),
+        [f"CELL_TYPES {nc}"],
+        itertools.repeat("5" if mesh.dim == 2 else "10", nc),
+        [f"POINT_DATA {nv}"],
     ]
-    for v in mesh.vertices:
-        x, y = float(v[0]), float(v[1])
-        z = float(v[2]) if mesh.dim == 3 else 0.0
-        lines.append(f"{x!r} {y!r} {z!r}")
-    lines.append(f"CELLS {nc} {nc * (nloc + 1)}")
-    for c in mesh.cells:
-        lines.append(f"{nloc} " + " ".join(str(int(v)) for v in c))
-    lines.append(f"CELL_TYPES {nc}")
-    cell_type = "5" if mesh.dim == 2 else "10"
-    lines.extend([cell_type] * nc)
-    lines.append(f"POINT_DATA {nv}")
     for name, arr in output.fields.items():
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(repr(float(v)) for v in arr)
-    _atomic_write(path, "\n".join(lines) + "\n")
+        parts.append([f"SCALARS {name} double 1", "LOOKUP_TABLE default"])
+        parts.append(map(repr, np.asarray(arr, dtype=float).tolist()))
+    _atomic_write(path, itertools.chain.from_iterable(parts))
 
 
 def _write_coefficient_csv(solutions, n_raw, path):
     # full higher-order coefficients, one row per scalar DOF
     header = ["dof"]
-    columns = []
+    columns = [map(str, range(n_raw))]
     for j, sol in enumerate(solutions, 1):
         for gname, vec in (("phi1", sol.phi1), ("phi2", sol.phi2)):
             header.append(f"{gname}_{j}")
-            columns.append(np.asarray(vec))
-    rows = [",".join(header)]
-    for i in range(n_raw):
-        cells = [str(i)]
-        for col in columns:
-            v = col[i]
-            cells.append(repr(complex(v)) if np.iscomplexobj(col) else repr(float(v)))
-        rows.append(",".join(cells))
-    _atomic_write(path, "\n".join(rows) + "\n")
+            col = np.asarray(vec)[:n_raw]
+            col = col.astype(complex if np.iscomplexobj(col) else float, copy=False)
+            columns.append(map(repr, col.tolist()))
+    rows = map(",".join, zip(*columns, strict=True))
+    _atomic_write(path, itertools.chain([",".join(header)], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +527,13 @@ def _spectrum_lines(solutions):
     return lines
 
 
+def _require_pairs(solutions, num):
+    # the library may return fewer than m pairs (small dense systems); the
+    # CLI promises --num of them
+    if len(solutions) < num:
+        raise SolverError(f"solver certified only {len(solutions)} of {num} pairs")
+
+
 def _cmd_solve(cfg):
     mesh = _load_mesh(cfg)
     dofmap = build_dofmap(mesh, cfg.degree)
@@ -543,6 +549,7 @@ def _cmd_solve(cfg):
     if not solutions:
         print("empty spectrum: the deck has no fission production", file=sys.stderr)
         return 3
+    _require_pairs(solutions, cfg.num)
     print("\n".join(_spectrum_lines(solutions)))
     os.makedirs(cfg.out_dir, exist_ok=True)
     stem = cfg.domain if cfg.domain else os.path.splitext(
@@ -587,6 +594,7 @@ def _cmd_benchmark(cfg, which):
     if not result.solutions:
         print("empty spectrum: the deck has no fission production", file=sys.stderr)
         return 3
+    _require_pairs(result.solutions, cfg.num)
     dominant = result.solutions[0]
     print(f"k_eff = {dominant.k_eff:.6f}   (lambda = {dominant.lam.real:.6f}, "
           f"residual = {dominant.residual:.2e})")

@@ -391,6 +391,35 @@ GENERATORS = {
 # ---------------------------------------------------------------------------
 
 _MSH_NODES_PER_TYPE = {1: 2, 2: 3, 4: 4}
+_MSH_NODE_ROW = np.dtype([("id", np.int64), ("xyz", np.float64, (3,))])
+
+
+def _load_rows(lines, dtype):
+    """Parse each text line as one record of the structured ``dtype``.
+
+    Returns the records and a mask of the lines that parsed. A line parses
+    when it has exactly as many whitespace-separated fields as ``dtype``
+    and each one converts. All lines go to one ``np.loadtxt`` call; only
+    if that rejects the block is each line parsed alone, so that the
+    caller can name the first bad one.
+    """
+    if lines:
+        try:
+            rows = np.loadtxt(lines, dtype, comments=None, ndmin=1)
+        except ValueError:
+            rows = None
+        if rows is not None and len(rows) == len(lines):  # blank lines are skipped
+            return rows, np.ones(len(lines), dtype=bool)
+    rows = np.zeros(len(lines), dtype)
+    ok = np.zeros(len(lines), dtype=bool)
+    for k, line in enumerate(lines):
+        if line.strip():
+            try:
+                rows[k : k + 1] = np.loadtxt([line], dtype, comments=None, ndmin=1)
+            except ValueError:
+                continue
+            ok[k] = True
+    return rows, ok
 
 
 def read_gmsh(path):
@@ -440,19 +469,14 @@ def read_gmsh(path):
         err("bad node count", ln0 + 1)
     if len(body) - 1 != nnodes:
         err(f"expected {nnodes} node lines, found {len(body) - 1}", ln0 + 1)
-    ids = np.empty(nnodes, dtype=np.int64)
-    xyz = np.empty((nnodes, 3))
-    for r, line in enumerate(body[1:]):
-        parts = line.split()
-        if len(parts) != 4:
-            err(f"bad node line {line!r}", ln0 + 2 + r)
-        try:
-            ids[r] = int(parts[0])
-            xyz[r] = [float(p) for p in parts[1:]]
-        except ValueError:
-            err(f"bad node line {line!r}", ln0 + 2 + r)
-    id2idx = {int(v): k for k, v in enumerate(ids)}
-    if len(id2idx) != nnodes:
+    nodes, ok = _load_rows(body[1:], _MSH_NODE_ROW)
+    if not ok.all():
+        r = int(np.argmin(ok))
+        err(f"bad node line {body[1 + r]!r}", ln0 + 2 + r)
+    ids, xyz = nodes["id"], nodes["xyz"]
+    order = np.argsort(ids)
+    sorted_ids = ids[order]
+    if np.any(sorted_ids[1:] == sorted_ids[:-1]):
         err("duplicate node id", ln0 + 1)
 
     if "$Elements" not in sections:
@@ -465,50 +489,72 @@ def read_gmsh(path):
     if len(body) - 1 != nelem:
         err(f"expected {nelem} element lines, found {len(body) - 1}", ln0 + 1)
 
-    by_type = {1: ([], []), 2: ([], []), 4: ([], [])}
-    for r, line in enumerate(body[1:]):
-        ln = ln0 + 2 + r
-        try:
-            # every field after the element id is an integer
-            etype, ntags, *rest = map(int, line.split()[1:])
-        except ValueError:
-            err(f"bad element line {line!r}", ln)
-        if etype not in _MSH_NODES_PER_TYPE:
-            err(f"unsupported element type {etype}", ln)
-        nv = _MSH_NODES_PER_TYPE[etype]
-        if len(rest) != ntags + nv:
-            err("element line has wrong field count", ln)
-        tag = rest[0] if ntags >= 1 else 1
-        try:
-            conn = [id2idx[p] for p in rest[ntags:]]
-        except KeyError as e:
-            err(f"element references unknown node {e.args[0]}", ln)
-        by_type[etype][0].append(conn)
-        by_type[etype][1].append(tag)
+    # every field is an integer: id, type, tag count, tags, node ids. Lines
+    # are parsed in groups of equal field count; the node ids, the last nv
+    # fields, are stored left-aligned in conn.
+    elines = body[1:]
+    nfields = np.fromiter(map(len, map(str.split, elines)), np.int64, count=nelem)
+    head = np.zeros((nelem, 3), dtype=np.int64)  # id, type, tag count
+    parsed = np.zeros(nelem, dtype=bool)
+    tags = np.ones(nelem, dtype=np.int64)
+    nv = np.zeros(nelem, dtype=np.int64)  # 0 marks an unsupported type
+    conn = np.zeros((nelem, 4), dtype=np.int64)
+    for width in np.unique(nfields[nfields >= 3]).tolist():
+        (rows,) = np.nonzero(nfields == width)
+        table, parsed[rows] = _load_rows(
+            [elines[r] for r in rows], np.dtype([("f", np.int64, (width,))])
+        )
+        table = table["f"]
+        head[rows] = table[:, :3]
+        if width > 3:
+            tags[rows] = np.where(table[:, 2] >= 1, table[:, 3], 1)
+        for etype, n in _MSH_NODES_PER_TYPE.items():
+            match = table[:, 1] == etype
+            nv[rows[match]] = n
+            if n <= width - 3:
+                conn[rows[match], :n] = table[match, width - n :]
 
-    if by_type[4][0]:
-        dim = 3
-        cells, rtags = by_type[4]
-        bfac, btags = by_type[2]
-        if by_type[1][0]:
+    etype, ntags = head[:, 1], head[:, 2]
+    bad = ~parsed | (ntags < 0)
+    miscount = nfields != 3 + ntags + nv
+    pos = np.searchsorted(sorted_ids, conn)
+    found = pos < nnodes
+    found[found] = sorted_ids[pos[found]] == conn[found]
+    missing = ~found & (np.arange(4) < nv[:, None])
+    failed = bad | (nv == 0) | miscount | missing.any(axis=1)
+    if failed.any():
+        r = int(np.argmax(failed))
+        ln = ln0 + 2 + r
+        if bad[r]:
+            err(f"bad element line {elines[r]!r}", ln)
+        if nv[r] == 0:
+            err(f"unsupported element type {etype[r]}", ln)
+        if miscount[r]:
+            err("element line has wrong field count", ln)
+        err(f"element references unknown node {conn[r][missing[r]][0]}", ln)
+    if len(np.unique(head[:, 0])) != nelem:
+        err("duplicate element id", ln0 + 1)
+
+    if np.any(etype == 4):
+        dim, facet_type, cell_type = 3, 2, 4
+        if np.any(etype == 1):
             err("line elements are unsupported in a tetrahedral mesh", ln0 + 1)
-    elif by_type[2][0]:
-        dim = 2
-        cells, rtags = by_type[2]
-        bfac, btags = by_type[1]
+    elif np.any(etype == 2):
+        dim, facet_type, cell_type = 2, 1, 2
     else:
         err("file contains no triangles or tetrahedra", ln0 + 1)
+    is_cell, is_facet = etype == cell_type, etype == facet_type
 
-    coords = xyz[:, :dim]
     if dim == 2 and np.any(np.abs(xyz[:, 2]) > 1e-12):
         raise MeshFormatError("2D mesh has nonzero z coordinates", path=str(path))
+    has_facets = bool(is_facet.any())
     return Mesh(
         dim,
-        coords,
-        np.array(cells, dtype=np.int64),
-        np.array(rtags, dtype=np.int64),
-        boundary_facets=np.array(bfac, dtype=np.int64) if bfac else None,
-        boundary_tags=np.array(btags, dtype=np.int64) if bfac else None,
+        xyz[:, :dim],
+        order[pos[is_cell, : dim + 1]],
+        tags[is_cell],
+        boundary_facets=order[pos[is_facet, :dim]] if has_facets else None,
+        boundary_tags=tags[is_facet] if has_facets else None,
     )
 
 
@@ -518,26 +564,25 @@ def write_msh(mesh, path):
     Coordinates use repr-exact formatting so a write/read round trip
     reproduces them bit for bit.
     """
-    facet_type = 1 if mesh.dim == 2 else 2
-    cell_type = 2 if mesh.dim == 2 else 4
-    out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(mesh.num_vertices)]
-    for k, v in enumerate(mesh.vertices):
-        x, y = float(v[0]), float(v[1])
-        z = float(v[2]) if mesh.dim == 3 else 0.0
-        out.append(f"{k + 1} {x!r} {y!r} {z!r}")
-    out.append("$EndNodes")
-    out.append("$Elements")
-    nb, nc = len(mesh.boundary_facets), mesh.num_cells
-    out.append(str(nb + nc))
-    eid = 1
-    for f, t in zip(mesh.boundary_facets, mesh.boundary_tags):
-        conn = " ".join(str(v + 1) for v in f)
-        out.append(f"{eid} {facet_type} 2 {t} {t} {conn}")
-        eid += 1
-    for c, t in zip(mesh.cells, mesh.region_tags):
-        conn = " ".join(str(v + 1) for v in c)
-        out.append(f"{eid} {cell_type} 2 {t} {t} {conn}")
-        eid += 1
-    out.append("$EndElements")
+    nv, nb, nc = mesh.num_vertices, len(mesh.boundary_facets), mesh.num_cells
+    xyz = mesh.vertices.T.tolist()
+    if mesh.dim == 2:
+        xyz.append([0.0] * nv)
+
+    def elements(first_id, etype, conn, tags):
+        # id, type, two tags (physical and elementary, both the tag), nodes
+        fmt = f"{{}} {etype} 2 {{}} {{}}" + " {}" * conn.shape[1]
+        tags = tags.tolist()
+        ids = range(first_id, first_id + len(conn))
+        return map(fmt.format, ids, tags, tags, *(conn + 1).T.tolist())
+
+    text = "\n".join(itertools.chain(
+        ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(nv)],
+        map("{} {!r} {!r} {!r}".format, range(1, nv + 1), *xyz),
+        ["$EndNodes", "$Elements", str(nb + nc)],
+        elements(1, 1 if mesh.dim == 2 else 2, mesh.boundary_facets, mesh.boundary_tags),
+        elements(nb + 1, 2 if mesh.dim == 2 else 4, mesh.cells, mesh.region_tags),
+        ["$EndElements", ""],
+    ))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write(text)

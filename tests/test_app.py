@@ -219,6 +219,25 @@ def test_exit_code_three_converge_no_fission(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--domain", "square", "--resolutions", "2", "--num", "5"],
+    ["benchmark", "iaea2d", "--num", "2"],
+])
+@pytest.mark.filterwarnings("ignore:sigma_a1 = 0")
+def test_exit_code_three_fewer_pairs_than_num(argv, tmp_path, capsys, monkeypatch):
+    # square N=2 has one free DOF, hence one pair; the quarter core has more,
+    # so the benchmark's solver is cut to its first pair
+    if argv[0] == "benchmark":
+        solve_primal = critifem.app.solve_primal
+        monkeypatch.setattr(critifem.app, "solve_primal",
+                            lambda system, settings: solve_primal(system, settings)[:1])
+    code = cli(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"solver certified only 1 of {argv[-1]} pairs" in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # solve/converge outputs
 
@@ -381,6 +400,23 @@ def test_write_msh_round_trip_bytes_are_pinned(tmp_path):
     write_msh(read_gmsh(packaged_mesh_path()), first)
     write_msh(read_gmsh(first), second)
     digest = "1fae1ca65b4cda35b8e2a45874560750aec03538a5f379a531a3ff62cbc7dcc0"
+    assert sha256(first) == digest
+    assert sha256(second) == digest
+
+
+def test_write_vtk_3d_bytes_are_pinned(tmp_path):
+    path = tmp_path / "cube.vtk"
+    write_vtk(field_output(generate_unit_cube(2), [synthetic_solution(27)]), path)
+    assert sha256(path) == (
+        "079c1bf2c7c3e5cd5a1b87efbc3a19f42cb2cecaabd1ab629b317e0cb0806293"
+    )
+
+
+def test_write_msh_3d_round_trip_bytes_are_pinned(tmp_path):
+    first, second = tmp_path / "first.msh", tmp_path / "second.msh"
+    write_msh(generate_unit_cube(2), first)
+    write_msh(read_gmsh(first), second)
+    digest = "838c9464bb7b624a1e583ce10a033eac4176774aa965c4c1e64468431e09ed01"
     assert sha256(first) == digest
     assert sha256(second) == digest
 

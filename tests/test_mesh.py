@@ -428,3 +428,171 @@ def test_packaged_quarter_core_asset():
     assert mesh.dim == 2
     assert mesh.region_ids().tolist() == [1, 2, 3, 4, 5]
     assert mesh.num_cells > 1000
+
+
+@pytest.mark.parametrize("line,bad", [
+    (12, "elem-one 2 2 1 1 1 2 3"),  # element id
+    (13, "2 2 -1 3 4"),  # negative tag count
+])
+def test_read_bad_element_header_reports_its_line(tmp_path, line, bad):
+    lines = [
+        "$MeshFormat", "2.2 0 8", "$EndMeshFormat",
+        "$Nodes", "4", "1 0 0 0", "2 1 0 0", "3 1 1 0", "4 0 1 0", "$EndNodes",
+        "$Elements", "2", "1 2 2 1 1 1 2 3", "2 2 2 1 1 1 3 4", "$EndElements",
+    ]
+    lines[line] = bad
+    path = tmp_path / "typo.msh"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError, match=rf"typo\.msh:{line + 1}: bad element line "):
+        read_gmsh(path)
+
+
+def test_read_duplicate_element_id_rejected(tmp_path):
+    path = tmp_path / "twice.msh"
+    path.write_text("\n".join([
+        "$MeshFormat", "2.2 0 8", "$EndMeshFormat",
+        "$Nodes", "4", "1 0 0 0", "2 1 0 0", "3 1 1 0", "4 0 1 0", "$EndNodes",
+        "$Elements", "2", "7 2 2 1 1 1 2 3", "7 2 2 1 1 1 3 4", "$EndElements",
+    ]) + "\n")
+    with pytest.raises(MeshFormatError, match="duplicate element id"):
+        read_gmsh(path)
+
+
+@pytest.mark.parametrize("first,second,message", [
+    # the earlier line is named, whatever its field count and fault
+    ("1 2 2 1 1 1 2 9", "2 2 x 1 3 4", "13: element references unknown node 9"),
+    ("1 2 1 1 1 2 3 4", "2 2 2 1 1 1 3 9", "13: element line has wrong field count"),
+    ("1 15 1 1 1 2 3", "2 2 2 1 1 1 3 x", "13: unsupported element type 15"),
+])
+def test_read_names_the_first_offending_element_line(tmp_path, first, second, message):
+    path = tmp_path / "two.msh"
+    path.write_text("\n".join([
+        "$MeshFormat", "2.2 0 8", "$EndMeshFormat",
+        "$Nodes", "4", "1 0 0 0", "2 1 0 0", "3 1 1 0", "4 0 1 0", "$EndNodes",
+        "$Elements", "2", first, second, "$EndElements",
+    ]) + "\n")
+    with pytest.raises(MeshFormatError, match=rf"two\.msh:{message}$"):
+        read_gmsh(path)
+
+
+def loop_read_gmsh(path):
+    """Reference reader: the MSH subset parsed one line at a time, with a
+    dict from node id to index (the reader before block parsing)."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    sections = {}
+    i = 0
+    while i < len(lines):
+        name = lines[i].strip()
+        if not name:
+            i += 1
+            continue
+        j = lines.index(f"$End{name[1:]}", i + 1)
+        sections[name] = lines[i + 1 : j]
+        i = j + 1
+    assert sections["$MeshFormat"][0].split()[:2] == ["2.2", "0"]
+
+    body = sections["$Nodes"]
+    nnodes = int(body[0])
+    assert len(body) - 1 == nnodes
+    ids = np.empty(nnodes, dtype=np.int64)
+    xyz = np.empty((nnodes, 3))
+    for r, line in enumerate(body[1:]):
+        parts = line.split()
+        assert len(parts) == 4
+        ids[r] = int(parts[0])
+        xyz[r] = [float(p) for p in parts[1:]]
+    id2idx = {int(v): k for k, v in enumerate(ids)}
+    assert len(id2idx) == nnodes
+
+    body = sections["$Elements"]
+    assert len(body) - 1 == int(body[0])
+    sizes = {1: 2, 2: 3, 4: 4}
+    by_type = {1: ([], []), 2: ([], []), 4: ([], [])}
+    for line in body[1:]:
+        etype, ntags, *rest = map(int, line.split()[1:])
+        assert len(rest) == ntags + sizes[etype]
+        by_type[etype][0].append([id2idx[p] for p in rest[ntags:]])
+        by_type[etype][1].append(rest[0] if ntags >= 1 else 1)
+
+    if by_type[4][0]:
+        dim, (cells, rtags), (bfac, btags) = 3, by_type[4], by_type[2]
+        assert not by_type[1][0]
+    else:
+        dim, (cells, rtags), (bfac, btags) = 2, by_type[2], by_type[1]
+    return Mesh(
+        dim,
+        xyz[:, :dim],
+        np.array(cells, dtype=np.int64),
+        np.array(rtags, dtype=np.int64),
+        boundary_facets=np.array(bfac, dtype=np.int64) if bfac else None,
+        boundary_tags=np.array(btags, dtype=np.int64) if bfac else None,
+    )
+
+
+def scrambled_msh(mesh, path, rng):
+    """Write mesh with shuffled, non-contiguous node and element ids, 0 to 3
+    tags per element line, and facet and cell lines interleaved."""
+    nv = mesh.num_vertices
+    node_ids = rng.permutation(rng.choice(np.arange(1, 20 * nv), nv, replace=False))
+    out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(nv)]
+    for k in rng.permutation(nv):
+        coords = list(mesh.vertices[k]) + [0.0] * (3 - mesh.dim)
+        out.append(f"{node_ids[k]} " + " ".join(repr(float(c)) for c in coords))
+    out.append("$EndNodes")
+    facet_type, cell_type = (1, 2) if mesh.dim == 2 else (2, 4)
+    # every other boundary facet, tagged 2..4; cells keep their region tag
+    listed = np.arange(0, len(mesh.boundary_facets), 2)
+    elements = [(facet_type, 2 + k % 3, mesh.boundary_facets[f])
+                for k, f in enumerate(listed)]
+    elements += [(cell_type, t, c) for t, c in zip(mesh.region_tags, mesh.cells)]
+    elements = [elements[k] for k in rng.permutation(len(elements))]
+    elem_ids = rng.choice(np.arange(1, 10 * len(elements)), len(elements), replace=False)
+    out += ["$Elements", str(len(elements))]
+    for k, (etype, tag, conn) in enumerate(elements):
+        ntags = k % 4
+        if ntags == 0 and tag != 1:
+            ntags = 1  # a line without tags would default the tag to 1
+        tags = [tag, 100 + k, 7][:ntags]
+        fields = [elem_ids[k], etype, ntags, *tags, *node_ids[conn]]
+        out.append(" ".join(str(int(f)) for f in fields))
+    out.append("$EndElements")
+    path.write_text("\n".join(out) + "\n")
+
+
+def two_region_square():
+    base = generate_unit_square(4)
+    centroid_x = base.vertices[base.cells].mean(axis=1)[:, 0]
+    return Mesh(2, base.vertices, base.cells, np.where(centroid_x < 0.5, 1, 2))
+
+
+def two_region_cube():
+    base = generate_unit_cube(2)
+    centroid_z = base.vertices[base.cells].mean(axis=1)[:, 2]
+    return Mesh(3, base.vertices, base.cells, np.where(centroid_z < 0.5, 1, 2))
+
+
+def msh_files(tmp_path):
+    ref = importlib.resources.files("critifem") / "data" / "iaea2d_quarter.msh"
+    with importlib.resources.as_file(ref) as quarter_core:
+        yield quarter_core
+    for name, mesh in [("square", generate_unit_square(3)), ("lshape", generate_lshape(4)),
+                       ("disk", generate_disk(3)), ("cube", generate_unit_cube(2))]:
+        path = tmp_path / f"{name}.msh"
+        write_msh(mesh, path)
+        yield path
+    rng = np.random.default_rng(7)
+    for name, mesh in [("mixed2d", two_region_square()), ("mixed3d", two_region_cube())]:
+        path = tmp_path / f"{name}.msh"
+        scrambled_msh(mesh, path, rng)
+        yield path
+
+
+def test_reader_matches_line_by_line_reference(tmp_path):
+    for path in msh_files(tmp_path):
+        mesh, ref = read_gmsh(path), loop_read_gmsh(path)
+        assert mesh.dim == ref.dim
+        for name in ("vertices", "cells", "region_tags", "boundary_facets",
+                     "boundary_tags"):
+            got, want = getattr(mesh, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (path, name)
