@@ -9,9 +9,10 @@ oracle            closed-form eigenvalues of the homogeneous problem
 check-ellipticity coercivity report for a deck
 
 Exit codes: 0 success, 2 configuration error (bad flags, files, deck),
-3 solver failure (stagnation, an empty spectrum where one is needed,
-fewer certified pairs than --num, or no free DOF left after the
-Dirichlet conditions).
+3 solver failure: any SolverError, which the eigensolver raises when it
+cannot certify exactly --num pairs (stagnation, an empty spectrum, fewer
+finite eigenvalues than --num, or no free DOF left after the Dirichlet
+conditions).
 
 Config files
 ------------
@@ -21,7 +22,7 @@ Three section kinds:
 
     [run]            domain, mesh, degree, resolutions, num, deck, bc,
                      out
-    [solver]         tol, subspace, max_restarts
+    [solver]         tol
     [deck]           inline region-1 constants: D1, D2, sigma_a1,
                      sigma_a2, sigma_12, nu_sigma_f1, nu_sigma_f2,
                      and optionally bc
@@ -42,10 +43,8 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import itertools
-import math
 import os
 import sys
-import tempfile
 import warnings
 from dataclasses import dataclass, replace
 
@@ -70,7 +69,7 @@ from .materials import (
     ellipticity_check,
     validate_for_solve,
 )
-from .mesh import GENERATORS, read_gmsh
+from .mesh import GENERATORS, _atomic_write, read_gmsh
 
 __all__ = [
     "ConfigError",
@@ -94,7 +93,7 @@ class ConfigError(ValueError):
 _RUN_KEYS = {
     "domain", "mesh", "degree", "resolutions", "num", "deck", "bc", "out",
 }
-_SOLVER_KEYS = {"tol", "subspace", "max_restarts"}
+_SOLVER_KEYS = {"tol"}
 _DECK_KEYS = {
     "D1", "D2", "sigma_a1", "sigma_a2", "sigma_12",
     "nu_sigma_f1", "nu_sigma_f2", "bc",
@@ -204,12 +203,10 @@ class RunConfig:
     mesh_path: str | None
     degree: int
     resolutions: tuple[int, ...]
-    num: int
     deck: dict
     deck_label: str
-    bc_override: BoundaryCondition | None
     out_dir: str
-    settings: SolverSettings
+    settings: SolverSettings  # settings.m is --num
 
 
 def _pick(cli_value, sections, section, key):
@@ -299,10 +296,6 @@ def build_config(ns):
     tol = _pick(getattr(ns, "tol", None), sections, "solver", "tol")
     if tol is not None:
         solver_kwargs["tol"] = _to_float(tol, "tol")
-    for key in ("subspace", "max_restarts"):
-        entry = sections.get("solver", {}).get(key)
-        if entry is not None:
-            solver_kwargs[key] = _to_int(entry[0], key, minimum=1)
     try:
         settings = SolverSettings(**solver_kwargs)
     except ValueError as e:
@@ -312,9 +305,8 @@ def build_config(ns):
 
     return RunConfig(
         subcommand=ns.subcommand, domain=domain, mesh_path=mesh_path,
-        degree=degree, resolutions=resolutions, num=num, deck=deck,
-        deck_label=deck_label, bc_override=bc_override, out_dir=out_dir,
-        settings=settings,
+        degree=degree, resolutions=resolutions, deck=deck,
+        deck_label=deck_label, out_dir=out_dir, settings=settings,
     )
 
 
@@ -357,24 +349,6 @@ def field_output(mesh, solutions):
                     vertex.imag, dtype=float
                 )
     return FieldOutput(mesh=mesh, fields=fields)
-
-
-def _atomic_write(path, lines):
-    """Write the lines, each ended by a newline, to path via temp file + rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp defaults to 0600
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_vtk(output, path):
@@ -433,7 +407,7 @@ class IaeaResult:
 
     k_eff: float
     solutions: tuple
-    fields: FieldOutput | None
+    fields: FieldOutput
     mesh: object
     boundary_peak_fraction: tuple  # (fast, thermal), boundary max / global max
 
@@ -448,8 +422,6 @@ def run_iaea2d(mesh_path=None, degree=1, settings=None):
     Loads the packaged mesh unless mesh_path overrides it, assembles
     with the "iaea-2d" deck, and returns the dominant k = 1/lambda_min
     with the fundamental fluxes normalized per group to unit maximum.
-    An all-reflector deck variant has no fission term at all; the result
-    then carries an empty spectrum and k_eff = nan.
     """
     if mesh_path is None:
         with importlib.resources.as_file(packaged_mesh_path()) as p:
@@ -466,11 +438,6 @@ def run_iaea2d(mesh_path=None, degree=1, settings=None):
     dofmap = build_dofmap(mesh, degree)
     system = assemble(mesh, dofmap, deck, degree)
     solutions = solve_primal(system, settings)
-    if not solutions:
-        return IaeaResult(
-            k_eff=math.nan, solutions=(), fields=None, mesh=mesh,
-            boundary_peak_fraction=(math.nan, math.nan),
-        )
 
     def unit_max(vec):
         vec = np.asarray(vec).real.copy()
@@ -527,29 +494,11 @@ def _spectrum_lines(solutions):
     return lines
 
 
-def _require_pairs(solutions, num):
-    # the library may return fewer than m pairs (small dense systems); the
-    # CLI promises --num of them
-    if len(solutions) < num:
-        raise SolverError(f"solver certified only {len(solutions)} of {num} pairs")
-
-
 def _cmd_solve(cfg):
     mesh = _load_mesh(cfg)
     dofmap = build_dofmap(mesh, cfg.degree)
     system = assemble(mesh, dofmap, cfg.deck, cfg.degree)
-    if system.n == 0:
-        print(
-            "no free DOF: every node is Dirichlet-constrained; refine the mesh "
-            "or use a Robin bc",
-            file=sys.stderr,
-        )
-        return 3
     solutions = solve_primal(system, cfg.settings)
-    if not solutions:
-        print("empty spectrum: the deck has no fission production", file=sys.stderr)
-        return 3
-    _require_pairs(solutions, cfg.num)
     print("\n".join(_spectrum_lines(solutions)))
     os.makedirs(cfg.out_dir, exist_ok=True)
     stem = cfg.domain if cfg.domain else os.path.splitext(
@@ -571,14 +520,12 @@ def _cmd_converge(cfg):
         raise ConfigError("converge needs at least three --resolutions")
     study = run_study(
         cfg.domain, cfg.degree, cfg.resolutions, deck=cfg.deck,
-        deck_label=cfg.deck_label, m=cfg.num, settings=cfg.settings,
+        deck_label=cfg.deck_label, m=cfg.settings.m, settings=cfg.settings,
     )
     print(format_table(study))
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"{cfg.domain}_k{cfg.degree}_study.csv")
-    tmp = path + ".tmp"
-    write_csv(study, tmp)
-    os.replace(tmp, path)
+    write_csv(study, path)
     print(f"wrote {path}")
     return 0
 
@@ -591,10 +538,6 @@ def _cmd_benchmark(cfg, which):
     result = run_iaea2d(
         mesh_path=cfg.mesh_path, degree=cfg.degree, settings=cfg.settings
     )
-    if not result.solutions:
-        print("empty spectrum: the deck has no fission production", file=sys.stderr)
-        return 3
-    _require_pairs(result.solutions, cfg.num)
     dominant = result.solutions[0]
     print(f"k_eff = {dominant.k_eff:.6f}   (lambda = {dominant.lam.real:.6f}, "
           f"residual = {dominant.residual:.2e})")
@@ -612,7 +555,7 @@ def _cmd_oracle(cfg, modes):
     if len(cfg.deck) != 1:
         raise ConfigError("oracle needs a homogeneous (single-region) deck")
     (gc, _bc), = cfg.deck.values()
-    count = modes if modes is not None else cfg.num
+    count = modes if modes is not None else cfg.settings.m
     try:
         mus = laplacian_modes(domain, count)
     except ValueError as e:

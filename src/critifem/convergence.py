@@ -21,7 +21,6 @@ the studies converge against.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -33,7 +32,7 @@ from .assembly import assemble
 from .eigensolver import SolverError, SolverSettings, solve_primal
 from .fem_space import build_dofmap
 from .materials import builtin_deck
-from .mesh import GENERATORS, mesh_size
+from .mesh import GENERATORS, _atomic_write, mesh_size
 
 __all__ = [
     "RateFit",
@@ -282,8 +281,9 @@ def run_study(domain, degree, resolutions, deck=None, deck_label="paper-table1",
     Eigenvalues are tracked purely by sorted position, which is exact as
     long as no crossing happens between indices that are separated at
     every resolution; a note flags finest-mesh gaps below 0.5% where a
-    mixed pair could silently corrupt the per-index fits. Raises
-    SolverError when a resolution certifies fewer than m pairs.
+    mixed pair could silently corrupt the per-index fits. A SolverError
+    of any resolution is raised again with the domain and resolution
+    prefixed to its message.
     """
     if domain not in GENERATORS:
         raise ValueError(f"unknown domain {domain!r}; choose from {DOMAINS}")
@@ -303,12 +303,11 @@ def run_study(domain, degree, resolutions, deck=None, deck_label="paper-table1",
         mesh = GENERATORS[domain](n)
         dofmap = build_dofmap(mesh, degree)
         system = assemble(mesh, dofmap, deck, degree)
-        sols = solve_primal(system, base)
-        if len(sols) < m:
-            raise SolverError(
-                f"{domain} N={n}: solver certified only {len(sols)} of {m} pairs"
-            )
-        lams = np.array([s.lam for s in sols[:m]])
+        try:
+            sols = solve_primal(system, base)
+        except SolverError as e:
+            raise SolverError(f"{domain} N={n}: {e}") from None
+        lams = np.array([s.lam for s in sols])
         bad = np.abs(lams.imag) > 1e-8 * np.abs(lams)
         if np.any(bad):
             idx = ", ".join(str(i + 1) for i in np.nonzero(bad)[0])
@@ -345,24 +344,21 @@ def write_csv(study, path):
     row `N,h,lambda_1..lambda_m`, one row per resolution (full repr
     precision, round-trip exact), then summary rows labeled `rate`,
     `scale`, `rms` and `extrapolated` with an empty h column.  Notes, if
-    any, follow as trailing comment lines.
+    any, follow as trailing comment lines.  Every line ends in `\n`.
     """
-    with open(path, "w", newline="") as f:
-        f.write(
-            f"# convergence study: domain={study.domain} degree={study.degree} "
-            f"deck={study.deck_label}\n"
+    lines = [
+        f"# convergence study: domain={study.domain} degree={study.degree} "
+        f"deck={study.deck_label}",
+        ",".join(["N", "h"] + [f"lambda_{j + 1}" for j in range(study.m)]),
+    ]
+    for n, h, row in zip(study.resolutions, study.h, study.eigenvalues):
+        lines.append(",".join([str(n), repr(float(h))] + [repr(float(v)) for v in row]))
+    for attr in ("rate", "scale", "rms", "extrapolated"):
+        lines.append(
+            ",".join([attr, ""] + [repr(float(getattr(ft, attr))) for ft in study.fits])
         )
-        w = csv.writer(f)
-        w.writerow(["N", "h"] + [f"lambda_{j + 1}" for j in range(study.m)])
-        for n, h, row in zip(study.resolutions, study.h, study.eigenvalues):
-            w.writerow([n, repr(float(h))] + [repr(float(v)) for v in row])
-        for label, attr in (
-            ("rate", "rate"), ("scale", "scale"),
-            ("rms", "rms"), ("extrapolated", "extrapolated"),
-        ):
-            w.writerow([label, ""] + [repr(float(getattr(ft, attr))) for ft in study.fits])
-        for note in study.notes:
-            f.write(f"# note: {note}\n")
+    lines.extend(f"# note: {note}" for note in study.notes)
+    _atomic_write(path, lines)
 
 
 def format_table(study, digits=10):

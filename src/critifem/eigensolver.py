@@ -32,6 +32,11 @@ smallest |lambda| meets 10x the Arnoldi tolerance; otherwise the
 iteration is retried with more wanted pairs and a larger subspace before
 giving up, so a poorly converged wanted pair is never replaced by a
 higher mode.
+
+The contract is all or nothing: a solve returns exactly m certified
+pairs or raises SolverError, also when the pencil has fewer than m
+finite eigenvalues (no fission production, no free DOF, or a system so
+small that the dense solve sees its whole spectrum).
 """
 
 from __future__ import annotations
@@ -59,39 +64,35 @@ __all__ = [
 # that.
 _ZERO_MU = 1e-7
 
+# The first Arnoldi attempt uses a subspace of max(4m, _MIN_NCV); each
+# retry doubles it, up to _RETRIES times.
+_MIN_NCV = 20
+_RETRIES = 6
+
 
 class SolverError(RuntimeError):
-    """Arnoldi stagnation, or a wanted eigenpair that fails certification."""
+    """The solve cannot return exactly m certified eigenpairs: Arnoldi
+    stagnation, a wanted pair that fails certification, or fewer than m
+    finite eigenvalues (none at all without fission or free DOF)."""
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Eigensolver knobs.
+    """Eigensolver settings.
 
     m: number of eigenpairs to return (ascending |lambda|).
-    subspace: Arnoldi subspace dimension; default max(4m, 20).
     tol: Arnoldi convergence tolerance; accepted pairs must certify a
         pencil residual below 10x this value.
-    max_restarts: retries with a grown subspace before declaring
-        stagnation.
     """
 
     m: int = 5
-    subspace: int | None = None
     tol: float = 1e-10
-    max_restarts: int = 6
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.subspace is not None and self.subspace <= self.m:
-            raise ValueError("subspace must exceed m")
         if self.tol <= 0:
             raise ValueError("tolerances must be positive")
-
-    @property
-    def effective_subspace(self):
-        return self.subspace if self.subspace is not None else max(4 * self.m, 20)
 
 
 @dataclass(frozen=True)
@@ -254,17 +255,25 @@ def _solution(system, lam, x, res, adjoint):
 
 
 def _solve(system, settings, adjoint):
+    m = settings.m
+    if system.n == 0:
+        raise SolverError(
+            "no free DOF: every node is Dirichlet-constrained; refine the mesh "
+            "or use a Robin bc"
+        )
     if system.B.nnz == 0 or abs(system.B).max() == 0:
-        return []  # the pencil has no finite eigenvalues
+        raise SolverError(
+            f"solver certified only 0 of {m} pairs: empty spectrum, the deck "
+            "has no fission production"
+        )
     solver = _BlockSolver(system, adjoint)
     n = system.n
-    m = settings.m
-    ncv = settings.effective_subspace
+    ncv = max(4 * m, _MIN_NCV)
     tol = settings.tol
     accept = 10.0 * tol
 
     last_error = None
-    for attempt in range(settings.max_restarts + 1):
+    for attempt in range(_RETRIES + 1):
         want = min(m + 3 + attempt, n - 2)
         use_dense = n < 40 or ncv >= n
         try:
@@ -278,18 +287,20 @@ def _solve(system, settings, adjoint):
             continue
         finite = np.abs(mu) > _ZERO_MU * np.abs(mu).max()
         lams, x1 = 1.0 / mu[finite], vecs[:, finite]
+        if use_dense and len(lams) < m:
+            # the dense solve has the whole spectrum: no retry can add pairs
+            raise SolverError(f"solver certified only {len(lams)} of {m} pairs")
         first = np.lexsort((lams.imag, np.abs(lams)))[:m]
         lams, x1 = lams[first], x1[:, first]
         if not lams.imag.any():
             lams, x1 = lams.real, np.ascontiguousarray(x1.real)
         vecs = np.vstack([x1, solver.thermal(lams, x1)])
         res = _pencil_residual(system, lams, vecs, adjoint)
-        # every pair up to the m-th smallest |lambda| must certify; the
-        # dense solve has the whole spectrum, so it may hold fewer than m
-        if np.all(res <= accept) and (len(lams) == m or use_dense):
+        # every pair up to the m-th smallest |lambda| must certify
+        if len(lams) == m and np.all(res <= accept):
             return [
                 _solution(system, lams[i], vecs[:, i], res[i], adjoint)
-                for i in range(len(lams))
+                for i in range(m)
             ]
         if use_dense:
             bad = int(np.argmax(res > accept))
@@ -299,7 +310,7 @@ def _solve(system, settings, adjoint):
             )
         ncv = min(2 * ncv, n)
     raise SolverError(
-        f"Arnoldi stagnation: {settings.max_restarts} restarts exhausted "
+        f"Arnoldi stagnation: {_RETRIES} restarts exhausted "
         f"without {m} certified eigenpairs"
         + (f" (last ARPACK error: {last_error})" if last_error else "")
     )
@@ -308,18 +319,18 @@ def _solve(system, settings, adjoint):
 def solve_primal(system, settings=SolverSettings()):
     """First m eigenpairs of A x = lambda B x, ascending |lambda|.
 
-    Strict: the result is accepted only when every Ritz pair up to and
-    including the m-th smallest |lambda| certifies to 10 * settings.tol;
-    a rejected pair in that range triggers a retry with a larger
-    subspace, never a skip to a higher mode. Returns [] when B = 0, and
-    fewer than m pairs only when the pencil has fewer finite eigenvalues
-    (systems small enough for the dense solve). Raises SolverError when
-    the retries are exhausted.
+    Returns exactly settings.m pairs, each certified to 10 * settings.tol.
+    Strict: every Ritz pair up to and including the m-th smallest |lambda|
+    must certify; a rejected pair in that range triggers a retry with a
+    larger subspace, never a skip to a higher mode. Raises SolverError
+    when the system has no free DOF, when B = 0 (empty spectrum), when
+    the pencil has fewer than m finite eigenvalues, or when the retries
+    are exhausted.
     """
     return _solve(system, settings, adjoint=False)
 
 
 def solve_adjoint(system, settings=SolverSettings()):
     """First m eigenpairs of the transposed pencil (left eigenvectors),
-    under the same certification rule as solve_primal."""
+    under the same contract as solve_primal."""
     return _solve(system, settings, adjoint=True)

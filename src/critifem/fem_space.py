@@ -51,6 +51,15 @@ def _monomial_powers(dim, degree):
     return np.array(pows, dtype=np.int64)
 
 
+def _eval_monomials(pts, powers):
+    """(npts, nmonomials) table of pts**powers per monomial, 0**0 = 1."""
+    P = np.ones((pts.shape[0], powers.shape[0]))
+    for d in range(powers.shape[1]):
+        p = powers[:, d]
+        P *= np.where(p == 0, 1.0, pts[:, d : d + 1] ** p)
+    return P
+
+
 def _lattice_nodes(dim, degree):
     """Principal lattice in entity order: vertices, edges, faces, interior.
 
@@ -112,15 +121,6 @@ class ReferenceElement:
     def num_nodes(self):
         return self.nodes_ref.shape[0]
 
-    def _monomials(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        # pts**p with 0**0 = 1
-        P = np.ones((pts.shape[0], self.powers.shape[0]))
-        for d in range(self.dim):
-            p = self.powers[:, d]
-            P *= np.where(p == 0, 1.0, pts[:, d : d + 1] ** p)
-        return P
-
     def tabulate(self, points):
         """Values and gradients of every basis function at reference points.
 
@@ -128,17 +128,14 @@ class ReferenceElement:
         (num_nodes, npts, dim).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        vals = (self._monomials(pts) @ self.coeffs).T
+        vals = (_eval_monomials(pts, self.powers) @ self.coeffs).T
         npts = pts.shape[0]
         grads = np.zeros((self.num_nodes, npts, self.dim))
         for d in range(self.dim):
             dpow = self.powers.copy()
             fac = dpow[:, d].astype(np.float64)
             dpow[:, d] = np.maximum(dpow[:, d] - 1, 0)
-            P = np.ones((npts, self.powers.shape[0]))
-            for e in range(self.dim):
-                p = dpow[:, e]
-                P *= np.where(p == 0, 1.0, pts[:, e : e + 1] ** p)
+            P = _eval_monomials(pts, dpow)
             grads[:, :, d] = ((P * fac) @ self.coeffs).T
         return vals, grads
 
@@ -150,11 +147,7 @@ def _build_reference_any(dim, degree):
     if powers.shape[0] != lattice.shape[0]:
         raise AssertionError("monomial count mismatch")
     # Vandermonde in the monomial basis, inverted for nodal coefficients
-    V = np.ones((lattice.shape[0], powers.shape[0]))
-    for d in range(dim):
-        p = powers[:, d]
-        V *= np.where(p == 0, 1.0, nodes_ref[:, d : d + 1] ** p)
-    coeffs = np.linalg.inv(V)
+    coeffs = np.linalg.inv(_eval_monomials(nodes_ref, powers))
     return ReferenceElement(dim, degree, lattice, nodes_ref, powers, coeffs)
 
 

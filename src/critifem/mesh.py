@@ -14,6 +14,8 @@ from the cells so it is exactly the set of one-cell facets.
 from __future__ import annotations
 
 import itertools
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -558,6 +560,24 @@ def read_gmsh(path):
     )
 
 
+def _atomic_write(path, lines):
+    """Write the lines, each ended by a newline, to path via temp file + rename."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines))
+            fh.write("\n")
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp defaults to 0600
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_msh(mesh, path):
     """Write the MSH 2.2 ASCII subset read by :func:`read_gmsh`.
 
@@ -576,13 +596,11 @@ def write_msh(mesh, path):
         ids = range(first_id, first_id + len(conn))
         return map(fmt.format, ids, tags, tags, *(conn + 1).T.tolist())
 
-    text = "\n".join(itertools.chain(
+    _atomic_write(path, itertools.chain(
         ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(nv)],
         map("{} {!r} {!r} {!r}".format, range(1, nv + 1), *xyz),
         ["$EndNodes", "$Elements", str(nb + nc)],
         elements(1, 1 if mesh.dim == 2 else 2, mesh.boundary_facets, mesh.boundary_tags),
         elements(nb + 1, 2 if mesh.dim == 2 else 4, mesh.cells, mesh.region_tags),
-        ["$EndElements", ""],
+        ["$EndElements"],
     ))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)

@@ -4,6 +4,7 @@ and the packaged quarter-core benchmark."""
 import filecmp
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -79,11 +80,25 @@ def test_parse_config_sections_and_lines(tmp_path):
     ("[solver]\ninner = lu\n", r":2: unknown key 'inner'"),
     ("[solver]\ninner_tol = 1e-12\n", r":2: unknown key 'inner_tol'"),
     ("[run]\ndump_matrices = true\n", r":2: unknown key 'dump_matrices'"),
+    ("[solver]\nsubspace = 20\n", r":2: unknown key 'subspace'"),
+    ("[solver]\nmax_restarts = 6\n", r":2: unknown key 'max_restarts'"),
 ])
 def test_parse_config_errors(tmp_path, text, match):
     path = config_file(tmp_path, text)
     with pytest.raises(ConfigError, match=match):
         parse_config(path)
+
+
+def test_readme_ini_blocks_parse(tmp_path):
+    # every documented config key and value must still be accepted
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    text = open(readme, encoding="utf-8").read()
+    blocks = re.findall(r"^```ini\n(.*?)^```", text, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        path = config_file(tmp_path, block, f"readme{i}.ini")
+        assert parse_config(path)
+        build(["solve", "--config", path])
 
 
 def test_parse_config_missing_file():
@@ -109,9 +124,8 @@ def test_flags_override_config(tmp_path):
         "tol = 1e-8",
     ]))
     cfg = build(["solve", "--config", path, "--num", "2"])
-    assert cfg.num == 2  # flag wins
     assert cfg.degree == 2  # config fills the gap
-    assert cfg.settings.m == 2
+    assert cfg.settings.m == 2  # flag wins
     assert cfg.settings.tol == 1e-8
     assert cfg.resolutions == (8,)
 
@@ -221,16 +235,10 @@ def test_exit_code_three_converge_no_fission(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--domain", "square", "--resolutions", "2", "--num", "5"],
-    ["benchmark", "iaea2d", "--num", "2"],
 ])
 @pytest.mark.filterwarnings("ignore:sigma_a1 = 0")
-def test_exit_code_three_fewer_pairs_than_num(argv, tmp_path, capsys, monkeypatch):
-    # square N=2 has one free DOF, hence one pair; the quarter core has more,
-    # so the benchmark's solver is cut to its first pair
-    if argv[0] == "benchmark":
-        solve_primal = critifem.app.solve_primal
-        monkeypatch.setattr(critifem.app, "solve_primal",
-                            lambda system, settings: solve_primal(system, settings)[:1])
+def test_exit_code_three_fewer_pairs_than_num(argv, tmp_path, capsys):
+    # square N=2 has one free DOF, hence one pair
     code = cli(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 3

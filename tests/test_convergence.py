@@ -243,6 +243,15 @@ def test_csv_roundtrip(tmp_path, small_study):
     assert extrap == [ft.extrapolated for ft in small_study.fits]
 
 
+def test_csv_line_endings(tmp_path, small_study):
+    path = tmp_path / "study.csv"
+    write_csv(small_study, path)
+    data = path.read_bytes()
+    assert b"\r" not in data
+    assert data.endswith(b"\n")
+    assert data.count(b"\n") == 1 + 1 + 3 + 4 + len(small_study.notes)
+
+
 def test_format_table_alignment(small_study):
     text = format_table(small_study)
     lines = text.splitlines()

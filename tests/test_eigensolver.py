@@ -89,10 +89,30 @@ def test_pencil_scaling_invariance():
     assert abs(lam0 - lam1) < 1e-12
 
 
-def test_no_fission_returns_empty():
+@pytest.mark.parametrize("solve", [solve_primal, solve_adjoint])
+def test_no_fission_raises_empty_spectrum(solve):
     system = make_system([[2.0]], [[3.0]], [[1.0]], [[0.0]], [[0.0]])
-    assert solve_primal(system) == []
-    assert solve_adjoint(system) == []
+    with pytest.raises(SolverError, match="certified only 0 of 5 pairs: empty spectrum"):
+        solve(system)
+
+
+@pytest.mark.parametrize("solve", [solve_primal, solve_adjoint])
+def test_fewer_finite_eigenvalues_than_m_raises(solve):
+    # fission on three of five fast DOFs: three finite eigenvalues
+    eye = np.eye(5)
+    system = make_system(np.diag([2.0, 3.0, 4.0, 5.0, 6.0]), eye, np.zeros((5, 5)),
+                         np.diag([1.0, 1.0, 1.0, 0.0, 0.0]), np.zeros((5, 5)))
+    assert len(solve(system, SolverSettings(m=3))) == 3
+    with pytest.raises(SolverError, match="certified only 3 of 5 pairs"):
+        solve(system, SolverSettings(m=5))
+
+
+def test_no_free_dof_raises():
+    empty = np.zeros((0, 0))
+    system = make_system(empty, empty, empty, empty, empty)
+    assert system.n == 0
+    with pytest.raises(SolverError, match="no free DOF"):
+        solve_primal(system)
 
 
 def test_complex_pair_reported_not_silently_realified():
@@ -114,13 +134,8 @@ def test_complex_pair_reported_not_silently_realified():
 def test_settings_validation():
     with pytest.raises(ValueError, match="m must be"):
         SolverSettings(m=0)
-    with pytest.raises(ValueError, match="subspace must exceed"):
-        SolverSettings(m=5, subspace=5)
     with pytest.raises(ValueError, match="tolerances must be positive"):
         SolverSettings(tol=0.0)
-    assert SolverSettings(m=5).effective_subspace == 20
-    assert SolverSettings(m=8).effective_subspace == 32
-    assert SolverSettings(m=5, subspace=11).effective_subspace == 11
 
 
 # ---------------------------------------------------------------------------
