@@ -35,8 +35,11 @@ higher mode.
 
 The contract is all or nothing: a solve returns exactly m certified
 pairs or raises SolverError, also when the pencil has fewer than m
-finite eigenvalues (no fission production, no free DOF, or a system so
-small that the dense solve sees its whole spectrum).
+finite eigenvalues (no fission production, no free DOF, fewer than m
+fast DOFs with fission, or a system so small that the dense solve sees
+its whole spectrum). A converged Arnoldi attempt whose wanted Ritz
+values already include a zero of the operator has found every finite
+eigenvalue, so a shortfall there fails at once instead of retrying.
 """
 
 from __future__ import annotations
@@ -287,8 +290,10 @@ def _solve(system, settings, adjoint):
             continue
         finite = np.abs(mu) > _ZERO_MU * np.abs(mu).max()
         lams, x1 = 1.0 / mu[finite], vecs[:, finite]
-        if use_dense and len(lams) < m:
-            # the dense solve has the whole spectrum: no retry can add pairs
+        if len(lams) < m and (use_dense or not finite.all()):
+            # the dense solve has the whole spectrum, and a converged "LM"
+            # attempt that reaches a zero has every finite eigenvalue: no
+            # retry can add pairs
             raise SolverError(f"solver certified only {len(lams)} of {m} pairs")
         first = np.lexsort((lams.imag, np.abs(lams)))[:m]
         lams, x1 = lams[first], x1[:, first]

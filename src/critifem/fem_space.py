@@ -10,15 +10,16 @@ come from the Golub-Welsch eigenproblem: all weights are positive at
 every degree (unlike tabulated tetrahedron rules, which go negative
 beyond degree 2) and the one-point rule degenerates to the centroid rule.
 
-Global DOF identity: a Lagrange node is identified by the entity carrying
-it, written as one integer row [number of vertices, their global ids in
-ascending order, their lattice weights], padded with -1 to a fixed
-width. Two cells sharing an entity derive identical rows for its nodes,
-so no edge or face orientation bookkeeping is needed. One lexicographic
-sort over the rows of every cell node and every boundary facet node
-(mesh._group_rows) numbers them all: the row order puts vertex DOFs
-first in vertex order, then edge DOFs, then face/interior DOFs,
-deterministically.
+Global DOF identity: the DOF of a vertex node is its vertex id (every
+mesh vertex belongs to a cell). Any other Lagrange node is identified by
+the entity carrying it, written as one integer row [number of vertices,
+their global ids in ascending order, their lattice weights], padded with
+-1 to a fixed width. Two cells sharing an entity derive identical rows
+for its nodes, so no edge or face orientation bookkeeping is needed. One
+lexicographic sort over the rows of the non-vertex nodes of every cell
+and every boundary facet (mesh._group_rows) numbers them after the
+vertices: edge DOFs first, then face/interior DOFs, deterministically.
+At degree 1 there is nothing to sort.
 """
 
 from __future__ import annotations
@@ -249,7 +250,10 @@ class DofMap:
     node i of the degree-k facet element on mesh.boundary_facets[f], in
     that facet's vertex order. boundary_dofs maps each boundary tag to
     the sorted indices of all DOFs whose nodes lie on facets of that tag.
-    Vertex DOFs occupy indices 0..num_vertices-1 in vertex order.
+    The DOF of a vertex node is its vertex id, so vertex DOFs occupy
+    indices 0..num_vertices-1 in vertex order; this holds because a
+    Mesh has no vertex outside its cells. The other DOFs follow, edge
+    DOFs before face/interior DOFs.
     """
 
     dim: int
@@ -283,15 +287,20 @@ def build_dofmap(mesh, k):
     """Build the global DOF map for degree k on a conforming mesh."""
     lattice = build_reference(mesh.dim, k).nodes_lattice
     facet_lattice = _build_reference_any(mesh.dim - 1, k).nodes_lattice
-    width = mesh.dim + 1
-    cell_rows = _node_rows(mesh.cells, lattice, width)
-    facet_rows = _node_rows(mesh.boundary_facets, facet_lattice, width)
+    nv, width = mesh.num_vertices, mesh.dim + 1
+    # both lattices list the vertex nodes first, node i on vertex i, and a
+    # vertex node's DOF is its vertex id; only the other nodes are grouped
+    cell_rows = _node_rows(mesh.cells, lattice[width:], width)
+    facet_rows = _node_rows(mesh.boundary_facets, facet_lattice[mesh.dim :], width)
     index, _, counts = _group_rows(np.concatenate([cell_rows, facet_rows]))
-    cell_dofs = index[: len(cell_rows)].reshape(mesh.num_cells, -1)
-    facet_dofs = index[len(cell_rows) :].reshape(len(mesh.boundary_facets), -1)
+    index += nv
+    split = len(cell_rows)
+    cell_dofs = np.hstack([mesh.cells, index[:split].reshape(mesh.num_cells, -1)])
+    facets = mesh.boundary_facets
+    facet_dofs = np.hstack([facets, index[split:].reshape(len(facets), -1)])
     tags = mesh.boundary_tags
     boundary_dofs = {int(t): np.unique(facet_dofs[tags == t]) for t in np.unique(tags)}
 
     cell_dofs.flags.writeable = False
     facet_dofs.flags.writeable = False
-    return DofMap(mesh.dim, k, len(counts), cell_dofs, facet_dofs, boundary_dofs)
+    return DofMap(mesh.dim, k, nv + len(counts), cell_dofs, facet_dofs, boundary_dofs)

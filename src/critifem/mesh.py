@@ -59,18 +59,51 @@ def _all_facets(cells):
     return fac
 
 
+def _packed_keys(rows):
+    """Sort keys for the rows of a 2-D int64 array, most significant first.
+
+    Each column is shifted by its minimum, and consecutive columns are
+    packed mixed-radix into one int64 key while the product of their spans
+    (max - min + 1, in Python ints) stays below 2**62. Comparing the keys
+    in order compares the rows lexicographically. A column whose span
+    alone reaches 2**62 becomes a key of its own, unshifted.
+    """
+    lo, hi = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
+    keys = []
+    radix = 1 << 62  # forces a new key at the first column
+    for j, (a, b) in enumerate(zip(lo, hi)):
+        span = b - a + 1
+        if span >= 1 << 62:
+            keys.append(rows[:, j])
+            radix = 1 << 62
+        elif radix * span < 1 << 62:
+            keys[-1] = keys[-1] * span + (rows[:, j] - a)
+            radix *= span
+        else:
+            keys.append(rows[:, j] - a)
+            radix = span
+    return keys
+
+
 def _group_rows(rows):
-    """Group the equal rows of a 2-D integer array, in lexicographic row order.
+    """Group the equal rows of a 2-D int64 array, in lexicographic row order.
 
     Returns (inverse, first, counts) as np.unique(rows, axis=0,
     return_index=True, return_inverse=True, return_counts=True) does:
     group g is the g-th distinct row in ascending lexicographic order,
     rows[first[g]] is its first occurrence and counts[g] its multiplicity.
+    The rows are packed into as few int64 keys as their column spans
+    allow (_packed_keys; one key for every mesh facet and DOF node table
+    built here) and ordered by one stable np.lexsort over those keys.
     """
-    order = np.lexsort(rows.T[::-1])  # stable, first column most significant
-    srt = rows[order]
+    if len(rows) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    keys = np.array(_packed_keys(rows))
+    order = np.lexsort(keys[::-1])  # stable, first key most significant
+    srt = keys[:, order]
     starts = np.ones(len(rows), dtype=bool)
-    np.any(srt[1:] != srt[:-1], axis=1, out=starts[1:])
+    np.any(srt[:, 1:] != srt[:, :-1], axis=0, out=starts[1:])
     inverse = np.empty(len(rows), dtype=np.int64)
     inverse[order] = np.cumsum(starts) - 1
     starts = np.flatnonzero(starts)
@@ -120,6 +153,8 @@ class Mesh:
     Validation replaces boundary_facets by the one-cell facets of the
     cell complex, each vertex-sorted, and sets boundary_cells, the
     owning cell of each of them (aligned with boundary_facets).
+    Every vertex belongs to a cell; a vertex that no cell uses raises
+    ValueError. The DOF map relies on it: vertex DOF = vertex id.
     """
 
     dim: int
@@ -145,6 +180,9 @@ class Mesh:
             raise ValueError("region_tags length must match cell count")
         if cells.size and (cells.min() < 0 or cells.max() >= len(verts)):
             raise ValueError("cell vertex index out of range")
+        unused = np.flatnonzero(np.bincount(cells.ravel(), minlength=len(verts)) == 0)
+        if len(unused):
+            raise ValueError(f"vertex {unused[0]} belongs to no cell")
 
         # orient: swap the last two vertices of any negatively oriented cell
         vol = _signed_volumes(verts, cells)
@@ -430,6 +468,9 @@ def read_gmsh(path):
     Cells take their region tag and boundary facets their boundary tag
     from the first (physical) element tag; elements with no tags default
     to tag 1. The mesh dimension is 3 when tetrahedra are present, else 2.
+    Vertices are the nodes that some cell references, in file order;
+    the other nodes are dropped, and a boundary element on one of them
+    is an error.
     Malformed sections and unsupported element types raise
     :class:`MeshFormatError` with the offending line number.
     """
@@ -549,13 +590,28 @@ def read_gmsh(path):
 
     if dim == 2 and np.any(np.abs(xyz[:, 2]) > 1e-12):
         raise MeshFormatError("2D mesh has nonzero z coordinates", path=str(path))
+
+    # nodes in file order; those that no cell references are dropped
+    cell_nodes = order[pos[is_cell, : dim + 1]]
+    facet_nodes = order[pos[is_facet, :dim]]
+    used = np.zeros(nnodes, dtype=bool)
+    used[cell_nodes] = True
+    stray = ~used[facet_nodes]
+    if stray.any():
+        r = int(np.argmax(stray.any(axis=1)))
+        err(
+            f"boundary element references node {ids[facet_nodes[r][stray[r]][0]]}, "
+            "which no cell uses",
+            ln0 + 2 + int(np.flatnonzero(is_facet)[r]),
+        )
+    index = np.cumsum(used) - 1
     has_facets = bool(is_facet.any())
     return Mesh(
         dim,
-        xyz[:, :dim],
-        order[pos[is_cell, : dim + 1]],
+        xyz[used, :dim],
+        index[cell_nodes],
         tags[is_cell],
-        boundary_facets=order[pos[is_facet, :dim]] if has_facets else None,
+        boundary_facets=index[facet_nodes] if has_facets else None,
         boundary_tags=tags[is_facet] if has_facets else None,
     )
 

@@ -290,6 +290,40 @@ def test_solve_from_mesh_file(tmp_path):
     assert (tmp_path / "patch_k1_modes.vtk").exists()
 
 
+def vtk_points_and_field(path, name):
+    """POINTS coordinates and one point-data scalar field of a legacy VTK file."""
+    lines = path.read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("POINTS "))
+    npts = int(lines[head].split()[1])
+    points = np.array([line.split() for line in lines[head + 1 : head + 1 + npts]],
+                      dtype=float)
+    start = lines.index(f"SCALARS {name} double 1") + 2
+    return points, np.array(lines[start : start + npts], dtype=float)
+
+
+def test_vtk_point_values_are_the_vertex_dofs_with_a_stray_node(tmp_path):
+    # a node no cell uses, listed first, must not shift the point data
+    mesh_path = tmp_path / "stray.msh"
+    write_msh(generate_unit_square(2), mesh_path)
+    lines = mesh_path.read_text().splitlines()
+    at = lines.index("$Nodes")
+    lines[at + 1 : at + 2] = ["10", "10 0.25 0.25 0.0"]
+    mesh_path.write_text("\n".join(lines) + "\n")
+    assert cli(["solve", "--mesh", str(mesh_path), "--degree", "2", "--num", "1",
+                "--out", str(tmp_path)]) == 0
+    points, phi1 = vtk_points_and_field(tmp_path / "stray_k2_modes.vtk", "phi1_1")
+    rows = (tmp_path / "stray_k2_modes_coefficients.csv").read_text().splitlines()
+    coeffs = np.array([float(row.split(",")[1]) for row in rows[1:]])
+    mesh = read_gmsh(mesh_path)
+    cell_dofs = build_dofmap(mesh, 2).cell_dofs
+    assert np.array_equal(points[:, :2], mesh.vertices)
+    vertex_dof = np.empty(mesh.num_vertices, dtype=np.int64)
+    vertex_dof[mesh.cells] = cell_dofs[:, :3]
+    assert np.array_equal(phi1, coeffs[vertex_dof])
+    # the fundamental peaks at the only interior vertex, the centre
+    assert points[np.argmax(phi1)].tolist() == [0.5, 0.5, 0.0]
+
+
 def test_converge_writes_deterministic_csv(tmp_path, capsys):
     argv = ["converge", "--domain", "square", "--resolutions", "4,8,16",
             "--num", "2"]

@@ -107,6 +107,36 @@ def test_fewer_finite_eigenvalues_than_m_raises(solve):
         solve(system, SolverSettings(m=5))
 
 
+@pytest.mark.parametrize("solve", [solve_primal, solve_adjoint])
+def test_arpack_shortfall_raises_without_retry(solve, monkeypatch):
+    # n = 2000 takes the ARPACK path; fission on three fast DOFs gives
+    # three finite eigenvalues, and the first converged attempt already
+    # reaches zeros of the operator, so it must fail there, not retry
+    n = 2000
+    a11 = sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+    eye = sp.identity(n, format="csr")
+    zero = sp.csr_matrix((n, n))
+    f1 = sp.csr_matrix(([1.0, 1.0, 1.0], ([0, 700, 1400], [0, 700, 1400])), shape=(n, n))
+    system = BlockSystem(
+        n=n, n_raw=n,
+        A=sp.bmat([[a11, None], [zero, eye]], format="csr"),
+        B=sp.bmat([[f1, zero], [None, zero]], format="csr"),
+        mass=eye, stiffness=zero, a11=a11, a22=eye, coupling=zero, f1=f1, f2=zero,
+        free_dofs=np.arange(n), constrained_dofs=np.array([], dtype=int),
+    )
+    calls = []
+    original = eigensolver.spla.eigs
+
+    def spy(A, *args, **kwargs):
+        calls.append(kwargs["ncv"])
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolver.spla, "eigs", spy)
+    with pytest.raises(SolverError, match="certified only 3 of 5 pairs"):
+        solve(system, SolverSettings(m=5))
+    assert calls == [20]
+
+
 def test_no_free_dof_raises():
     empty = np.zeros((0, 0))
     system = make_system(empty, empty, empty, empty, empty)

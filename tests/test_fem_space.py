@@ -11,6 +11,7 @@ from critifem.app import packaged_mesh_path
 from critifem.fem_space import (
     _build_reference_any,
     _gauss_jacobi01,
+    _node_rows,
     build_dofmap,
     build_reference,
     quadrature,
@@ -281,3 +282,42 @@ def test_numbering_matches_tuple_key_reference(make, k):
     assert np.array_equal(dofmap.facet_dofs, facet_dofs)
     for t, dofs in dofmap.boundary_dofs.items():
         assert np.array_equal(dofs, np.unique(facet_dofs[mesh.boundary_tags == t]))
+
+
+def all_rows_dofmap(mesh, k):
+    """The numbering before vertex DOFs were read off the cells: one
+    identity row per (cell, node) and per (boundary facet, facet node),
+    vertex nodes included, all numbered by one np.unique(axis=0)."""
+    lattice = build_reference(mesh.dim, k).nodes_lattice
+    facet_lattice = _build_reference_any(mesh.dim - 1, k).nodes_lattice
+    width = mesh.dim + 1
+    cell_rows = _node_rows(mesh.cells, lattice, width)
+    facet_rows = _node_rows(mesh.boundary_facets, facet_lattice, width)
+    uniq, index = np.unique(np.concatenate([cell_rows, facet_rows]), axis=0,
+                            return_inverse=True)
+    index = index.ravel()
+    cell_dofs = index[: len(cell_rows)].reshape(mesh.num_cells, -1)
+    facet_dofs = index[len(cell_rows):].reshape(len(mesh.boundary_facets), -1)
+    tags = mesh.boundary_tags
+    boundary_dofs = {int(t): np.unique(facet_dofs[tags == t]) for t in np.unique(tags)}
+    return len(uniq), cell_dofs, facet_dofs, boundary_dofs
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_unit_square(12),
+    lambda: generate_lshape(10),
+    lambda: generate_disk(9),
+    lambda: generate_unit_cube(4),
+    lambda: read_gmsh(packaged_mesh_path()),
+], ids=["square12", "lshape10", "disk9", "cube4", "iaea2d"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dofmap_matches_all_rows_numbering(make, k):
+    mesh = make()
+    dofmap = build_dofmap(mesh, k)
+    n, cell_dofs, facet_dofs, boundary_dofs = all_rows_dofmap(mesh, k)
+    assert dofmap.n == n
+    for got, want in ((dofmap.cell_dofs, cell_dofs), (dofmap.facet_dofs, facet_dofs)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert dofmap.boundary_dofs.keys() == boundary_dofs.keys()
+    for t, dofs in boundary_dofs.items():
+        assert np.array_equal(dofmap.boundary_dofs[t], dofs)

@@ -1,8 +1,10 @@
 """Mesh generators, validation, and the MSH subset reader/writer."""
 
 import importlib.resources
+import importlib.util
 import itertools
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -15,6 +17,7 @@ from critifem.mesh import (
     Mesh,
     MeshFormatError,
     _group_rows,
+    _packed_keys,
     cell_volumes,
     generate_disk,
     generate_lshape,
@@ -225,6 +228,12 @@ def test_bad_vertex_index_rejected():
         Mesh(2, TRI, np.array([[0, 1, 3]]), np.array([1]))
 
 
+def test_vertex_in_no_cell_rejected():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(ValueError, match="vertex 2 belongs to no cell"):
+        Mesh(2, verts, np.array([[0, 1, 3]]), np.array([1]))
+
+
 def test_noncontiguous_region_tags_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     cells = np.array([[0, 1, 2], [1, 3, 2]])
@@ -288,11 +297,35 @@ def test_boundary_tags_applied_and_defaulted():
     assert tags[(1, 2)] == 1
 
 
-@given(
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def row_tables(draw):
+    """Integer tables whose columns draw from a few values each: small
+    ones, ones up to 2**40 in magnitude (two such columns overflow one
+    packed key) and the int64 extremes (a column alone spans 2**64)."""
+    nrows = draw(st.integers(0, 40))
+    ncols = draw(st.integers(1, 6))
+    value = st.one_of(
+        st.integers(-3, 3),
+        st.integers(-(2**40), 2**40),
+        st.sampled_from([INT64.min, INT64.min + 1, INT64.max - 1, INT64.max]),
+    )
+    table = np.empty((nrows, ncols), dtype=np.int64)
+    for j in range(ncols):
+        pool = draw(st.lists(value, min_size=1, max_size=4))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=nrows, max_size=nrows))
+        table[:, j] = picks
+    return table
+
+
+@given(st.one_of(
+    row_tables(),
     hnp.arrays(np.int64, st.tuples(st.integers(1, 60), st.integers(1, 7)),
-               elements=st.integers(-1, 3))
-)
-@settings(max_examples=60, deadline=None)
+               elements=st.integers(-1, 3)),
+))
+@settings(max_examples=200, deadline=None)
 def test_group_rows_matches_unique(rows):
     inverse, first, counts = _group_rows(rows)
     uniq, ref_first, ref_inverse, ref_counts = np.unique(
@@ -307,6 +340,20 @@ def test_group_rows_matches_unique(rows):
 def test_group_rows_single_row():
     inverse, first, counts = _group_rows(np.array([[4, -1, -1]], dtype=np.int64))
     assert inverse.tolist() == [0] and first.tolist() == [0] and counts.tolist() == [1]
+
+
+def test_packed_keys_split_where_spans_overflow():
+    # spans 2**31 * 2**31 reach 2**62: a second key starts
+    rows = np.array([[0, 0, 5], [2**31 - 1, 2**31 - 1, 5]], dtype=np.int64)
+    assert len(_packed_keys(rows)) == 2
+    assert len(_packed_keys(rows[:, 1:])) == 1
+    # a column spanning all of int64 is a key of its own, kept as it is
+    wide = np.array([[INT64.min, 1, 2], [INT64.max, 0, 2]], dtype=np.int64)
+    keys = _packed_keys(wide)
+    assert len(keys) == 2 and np.array_equal(keys[0], wide[:, 0])
+    # the facet table of a mesh packs into one key
+    cells = generate_unit_cube(4).cells
+    assert len(_packed_keys(np.sort(cells[:, 1:], axis=1))) == 1
 
 
 def test_mesh_arrays_immutable():
@@ -339,6 +386,32 @@ def test_roundtrip_multiregion(tmp_path):
     back = read_gmsh(path)
     assert back.region_tags.tolist() == [2, 1]
     assert back.num_vertices == 4
+
+
+def test_read_drops_nodes_no_cell_uses(tmp_path):
+    text = "\n".join([
+        "$MeshFormat", "2.2 0 8", "$EndMeshFormat",
+        "$Nodes", "6",
+        "9 0.5 0.5 0", "4 1 1 0", "1 0 0 0", "7 3 3 0", "2 1 0 0", "3 0 1 0",
+        "$EndNodes",
+        "$Elements", "3",
+        "1 1 2 5 5 1 2",
+        "2 2 2 1 1 1 2 3",
+        "3 2 2 1 1 2 4 3",
+        "$EndElements",
+    ]) + "\n"
+    path = tmp_path / "stray.msh"
+    path.write_text(text)
+    mesh = read_gmsh(path)
+    # the used nodes 4, 1, 2, 3 keep their file order
+    assert mesh.vertices.tolist() == [[1.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    assert mesh.cells.tolist() == [[1, 2, 3], [2, 0, 3]]
+    tags = {tuple(f): int(t) for f, t in zip(mesh.boundary_facets, mesh.boundary_tags)}
+    assert tags[(1, 2)] == 5
+    path.write_text(text.replace("1 1 2 5 5 1 2", "1 1 2 5 5 1 9"))
+    with pytest.raises(MeshFormatError, match=r":15: boundary element references "
+                       r"node 9, which no cell uses"):
+        read_gmsh(path)
 
 
 def test_read_two_triangle_file(tmp_path):
@@ -428,6 +501,18 @@ def test_packaged_quarter_core_asset():
     assert mesh.dim == 2
     assert mesh.region_ids().tolist() == [1, 2, 3, 4, 5]
     assert mesh.num_cells > 1000
+
+
+def test_packaged_quarter_core_matches_its_generator(tmp_path):
+    # the packaged asset is what scripts/make_iaea_mesh.py writes, byte for byte
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "make_iaea_mesh.py"
+    spec = importlib.util.spec_from_file_location("make_iaea_mesh", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    path = tmp_path / "quarter.msh"
+    write_msh(module.build_quarter_core(), path)
+    ref = importlib.resources.files("critifem") / "data" / "iaea2d_quarter.msh"
+    assert path.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("line,bad", [
