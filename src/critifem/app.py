@@ -436,8 +436,7 @@ def run_iaea2d(mesh_path=None, degree=1, settings=None):
     deck = builtin_deck("iaea-2d")
     settings = settings if settings is not None else SolverSettings(m=1)
     dofmap = build_dofmap(mesh, degree)
-    system = assemble(mesh, dofmap, deck, degree)
-    solutions = solve_primal(system, settings)
+    solutions = solve_primal(assemble(mesh, dofmap, deck, degree), settings)
 
     def unit_max(vec):
         vec = np.asarray(vec).real.copy()
@@ -497,8 +496,7 @@ def _spectrum_lines(solutions):
 def _cmd_solve(cfg):
     mesh = _load_mesh(cfg)
     dofmap = build_dofmap(mesh, cfg.degree)
-    system = assemble(mesh, dofmap, cfg.deck, cfg.degree)
-    solutions = solve_primal(system, cfg.settings)
+    solutions = solve_primal(assemble(mesh, dofmap, cfg.deck, cfg.degree), cfg.settings)
     print("\n".join(_spectrum_lines(solutions)))
     os.makedirs(cfg.out_dir, exist_ok=True)
     stem = cfg.domain if cfg.domain else os.path.splitext(
@@ -508,7 +506,7 @@ def _cmd_solve(cfg):
     write_vtk(field_output(mesh, solutions), base + ".vtk")
     print(f"wrote {base}.vtk")
     if cfg.degree >= 2:
-        _write_coefficient_csv(solutions, system.n_raw, base + "_coefficients.csv")
+        _write_coefficient_csv(solutions, dofmap.n, base + "_coefficients.csv")
         print(f"wrote {base}_coefficients.csv")
     return 0
 

@@ -23,12 +23,13 @@ has a slot in it, and a matrix's data is one np.bincount of its local
 entries over those slots; pairs touching a constrained DOF fall into a
 discard slot, so the reduction to free DOFs is part of the pattern. Robin
 facet entries reuse the slots of their owning cells. Matrices are scipy
-CSR throughout, with sorted, duplicate-free indices.
+CSR throughout, with sorted, duplicate-free indices. Only the five n x n
+blocks are stored; the 2n x 2n A and B are built on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,20 +43,27 @@ __all__ = ["BlockSystem", "assemble"]
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """Reduced pencil plus boundary-condition bookkeeping.
+    """Reduced pencil blocks plus boundary-condition bookkeeping.
 
     n is the free scalar DOF count after Dirichlet elimination and n_raw
     the unreduced count; free_dofs/constrained_dofs are index sets into
-    the raw scalar numbering. A and B are 2n x 2n in the fast-then-thermal
-    block ordering. mass and stiffness are the plain scalar matrices
-    (coefficient 1) restricted to the free DOFs, used for norms; the
-    individual pencil blocks are kept for the triangular solves.
+    the raw scalar numbering. The pencil is held only as its five n x n
+    blocks (a11, a22, coupling, f1, f2); A and B are the 2n x 2n pencil in
+    the fast-then-thermal block ordering, built from them on each access
+    and never used by the solver. mass and stiffness are the plain scalar
+    matrices (coefficient 1) restricted to the free DOFs, used for norms.
+
+    A solve that has to factor the diagonal blocks leaves its factors on
+    the system, and the next solve on the same system (the other half of
+    a primal/adjoint pair) takes them off again instead of factoring, so a
+    pair factors once and a system holds at most one factorization. The
+    factors left by a single solve live as long as the system: hold a
+    solved system only as long as it is needed. dataclasses.replace gives
+    a system without factors.
     """
 
     n: int
     n_raw: int
-    A: sp.csr_matrix
-    B: sp.csr_matrix
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     a11: sp.csr_matrix
@@ -65,6 +73,19 @@ class BlockSystem:
     f2: sp.csr_matrix
     free_dofs: np.ndarray
     constrained_dofs: np.ndarray
+    # (lu11, lu22) left by the last solve for the next one; see above
+    _factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def A(self):
+        """[[a11, 0], [-coupling, a22]] as a new 2n x 2n CSR matrix."""
+        return sp.bmat([[self.a11, None], [-self.coupling, self.a22]], format="csr")
+
+    @property
+    def B(self):
+        """[[f1, f2], [0, 0]] as a new 2n x 2n CSR matrix."""
+        zero = sp.csr_matrix((self.n, self.n))
+        return sp.bmat([[self.f1, self.f2], [zero, zero]], format="csr")
 
     def extend(self, reduced):
         """Zero-fill a free-DOF vector back to the raw scalar numbering."""
@@ -228,16 +249,10 @@ def assemble(mesh, dofmap, deck, k):
     coupling = csr(fill(cell_slot, mass_with(s12)))
     f1 = csr(fill(cell_slot, mass_with(coef_per_cell("nu_sigma_f1"))))
     f2 = csr(fill(cell_slot, mass_with(coef_per_cell("nu_sigma_f2"))))
-    zero = sp.csr_matrix((nf, nf))
-
-    A = sp.bmat([[a11, None], [-coupling, a22]], format="csr")
-    B = sp.bmat([[f1, f2], [zero, zero]], format="csr")
 
     return BlockSystem(
         n=nf,
         n_raw=n,
-        A=A,
-        B=B,
         mass=csr(fill(cell_slot, mass_local)),
         stiffness=csr(fill(cell_slot, stiff_local)),
         a11=a11,

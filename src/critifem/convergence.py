@@ -302,9 +302,9 @@ def run_study(domain, degree, resolutions, deck=None, deck_label="paper-table1",
     for n in resolutions:
         mesh = GENERATORS[domain](n)
         dofmap = build_dofmap(mesh, degree)
-        system = assemble(mesh, dofmap, deck, degree)
         try:
-            sols = solve_primal(system, base)
+            # no name keeps the system (and its factors) past its solve
+            sols = solve_primal(assemble(mesh, dofmap, deck, degree), base)
         except SolverError as e:
             raise SolverError(f"{domain} N={n}: {e}") from None
         lams = np.array([s.lam for s in sols])

@@ -14,9 +14,13 @@ off-diagonal block transposed:
     T* y1 = a11^{-1} (F1^T y1 + C^T a22^{-1} F2^T y1),   y2 = lambda a22^{-1} F2^T y1.
 
 One application costs one solve with each SPD diagonal block; the inner
-solves are sparse LU factors of the two blocks in symmetric mode,
-computed once per solve and shared by every operator application and by
-the thermal recovery of the wanted eigenvectors.
+solves are sparse LU factors of the two blocks in symmetric mode, shared
+by every operator application, by the thermal recovery of the wanted
+eigenvectors and by consecutive solves on one system: the diagonal
+blocks are symmetric, so the factors serve primal and adjoint alike. A
+solve that factors leaves its factors on the system, and the next solve
+there takes them off, so a primal/adjoint pair factors once and a system
+holds at most one factorization.
 
 Arnoldi itself is ARPACK's real nonsymmetric iteration (scipy
 sparse.linalg.eigs) with a fixed start vector for reproducibility;
@@ -26,7 +30,8 @@ report. Systems too small for ARPACK fall back to a dense eigensolve of
 T.
 
 Every returned eigenpair is certified by explicitly forming
-||A x - lambda B x||_2 / ||B x||_2 on the full sparse pencil. An attempt
+||A x - lambda B x||_2 / ||B x||_2 from the fast and thermal halves of
+the pencil, block by block; the 2n x 2n pencil is never formed. An attempt
 is accepted only when every Ritz pair up to and including the m-th
 smallest |lambda| meets 10x the Arnoldi tolerance; otherwise the
 iteration is retried with more wanted pairs and a larger subspace before
@@ -94,8 +99,8 @@ class SolverSettings:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,7 @@ class _BlockSolver:
     y2 = lambda a22^{-1} F2^T y1. Both are a11^{-1} (fast x + up a22^{-1}
     down x) with the three off-diagonal blocks below.
 
-    Both diagonal blocks are SPD, so each is factored once by SuperLU in
+    Both diagonal blocks are SPD, so _factor factors each by SuperLU in
     symmetric mode: minimum degree ordering on the block's own graph and
     diagonal pivots, which keeps the fill at about half of a general
     column ordering. The diagonal blocks are symmetric, so the same
@@ -146,10 +151,9 @@ class _BlockSolver:
     and fission blocks are not, and are transposed there.
     """
 
-    def __init__(self, system, adjoint):
+    def __init__(self, system, factors, adjoint):
         self.adjoint = adjoint
-        self._lu11 = _factor(system.a11)
-        self._lu22 = _factor(system.a22)
+        self._lu11, self._lu22 = factors
         if adjoint:
             self._fast = system.f1.T
             self._down = system.f2.T  # fast -> thermal right-hand side
@@ -205,13 +209,28 @@ def _pencil_residual(system, lam, x, adjoint):
     """||A x - lam B x||_2 / ||B x||_2 on the pencil, transposed for adjoint.
 
     x may hold one vector or a column per pair (lam then holds one value
-    per column); a vector with B x = 0 has residual inf.
+    per column); a vector with B x = 0 has residual inf. The fast and
+    thermal halves are formed from the blocks:
+
+        primal:  B x = [F1 x1 + F2 x2; 0],
+                 A x - lam B x = [a11 x1 - lam (B x)_1; a22 x2 - C x1]
+        adjoint: B^T y = [F1^T y1; F2^T y1],
+                 A^T y - lam B^T y = [a11^T y1 - C^T y2 - lam F1^T y1;
+                                      a22^T y2 - lam F2^T y1]
     """
-    A = system.A.T if adjoint else system.A
-    B = system.B.T if adjoint else system.B
-    bx = B @ x
-    num = np.linalg.norm(A @ x - lam * bx, axis=0)
-    denom = np.linalg.norm(bx, axis=0)
+    n = system.n
+    x1, x2 = x[:n], x[n:]
+    if adjoint:
+        b1, b2 = system.f1.T @ x1, system.f2.T @ x1
+        r1 = system.a11.T @ x1 - system.coupling.T @ x2 - lam * b1
+        r2 = system.a22.T @ x2 - lam * b2
+        denom = np.hypot(np.linalg.norm(b1, axis=0), np.linalg.norm(b2, axis=0))
+    else:
+        b1 = system.f1 @ x1 + system.f2 @ x2
+        r1 = system.a11 @ x1 - lam * b1
+        r2 = system.a22 @ x2 - system.coupling @ x1
+        denom = np.linalg.norm(b1, axis=0)
+    num = np.hypot(np.linalg.norm(r1, axis=0), np.linalg.norm(r2, axis=0))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(denom > 0, num / denom, math.inf)
 
@@ -264,12 +283,18 @@ def _solve(system, settings, adjoint):
             "no free DOF: every node is Dirichlet-constrained; refine the mesh "
             "or use a Robin bc"
         )
-    if system.B.nnz == 0 or abs(system.B).max() == 0:
+    if not (np.any(system.f1.data) or np.any(system.f2.data)):
         raise SolverError(
             f"solver certified only 0 of {m} pairs: empty spectrum, the deck "
             "has no fission production"
         )
-    solver = _BlockSolver(system, adjoint)
+    # take the factors a previous solve left on this system, or factor
+    factors = system._factors
+    object.__setattr__(system, "_factors", None)
+    factored = factors is None
+    if factored:
+        factors = (_factor(system.a11), _factor(system.a22))
+    solver = _BlockSolver(system, factors, adjoint)
     n = system.n
     ncv = max(4 * m, _MIN_NCV)
     tol = settings.tol
@@ -303,6 +328,9 @@ def _solve(system, settings, adjoint):
         res = _pencil_residual(system, lams, vecs, adjoint)
         # every pair up to the m-th smallest |lambda| must certify
         if len(lams) == m and np.all(res <= accept):
+            if factored:
+                # for the next solve on this system, the other of a pair
+                object.__setattr__(system, "_factors", factors)
             return [
                 _solution(system, lams[i], vecs[:, i], res[i], adjoint)
                 for i in range(m)

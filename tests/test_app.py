@@ -2,17 +2,20 @@
 and the packaged quarter-core benchmark."""
 
 import filecmp
+import gc
 import hashlib
 import os
 import re
 import subprocess
 import sys
 import types
+import weakref
 
 import numpy as np
 import pytest
 
 import critifem
+from critifem import app
 from critifem.app import (
     ConfigError,
     FieldOutput,
@@ -189,10 +192,21 @@ def test_named_and_inline_deck_conflict(tmp_path):
     ["oracle", "--deck", "iaea-2d"],  # needs a homogeneous deck
     ["oracle", "--domain", "lshape", "--modes", "9"],
     ["solve", "--config", "/nonexistent/run.ini", "--domain", "square"],
+    ["solve", "--domain", "square", "--resolutions", "8", "--num", "3", "--tol", "nan"],
+    ["solve", "--domain", "square", "--resolutions", "8", "--num", "3", "--tol", "inf"],
 ])
 def test_exit_code_two(argv, capsys):
     assert cli(argv) == 2
     assert capsys.readouterr().err.strip()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_config_tol_exits_two(tol, tmp_path, capsys):
+    path = config_file(tmp_path, f"[solver]\ntol = {tol}\n")
+    assert cli(["solve", "--domain", "square", "--resolutions", "8", "--num", "3",
+                "--config", path, "--out", str(tmp_path)]) == 2
+    assert "tolerances must be positive and finite" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.vtk"))
 
 
 def test_exit_code_three_no_fission(tmp_path, capsys):
@@ -508,6 +522,34 @@ def test_benchmark_cli_rejects_other_deck(tmp_path, capsys):
     path = config_file(tmp_path, "[run]\ndeck = paper-table1\n")
     assert cli(["benchmark", "iaea2d", "--config", path]) == 2
     assert "iaea-2d" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--domain", "square", "--resolutions", "6", "--degree", "2",
+     "--num", "2"],
+    ["benchmark", "iaea2d"],
+])
+@pytest.mark.filterwarnings("ignore:sigma_a1 = 0")
+def test_solved_system_is_released_before_output(argv, tmp_path, monkeypatch):
+    # once its pairs are out, the system (and any factors left on it) must
+    # be garbage before the fields are sampled and written
+    systems, released = [], []
+    assemble, field_output = app.assemble, app.field_output
+
+    def assemble_spy(*args):
+        system = assemble(*args)
+        systems.append(weakref.ref(system))
+        return system
+
+    def field_output_spy(*args):
+        gc.collect()
+        released.append([ref() is None for ref in systems])
+        return field_output(*args)
+
+    monkeypatch.setattr(app, "assemble", assemble_spy)
+    monkeypatch.setattr(app, "field_output", field_output_spy)
+    assert cli(argv + ["--out", str(tmp_path)]) == 0
+    assert released == [[True]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Rate fitting, closed-form references, and the study driver."""
 
 import csv
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from critifem import convergence
 from critifem.convergence import (
     DOMAINS,
     RateFit,
@@ -219,6 +222,24 @@ def test_study_reports_certification_shortfall():
     # eigenvalue and can never certify three
     with pytest.raises(RuntimeError, match="certified only"):
         run_study("square", 1, (2, 3, 4), m=3)
+
+
+def test_study_releases_each_system_before_the_next(monkeypatch):
+    systems, alive = [], []
+    original = convergence.assemble
+
+    def spy(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in systems))
+        system = original(*args)
+        systems.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(convergence, "assemble", spy)
+    run_study("square", 2, (4, 6, 8), m=2)
+    gc.collect()
+    assert alive == [0, 0, 0]
+    assert [ref() for ref in systems] == [None, None, None]
 
 
 # ---------------------------------------------------------------------------

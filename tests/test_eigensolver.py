@@ -2,6 +2,8 @@
 biorthogonality, certification, and determinism."""
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from critifem.eigensolver import (
     solve_adjoint,
     solve_primal,
 )
+from critifem.app import packaged_mesh_path
 from critifem.fem_space import build_dofmap
 from critifem.materials import builtin_deck
-from critifem.mesh import generate_unit_square
+from critifem.mesh import generate_unit_square, read_gmsh
 
 
 def make_system(a11, a22, coupling, f1, f2):
@@ -32,16 +35,11 @@ def make_system(a11, a22, coupling, f1, f2):
         name: np.atleast_2d(np.asarray(mat, dtype=float))
         for name, mat in (("a22", a22), ("coupling", coupling), ("f1", f1), ("f2", f2))
     }
-    zero = np.zeros((n, n))
-    A = np.block([[a11, zero], [-blocks["coupling"], blocks["a22"]]])
-    B = np.block([[blocks["f1"], blocks["f2"]], [zero, zero]])
     return BlockSystem(
         n=n,
         n_raw=n,
-        A=sp.csr_matrix(A),
-        B=sp.csr_matrix(B),
         mass=sp.csr_matrix(np.eye(n)),
-        stiffness=sp.csr_matrix(zero),
+        stiffness=sp.csr_matrix((n, n)),
         a11=sp.csr_matrix(a11),
         a22=sp.csr_matrix(blocks["a22"]),
         coupling=sp.csr_matrix(blocks["coupling"]),
@@ -80,7 +78,6 @@ def test_pencil_scaling_invariance():
     base = make_system([[2.0]], [[3.0]], [[1.0]], [[1.0]], [[1.0]])
     scaled = dataclasses.replace(
         base,
-        A=base.A * 7.3, B=base.B * 7.3,
         a11=base.a11 * 7.3, a22=base.a22 * 7.3, coupling=base.coupling * 7.3,
         f1=base.f1 * 7.3, f2=base.f2 * 7.3,
     )
@@ -119,8 +116,6 @@ def test_arpack_shortfall_raises_without_retry(solve, monkeypatch):
     f1 = sp.csr_matrix(([1.0, 1.0, 1.0], ([0, 700, 1400], [0, 700, 1400])), shape=(n, n))
     system = BlockSystem(
         n=n, n_raw=n,
-        A=sp.bmat([[a11, None], [zero, eye]], format="csr"),
-        B=sp.bmat([[f1, zero], [None, zero]], format="csr"),
         mass=eye, stiffness=zero, a11=a11, a22=eye, coupling=zero, f1=f1, f2=zero,
         free_dofs=np.arange(n), constrained_dofs=np.array([], dtype=int),
     )
@@ -164,8 +159,9 @@ def test_complex_pair_reported_not_silently_realified():
 def test_settings_validation():
     with pytest.raises(ValueError, match="m must be"):
         SolverSettings(m=0)
-    with pytest.raises(ValueError, match="tolerances must be positive"):
-        SolverSettings(tol=0.0)
+    for tol in (0.0, -1e-10, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+            SolverSettings(tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -386,3 +382,122 @@ def test_solution_is_frozen(square16_system):
     with pytest.raises(dataclasses.FrozenInstanceError):
         sol.lam = 0.0
     assert not sol.phi1.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# factor hand-off and block certification
+
+def _square_k2_system(deck):
+    mesh = generate_unit_square(8)
+    return assemble(mesh, build_dofmap(mesh, 2), deck, 2)
+
+
+def _quarter_core_k1_system():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the deck has sigma_a1 = 0 regions
+        mesh = read_gmsh(packaged_mesh_path())
+        return assemble(mesh, build_dofmap(mesh, 1), builtin_deck("iaea-2d"), 1)
+
+
+def test_primal_adjoint_pair_factors_once(table1_deck, monkeypatch):
+    system = _square_k2_system(table1_deck)
+    assert system.n >= 40  # exercises the ARPACK path
+    blocks = []
+    original = eigensolver._factor
+
+    def spy(block):
+        blocks.append(block)
+        return original(block)
+
+    monkeypatch.setattr(eigensolver, "_factor", spy)
+    settings = SolverSettings(m=3)
+    primal = solve_primal(system, settings)
+    assert len(blocks) == 2 and blocks[0] is system.a11 and blocks[1] is system.a22
+    assert system._factors is not None  # left for the adjoint
+    adjoint = solve_adjoint(system, settings)
+    assert len(blocks) == 2  # the adjoint took the primal's factors
+    assert system._factors is None  # ... and took them off
+    # the shared factors give what factoring afresh gives
+    fresh = solve_adjoint(dataclasses.replace(system), settings)
+    assert len(blocks) == 4
+    for x, y in zip(adjoint, fresh):
+        assert x.lam == y.lam
+        assert np.array_equal(x.phi1, y.phi1)
+    assert [s.lam for s in primal] == pytest.approx([s.lam for s in adjoint], rel=1e-8)
+
+
+def test_replaced_system_factors_afresh(table1_deck, monkeypatch):
+    system = _square_k2_system(table1_deck)
+    settings = SolverSettings(m=2)
+    lam = solve_primal(system, settings)[0].lam
+    assert system._factors is not None
+    calls = []
+    original = eigensolver._factor
+
+    def spy(block):
+        calls.append(block)
+        return original(block)
+
+    monkeypatch.setattr(eigensolver, "_factor", spy)
+    doubled = dataclasses.replace(system, a11=2.0 * system.a11)
+    assert doubled._factors is None
+    lam2 = solve_primal(doubled, settings)[0].lam
+    assert len(calls) == 2 and calls[0] is doubled.a11
+    assert abs(lam2 - lam) > 1e-3 * abs(lam)  # not the old a11's factors
+    assert doubled._factors is not None and system._factors is not None
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize(
+    "case", ["square-k2-dirichlet", "quarter-core-k1-robin", "nonsymmetric-blocks"]
+)
+def test_block_residual_matches_full_pencil(case, adjoint, table1_deck, rng):
+    if case == "square-k2-dirichlet":
+        system = _square_k2_system(table1_deck)
+    elif case == "quarter-core-k1-robin":
+        system = _quarter_core_k1_system()
+        assert any(bc.kind == "robin" for _, bc in builtin_deck("iaea-2d").values())
+    else:
+        # assembled coupling and fission blocks are symmetric; these are not,
+        # so a missing transpose shows
+        system = _nonsymmetric_pencil(60, seed=60)
+    A, B = (system.A.T, system.B.T) if adjoint else (system.A, system.B)
+
+    def full(lam, x):
+        bx = B @ x
+        return np.linalg.norm(A @ x - lam * bx, axis=0) / np.linalg.norm(bx, axis=0)
+
+    n2 = 2 * system.n
+    x = rng.standard_normal((n2, 4))
+    lam = rng.uniform(0.5, 2.0, 4) * np.linalg.norm(A @ x, axis=0) / np.linalg.norm(
+        B @ x, axis=0
+    )
+    z = x[:, 0] + 1j * rng.standard_normal(n2)
+    mu = complex(lam[0], 0.3 * lam[0])
+    for got, want in (
+        (eigensolver._pencil_residual(system, lam, x, adjoint), full(lam, x)),
+        (eigensolver._pencil_residual(system, lam[1], x[:, 1], adjoint),
+         full(lam[1], x[:, 1])),
+        (eigensolver._pencil_residual(system, mu, z, adjoint), full(mu, z)),
+    ):
+        assert np.all(np.asarray(want) > 0.1)  # O(1): no cancellation to hide in
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_solves_never_build_the_full_pencil(table1_deck, monkeypatch):
+    system = _square_k2_system(table1_deck)
+    calls = []
+    original = sp.bmat
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "bmat", spy)
+    settings = SolverSettings(m=3)
+    sols = solve_primal(system, settings) + solve_adjoint(system, settings)
+    assert all(residual(system, sol) <= 10 * settings.tol for sol in sols)
+    assert calls == []
+    # the properties still build the pencil on request
+    assert system.A.shape == system.B.shape == (2 * system.n, 2 * system.n)
+    assert len(calls) == 2
