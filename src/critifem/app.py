@@ -10,9 +10,10 @@ check-ellipticity coercivity report for a deck
 
 Exit codes: 0 success, 2 configuration error (bad flags, files, deck),
 3 solver failure: any SolverError, which the eigensolver raises when it
-cannot certify exactly --num pairs (stagnation, an empty spectrum, fewer
-finite eigenvalues than --num, or no free DOF left after the Dirichlet
-conditions).
+cannot certify exactly --num pairs (the Arnoldi basis reaches its cap, a
+wanted pair misses certification with every eigenvalue in the basis, an
+empty spectrum, fewer finite eigenvalues than --num, or no free DOF left
+after the Dirichlet conditions).
 
 Config files
 ------------
@@ -47,6 +48,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -105,7 +107,7 @@ def parse_config(path):
     sections = {}
     current = None
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e.strerror or e}") from e
     for ln, raw in enumerate(lines, 1):

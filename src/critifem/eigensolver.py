@@ -1,50 +1,70 @@
-"""Shift-invert Arnoldi eigensolver for the assembled pencil A x = lambda B x.
+"""Arnoldi eigensolver for the assembled pencil A x = lambda B x.
 
 B has no thermal rows, so the thermal equation fixes the thermal flux
-from the fast flux, and eliminating it leaves an n x n operator on the
-fast flux alone (shift 0):
+from the fast flux, and the fission source z = a11 x1 carries the whole
+eigenvector. Eliminating the thermal flux leaves an n x n operator on
+the fission source (shift 0), the classical outer iteration:
 
-    T x1 = a11^{-1} (F1 x1 + F2 a22^{-1} C x1),   x2 = a22^{-1} C x1.
+    T' z = (F1 + F2 a22^{-1} C) a11^{-1} z,   x1 = a11^{-1} z,   x2 = a22^{-1} C x1.
 
 Its dominant eigenvalues mu are the reciprocals of the pencil eigenvalues
 of smallest magnitude, which carry the physics (lambda = 1/k). The
 adjoint pencil A^T y = lambda B^T y eliminates the same way, with every
 off-diagonal block transposed:
 
-    T* y1 = a11^{-1} (F1^T y1 + C^T a22^{-1} F2^T y1),   y2 = lambda a22^{-1} F2^T y1.
+    T'* z = (F1^T + C^T a22^{-1} F2^T) a11^{-1} z,   y1 = a11^{-1} z,
+    y2 = lambda a22^{-1} F2^T y1.
 
 One application costs one solve with each SPD diagonal block; the inner
 solves are sparse LU factors of the two blocks in symmetric mode, shared
-by every operator application, by the thermal recovery of the wanted
+by every operator application, by the recovery of the wanted
 eigenvectors and by consecutive solves on one system: the diagonal
 blocks are symmetric, so the factors serve primal and adjoint alike. A
 solve that factors leaves its factors on the system, and the next solve
 there takes them off, so a primal/adjoint pair factors once and a system
 holds at most one factorization.
 
-Arnoldi itself is ARPACK's real nonsymmetric iteration (scipy
-sparse.linalg.eigs) with a fixed start vector for reproducibility;
-conjugate Ritz pairs come back as genuinely complex eigenvalues, which
+Arnoldi is one unrestarted iteration on T' from a fixed start vector,
+orthogonalized by classical Gram-Schmidt run twice against a basis of at
+most min(n, 10 m + 40) vectors. With the thermal half recovered exactly,
+the pencil residual of a pair is |lambda| ||T' z - mu z|| / ||T' z||, so
+the Arnoldi residual of a Ritz pair estimates the certified measure
+itself: |lambda|^2 beta |y_k| for a unit Ritz vector y of the Hessenberg
+matrix and the last subdiagonal entry beta. Every 2 steps the Ritz
+values are checked; once the estimate of each of the first m + 1 pairs
+by |lambda| is below 0.3 x the acceptance level, the first m are
+recovered by one multi-column solve with each block and certified. The
+one extra pair gives the second copy of an exact double time to surface
+from rounding. A pair that misses certification makes the basis grow;
+nothing restarts. When the new direction vanishes to rounding (a
+breakdown: the basis spans an invariant subspace, which holds one copy
+of an exact double) the iteration continues from a fresh vector
+orthogonal to the basis, and accepts only once the basis holds every
+finite eigenvalue. At n vectors the Hessenberg matrix is the whole
+operator, which also covers systems too small for a Krylov method to
+save anything.
+
+Conjugate Ritz pairs come back as genuinely complex eigenvalues, which
 the physical problems never produce but the solver must be able to
-report. Systems too small for ARPACK fall back to a dense eigensolve of
-T.
+report. When every wanted |Im lambda| is at most 1e-12 |lambda| the
+eigenvalues are returned real; a conjugate pair there is a real double
+split by rounding, and the real and imaginary parts of its Ritz vector
+give its two eigenvectors.
 
 Every returned eigenpair is certified by explicitly forming
 ||A x - lambda B x||_2 / ||B x||_2 from the fast and thermal halves of
-the pencil, block by block; the 2n x 2n pencil is never formed. An attempt
+the pencil, block by block; the 2n x 2n pencil is never formed. A solve
 is accepted only when every Ritz pair up to and including the m-th
-smallest |lambda| meets 10x the Arnoldi tolerance; otherwise the
-iteration is retried with more wanted pairs and a larger subspace before
-giving up, so a poorly converged wanted pair is never replaced by a
-higher mode.
+smallest |lambda| meets 10x the tolerance, so a poorly converged wanted
+pair is never replaced by a higher mode.
 
 The contract is all or nothing: a solve returns exactly m certified
 pairs or raises SolverError, also when the pencil has fewer than m
-finite eigenvalues (no fission production, no free DOF, fewer than m
-fast DOFs with fission, or a system so small that the dense solve sees
-its whole spectrum). A converged Arnoldi attempt whose wanted Ritz
-values already include a zero of the operator has found every finite
-eigenvalue, so a shortfall there fails at once instead of retrying.
+finite eigenvalues (no fission production, no free DOF, or fewer than m
+fast DOFs with fission). The basis holds every finite eigenvalue once it
+spans the space, or once T' maps a fresh vector into it with a zero
+diagonal entry; a shortfall then fails at once. Reaching the basis cap
+without m certified pairs fails too.
 """
 
 from __future__ import annotations
@@ -72,16 +92,33 @@ __all__ = [
 # that.
 _ZERO_MU = 1e-7
 
-# The first Arnoldi attempt uses a subspace of max(4m, _MIN_NCV); each
-# retry doubles it, up to _RETRIES times.
-_MIN_NCV = 20
-_RETRIES = 6
+# The Ritz values are checked every _CHECK_EVERY steps; the wanted pairs
+# go to certification once their estimated pencil residual is below
+# _SAFETY x the acceptance level.
+_CHECK_EVERY = 2
+_SAFETY = 0.3
+
+# A new direction shorter than this fraction of ||T'|| is rounding: the
+# basis spans an invariant subspace.
+_BREAKDOWN = 1e-12
+
+# Wanted eigenvalues all within this relative distance of the real axis
+# are returned real.
+_REAL = 1e-12
+
+# The first m + _GUARD Ritz pairs by |lambda| must pass the estimate. A
+# Krylov space from one vector holds one copy of an exact multiple
+# eigenvalue; the other copy surfaces from rounding only after the first
+# has converged to rounding level, and waiting for the next pair gives it
+# that time, so a copy is not skipped when the m-th pair splits a double.
+_GUARD = 1
 
 
 class SolverError(RuntimeError):
-    """The solve cannot return exactly m certified eigenpairs: Arnoldi
-    stagnation, a wanted pair that fails certification, or fewer than m
-    finite eigenvalues (none at all without fission or free DOF)."""
+    """The solve cannot return exactly m certified eigenpairs: the Arnoldi
+    basis reached its cap, a wanted pair fails certification with the
+    whole spectrum in the basis, or the pencil has fewer than m finite
+    eigenvalues (none at all without fission or free DOF)."""
 
 
 @dataclass(frozen=True)
@@ -89,8 +126,8 @@ class SolverSettings:
     """Eigensolver settings.
 
     m: number of eigenpairs to return (ascending |lambda|).
-    tol: Arnoldi convergence tolerance; accepted pairs must certify a
-        pencil residual below 10x this value.
+    tol: tolerance; accepted pairs must certify a pencil residual below
+        10x this value.
     """
 
     m: int = 5
@@ -134,14 +171,15 @@ def _factor(block):
     )
 
 
-class _BlockSolver:
-    """The n x n fast-flux operator T (T* in adjoint mode) and the
-    thermal half of its eigenvectors.
+class _FissionSource:
+    """The n x n fission-source operator T' (T'* in adjoint mode) and the
+    pencil eigenvectors of its eigenvectors.
 
-    Primal: T x1 = a11^{-1} (F1 x1 + F2 a22^{-1} C x1), x2 = a22^{-1} C x1.
-    Adjoint: T* y1 = a11^{-1} (F1^T y1 + C^T a22^{-1} F2^T y1),
-    y2 = lambda a22^{-1} F2^T y1. Both are a11^{-1} (fast x + up a22^{-1}
-    down x) with the three off-diagonal blocks below.
+    Primal: T' z = (F1 + F2 a22^{-1} C) a11^{-1} z, x1 = a11^{-1} z,
+    x2 = a22^{-1} C x1. Adjoint: T'* z = (F1^T + C^T a22^{-1} F2^T)
+    a11^{-1} z, y1 = a11^{-1} z, y2 = lambda a22^{-1} F2^T y1. Both are
+    (fast + up a22^{-1} down) a11^{-1} with the three off-diagonal blocks
+    below.
 
     Both diagonal blocks are SPD, so _factor factors each by SuperLU in
     symmetric mode: minimum degree ordering on the block's own graph and
@@ -163,23 +201,37 @@ class _BlockSolver:
             self._down = system.coupling
             self._up = system.f2
 
-    def apply(self, x1):
-        """T x1 (T* x1 in adjoint mode); x1 is real, one vector or columns."""
-        x2 = self._lu22.solve(self._down @ x1)
-        return self._lu11.solve(self._fast @ x1 + self._up @ x2)
+    def apply(self, z):
+        """T' z (T'* z in adjoint mode) for one real n-vector z."""
+        x1 = self._lu11.solve(z)
+        return self._fast @ x1 + self._up @ self._lu22.solve(self._down @ x1)
 
-    def thermal(self, lams, x1):
-        """Thermal half of the eigenvectors with fast halves x1 (columns)
-        and eigenvalues lams, by one multi-column a22 solve."""
-        rhs = self._down @ x1
-        if np.iscomplexobj(rhs):
-            # the factors are real: solve real and imaginary parts as columns
-            k = rhs.shape[1]
-            parts = self._lu22.solve(np.hstack([rhs.real, rhs.imag]))
-            x2 = parts[:, :k] + 1j * parts[:, k:]
-        else:
-            x2 = self._lu22.solve(rhs)
-        return x2 * lams if self.adjoint else x2
+    def vectors(self, lams, z):
+        """Pencil eigenvectors [x1; x2] (columns) of the fission sources z
+        (columns) with eigenvalues lams, by one multi-column solve with
+        each block."""
+        x1 = _solve_columns(self._lu11, z)
+        x2 = _solve_columns(self._lu22, self._down @ x1)
+        return np.vstack([x1, x2 * lams if self.adjoint else x2])
+
+
+def _solve_columns(lu, rhs):
+    if np.iscomplexobj(rhs):
+        # the factors are real: solve real and imaginary parts as columns
+        k = rhs.shape[1]
+        parts = lu.solve(np.hstack([rhs.real, rhs.imag]))
+        return parts[:, :k] + 1j * parts[:, k:]
+    return lu.solve(rhs)
+
+
+def _orthogonalize(basis, w):
+    """Classical Gram-Schmidt run twice: take the components along the
+    orthonormal rows of basis out of w, in place; returns them."""
+    h = basis @ w
+    w -= h @ basis
+    again = basis @ w
+    w -= again @ basis
+    return h + again
 
 
 def _mass_norm(system, x):
@@ -247,22 +299,6 @@ def residual(system, solution):
     return float(_pencil_residual(system, solution.lam, x, solution.adjoint))
 
 
-def _dense_pairs(system, solver, want):
-    mu, vecs = np.linalg.eig(solver.apply(np.eye(system.n)))
-    return mu, vecs
-
-
-def _arpack_pairs(system, solver, want, ncv, tol):
-    n = system.n
-    op = spla.LinearOperator((n, n), matvec=solver.apply, dtype=np.float64)
-    v0 = np.cos(0.7 * np.arange(n) + 0.3)  # fixed, generic start vector
-    ncv_eff = min(n, max(ncv, 2 * want + 1))
-    mu, vecs = spla.eigs(
-        op, k=want, which="LM", v0=v0, ncv=ncv_eff, tol=tol, maxiter=8000
-    )
-    return mu, vecs
-
-
 def _solution(system, lam, x, res, adjoint):
     x = _normalize(system, x)
     n = system.n
@@ -273,6 +309,89 @@ def _solution(system, lam, x, res, adjoint):
     return EigenSolution(
         lam=complex(lam), phi1=phi1, phi2=phi2, residual=float(res),
         adjoint=adjoint,
+    )
+
+
+def _ritz_pairs(mu, y, first):
+    """Eigenvalues lambda = 1/mu and vectors of the Ritz pairs in columns
+    first, real under the near-real rule."""
+    lams, y = 1.0 / mu[first], y[:, first]
+    if np.all(np.abs(lams.imag) <= _REAL * np.abs(lams)):
+        # a conjugate pair here is a real double split by rounding: the
+        # real and imaginary parts of its vector span the double, where
+        # the real part twice would lose a copy
+        pair = np.flatnonzero((lams.imag[:-1] != 0) & (lams[1:] == lams[:-1].conj()))
+        vecs = y.real.copy()
+        vecs[:, pair + 1] = y[:, pair].imag
+        return lams.real, vecs
+    return lams, y
+
+
+def _arnoldi(system, source, m, accept):
+    """Unrestarted Arnoldi on T' until the first m pairs by |lambda|
+    certify; returns their eigenvalues, vectors [x1; x2] and residuals."""
+    n = system.n
+    cap = min(n, 10 * m + 40)  # basis vectors at most
+    basis = np.empty((cap + 1, n))  # orthonormal rows, touched as they fill
+    hess = np.zeros((cap + 1, cap))
+    start = np.cos(0.7 * np.arange(n) + 0.3)  # fixed, generic start vector
+    basis[0] = start / np.linalg.norm(start)
+    fresh = 0  # the last basis vector that is not the image of another
+    broken = False  # whether the basis ever spanned an invariant subspace
+    norm = 0.0  # largest ||T' v|| so far, a lower bound of ||T'||
+    for k in range(1, cap + 1):
+        w = source.apply(basis[k - 1])
+        norm = max(norm, np.linalg.norm(w))
+        hess[:k, k - 1] = _orthogonalize(basis[:k], w)
+        beta = np.linalg.norm(w)
+        broke = beta <= _BREAKDOWN * norm
+        broken |= broke
+        if not broke:
+            hess[k, k - 1] = beta
+            basis[k] = w / beta
+        if broke or k == cap or (k > m and k % _CHECK_EVERY == 0):
+            mu, y = np.linalg.eig(hess[:k, :k])
+            cut = _ZERO_MU * np.abs(mu).max()
+            finite = np.flatnonzero(np.abs(mu) > cut)
+            # The basis holds every finite eigenvalue when it spans the
+            # space, or when T' maps a fresh, generic vector into it with a
+            # zero diagonal entry: T' is then zero off the basis.
+            whole = k == n or (broke and fresh == k - 1 and abs(hess[k - 1, k - 1]) <= cut)
+            if len(finite) < m:
+                if whole:
+                    raise SolverError(f"solver certified only {len(finite)} of {m} pairs")
+            elif whole or not broken:
+                lams = 1.0 / mu[finite]
+                order = finite[np.lexsort((lams.imag, np.abs(lams)))]
+                guard = order[: m + _GUARD]
+                # ||T' z - mu z|| of each unit Ritz vector z; the pencil
+                # residual is about |lambda|^2 times that
+                err = 0.0 if whole else hess[k, k - 1] * np.abs(y[-1, guard])
+                if whole or k == cap or np.all(err <= _SAFETY * accept * np.abs(mu[guard]) ** 2):
+                    lams, vecs = _ritz_pairs(mu, y, order[:m])
+                    vecs = source.vectors(lams, basis[:k].T @ vecs)
+                    res = _pencil_residual(system, lams, vecs, source.adjoint)
+                    # every pair up to the m-th smallest |lambda| must certify
+                    if np.all(res <= accept):
+                        return lams, vecs, res
+                    if whole:
+                        bad = int(np.argmax(res > accept))
+                        raise SolverError(
+                            f"eigenpair {bad + 1} (lambda={lams[bad]:.6g}) misses "
+                            f"certification with residual {res[bad]:.2e}, with every "
+                            "finite eigenvalue in the Arnoldi basis"
+                        )
+        if broke and k < cap:
+            # An invariant subspace reached from one vector holds one copy
+            # of each eigenvalue, so a later copy of an exact multiple can
+            # only come from outside it: continue from a fresh direction,
+            # and accept only once the basis holds every finite eigenvalue.
+            fresh = k
+            vec = np.random.default_rng(k).standard_normal(n)
+            _orthogonalize(basis[:k], vec)
+            basis[k] = vec / np.linalg.norm(vec)
+    raise SolverError(
+        f"Arnoldi basis exhausted: {cap} vectors without {m} certified eigenpairs"
     )
 
 
@@ -294,59 +413,12 @@ def _solve(system, settings, adjoint):
     factored = factors is None
     if factored:
         factors = (_factor(system.a11), _factor(system.a22))
-    solver = _BlockSolver(system, factors, adjoint)
-    n = system.n
-    ncv = max(4 * m, _MIN_NCV)
-    tol = settings.tol
-    accept = 10.0 * tol
-
-    last_error = None
-    for attempt in range(_RETRIES + 1):
-        want = min(m + 3 + attempt, n - 2)
-        use_dense = n < 40 or ncv >= n
-        try:
-            if use_dense:
-                mu, vecs = _dense_pairs(system, solver, want)
-            else:
-                mu, vecs = _arpack_pairs(system, solver, want, ncv, tol)
-        except spla.ArpackNoConvergence as exc:
-            last_error = exc
-            ncv = min(2 * ncv, n)
-            continue
-        finite = np.abs(mu) > _ZERO_MU * np.abs(mu).max()
-        lams, x1 = 1.0 / mu[finite], vecs[:, finite]
-        if len(lams) < m and (use_dense or not finite.all()):
-            # the dense solve has the whole spectrum, and a converged "LM"
-            # attempt that reaches a zero has every finite eigenvalue: no
-            # retry can add pairs
-            raise SolverError(f"solver certified only {len(lams)} of {m} pairs")
-        first = np.lexsort((lams.imag, np.abs(lams)))[:m]
-        lams, x1 = lams[first], x1[:, first]
-        if not lams.imag.any():
-            lams, x1 = lams.real, np.ascontiguousarray(x1.real)
-        vecs = np.vstack([x1, solver.thermal(lams, x1)])
-        res = _pencil_residual(system, lams, vecs, adjoint)
-        # every pair up to the m-th smallest |lambda| must certify
-        if len(lams) == m and np.all(res <= accept):
-            if factored:
-                # for the next solve on this system, the other of a pair
-                object.__setattr__(system, "_factors", factors)
-            return [
-                _solution(system, lams[i], vecs[:, i], res[i], adjoint)
-                for i in range(m)
-            ]
-        if use_dense:
-            bad = int(np.argmax(res > accept))
-            raise SolverError(
-                f"dense solve: eigenpair {bad + 1} (lambda={lams[bad]:.6g}) "
-                f"misses certification with residual {res[bad]:.2e}"
-            )
-        ncv = min(2 * ncv, n)
-    raise SolverError(
-        f"Arnoldi stagnation: {_RETRIES} restarts exhausted "
-        f"without {m} certified eigenpairs"
-        + (f" (last ARPACK error: {last_error})" if last_error else "")
-    )
+    source = _FissionSource(system, factors, adjoint)
+    lams, vecs, res = _arnoldi(system, source, m, 10.0 * settings.tol)
+    if factored:
+        # for the next solve on this system, the other of a pair
+        object.__setattr__(system, "_factors", factors)
+    return [_solution(system, lams[i], vecs[:, i], res[i], adjoint) for i in range(m)]
 
 
 def solve_primal(system, settings=SolverSettings()):
@@ -354,11 +426,12 @@ def solve_primal(system, settings=SolverSettings()):
 
     Returns exactly settings.m pairs, each certified to 10 * settings.tol.
     Strict: every Ritz pair up to and including the m-th smallest |lambda|
-    must certify; a rejected pair in that range triggers a retry with a
-    larger subspace, never a skip to a higher mode. Raises SolverError
-    when the system has no free DOF, when B = 0 (empty spectrum), when
-    the pencil has fewer than m finite eigenvalues, or when the retries
-    are exhausted.
+    must certify; a rejected pair in that range makes the Arnoldi basis
+    grow, never a skip to a higher mode. Raises SolverError when the
+    system has no free DOF, when B = 0 (empty spectrum), when the pencil
+    has fewer than m finite eigenvalues, when a wanted pair misses
+    certification with the whole spectrum in the basis, or when the
+    basis reaches its cap of min(n, 10 m + 40) vectors first.
     """
     return _solve(system, settings, adjoint=False)
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 import weakref
 
 import numpy as np
@@ -95,7 +96,8 @@ def test_parse_config_errors(tmp_path, text, match):
 def test_readme_ini_blocks_parse(tmp_path):
     # every documented config key and value must still be accepted
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    text = open(readme, encoding="utf-8").read()
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
     blocks = re.findall(r"^```ini\n(.*?)^```", text, flags=re.M | re.S)
     assert len(blocks) >= 2
     for i, block in enumerate(blocks):
@@ -107,6 +109,17 @@ def test_readme_ini_blocks_parse(tmp_path):
 def test_parse_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read config"):
         parse_config("/nonexistent/run.ini")
+
+
+def test_parse_config_closes_the_file(tmp_path):
+    # an unclosed file warns when it is collected, inside __del__, where an
+    # "error" filter cannot raise; so the warning is recorded and failed on
+    path = config_file(tmp_path, "[run]\ndomain = square\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        parse_config(path)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 # ---------------------------------------------------------------------------

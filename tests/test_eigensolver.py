@@ -23,8 +23,8 @@ from critifem.eigensolver import (
 )
 from critifem.app import packaged_mesh_path
 from critifem.fem_space import build_dofmap
-from critifem.materials import builtin_deck
-from critifem.mesh import generate_unit_square, read_gmsh
+from critifem.materials import GroupConstants, builtin_deck, ellipticity_check
+from critifem.mesh import GENERATORS, generate_unit_cube, generate_unit_square, read_gmsh
 
 
 def make_system(a11, a22, coupling, f1, f2):
@@ -104,11 +104,26 @@ def test_fewer_finite_eigenvalues_than_m_raises(solve):
         solve(system, SolverSettings(m=5))
 
 
+def _count_applies(monkeypatch):
+    """Record the vector of every fission-source operator application."""
+    seen = []
+    original = eigensolver._FissionSource.apply
+
+    def spy(self, z):
+        seen.append(z.shape)
+        return original(self, z)
+
+    monkeypatch.setattr(eigensolver._FissionSource, "apply", spy)
+    return seen
+
+
 @pytest.mark.parametrize("solve", [solve_primal, solve_adjoint])
-def test_arpack_shortfall_raises_without_retry(solve, monkeypatch):
-    # n = 2000 takes the ARPACK path; fission on three fast DOFs gives
-    # three finite eigenvalues, and the first converged attempt already
-    # reaches zeros of the operator, so it must fail there, not retry
+def test_krylov_shortfall_raises_cheaply(solve, monkeypatch):
+    # n = 2000 is far above the basis cap; fission on three fast DOFs
+    # gives three finite eigenvalues, two of them an exact double. The
+    # basis breaks down, continues from fresh vectors until the operator
+    # maps one into it with a zero diagonal entry, and then fails at
+    # once, after a handful of applies, instead of running to the cap
     n = 2000
     a11 = sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
     eye = sp.identity(n, format="csr")
@@ -119,17 +134,24 @@ def test_arpack_shortfall_raises_without_retry(solve, monkeypatch):
         mass=eye, stiffness=zero, a11=a11, a22=eye, coupling=zero, f1=f1, f2=zero,
         free_dofs=np.arange(n), constrained_dofs=np.array([], dtype=int),
     )
-    calls = []
-    original = eigensolver.spla.eigs
-
-    def spy(A, *args, **kwargs):
-        calls.append(kwargs["ncv"])
-        return original(A, *args, **kwargs)
-
-    monkeypatch.setattr(eigensolver.spla, "eigs", spy)
+    applies = _count_applies(monkeypatch)
     with pytest.raises(SolverError, match="certified only 3 of 5 pairs"):
         solve(system, SolverSettings(m=5))
-    assert calls == [20]
+    assert len(applies) <= 8
+    # the three finite eigenvalues, the double included, are all found
+    assert len(solve(system, SolverSettings(m=3))) == 3
+
+
+def test_basis_cap_raises_without_restart(table1_deck, monkeypatch):
+    # a tolerance no pair can certify: the basis grows to its cap of
+    # 10 m + 40 vectors, one apply each, and the solve fails there
+    mesh = generate_unit_square(8)
+    system = assemble(mesh, build_dofmap(mesh, 2), table1_deck, 2)
+    assert system.n > 50
+    applies = _count_applies(monkeypatch)
+    with pytest.raises(SolverError, match="Arnoldi basis exhausted: 50 vectors without 1 "):
+        solve_primal(system, SolverSettings(m=1, tol=1e-30))
+    assert len(applies) == 50
 
 
 def test_no_free_dof_raises():
@@ -217,7 +239,7 @@ def test_square_spectrum_matches_dense_qz():
     mesh = generate_unit_square(8)
     dofmap = build_dofmap(mesh, 1)
     system = assemble(mesh, dofmap, builtin_deck("paper-table1"), 1)
-    assert 2 * system.n >= 80  # exercises the ARPACK path
+    assert system.n == 49  # converges well before the basis spans the space
     sols = solve_primal(system, SolverSettings(m=5))
     w, _ = scipy.linalg.eig(
         system.A.toarray(), system.B.toarray(), right=True,
@@ -267,8 +289,9 @@ def _nonsymmetric_pencil(n, seed):
     return make_system(a11, a22, nonneg(), nonneg(), nonneg())
 
 
-# dense path, ARPACK path; with these seeds the first five eigenvalues
-# hold a whole conjugate pair and split none
+# a basis that spans the space (n=12), one that converges before it
+# does (n=60); with these seeds the first five eigenvalues hold a whole
+# conjugate pair and split none
 @pytest.mark.parametrize("n, seed", [(12, 2), (60, 60)])
 def test_nonsymmetric_blocks_match_qz(n, seed):
     system = _nonsymmetric_pencil(n, seed)
@@ -297,46 +320,51 @@ def test_nonsymmetric_blocks_match_qz(n, seed):
 
 
 def test_arnoldi_iterates_the_fast_flux_operator(monkeypatch):
+    # Arnoldi runs on the n x n fission-source operator, one fast-group
+    # n-vector per application, primal and adjoint alike
     system = _nonsymmetric_pencil(60, seed=60)
-    shapes = []
-    original = eigensolver.spla.eigs
-
-    def spy(A, *args, **kwargs):
-        shapes.append(A.shape)
-        return original(A, *args, **kwargs)
-
-    monkeypatch.setattr(eigensolver.spla, "eigs", spy)
+    applies = _count_applies(monkeypatch)
     solve_primal(system, SolverSettings(m=5))
     solve_adjoint(system, SolverSettings(m=5))
-    assert len(shapes) >= 2
-    assert set(shapes) == {(system.n, system.n)}
+    assert len(applies) >= 2
+    assert set(applies) == {(system.n,)}
+
+
+def _spy_vectors(monkeypatch, column=None, times=None):
+    """Record every eigenvector recovery (one per certification); spoil
+    column `column` of the first `times` of them (of all for times=None)."""
+    calls = []
+    original = eigensolver._FissionSource.vectors
+
+    def corrupt(self, lams, z):
+        vecs = original(self, lams, z)
+        if column is not None and (times is None or len(calls) < times):
+            vecs = vecs.copy()
+            vecs[:, column] += 1e-3 * np.cos(np.arange(vecs.shape[0]))
+        calls.append(len(lams))
+        return vecs
+
+    monkeypatch.setattr(eigensolver._FissionSource, "vectors", corrupt)
+    return calls
 
 
 def test_rejected_wanted_pair_is_retried_not_skipped(monkeypatch, table1_gc):
-    # The first Arnoldi attempt hands back a corrupted Ritz vector for the
+    # The first certification gets a corrupted eigenvector for the
     # 2nd-smallest |lambda| (one of the double (1,2)/(2,1) modes), so that
-    # pair fails certification. The solver must retry, not return the
+    # pair fails. The basis must grow and certify again, not return the
     # remaining pairs shifted up by one mode.
     mesh = generate_unit_square(8)
     dofmap = build_dofmap(mesh, 2)
     system = assemble(mesh, dofmap, builtin_deck("paper-table1"), 2)
-    assert 2 * system.n >= 80  # exercises the ARPACK path
-    clean = solve_primal(system, SolverSettings(m=5))
+    settings = SolverSettings(m=5)
+    assert system.n > 10 * settings.m + 40  # the basis cap is below n
+    clean_applies = _count_applies(monkeypatch)
+    clean = solve_primal(system, settings)
+    clean_count = len(clean_applies)
+    clean_applies.clear()
 
-    original = eigensolver._arpack_pairs
-    calls = []
-
-    def corrupt_first(*args, **kwargs):
-        mu, vecs = original(*args, **kwargs)
-        if not calls:
-            vecs = vecs.copy()
-            second = np.argsort(-np.abs(mu), kind="stable")[1]
-            vecs[:, second] += 1e-3 * np.cos(np.arange(vecs.shape[0]))
-        calls.append(len(mu))
-        return mu, vecs
-
-    monkeypatch.setattr(eigensolver, "_arpack_pairs", corrupt_first)
-    sols = solve_primal(system, SolverSettings(m=5))
+    calls = _spy_vectors(monkeypatch, column=1, times=1)
+    sols = solve_primal(system, settings)
     lams = [sol.lam.real for sol in sols]
     expect = reference_eigenvalues("square", 5, table1_gc)
     assert len(lams) == 5
@@ -345,25 +373,130 @@ def test_rejected_wanted_pair_is_retried_not_skipped(monkeypatch, table1_gc):
     for got, ref in zip(sols, clean):
         assert abs(got.lam - ref.lam) <= 1e-8 * abs(ref.lam)
         assert got.residual <= 1e-9
-    assert len(calls) >= 2  # the corrupted attempt was rejected
+    assert len(calls) >= 2  # the corrupted certification was rejected
+    assert len(clean_applies) > clean_count  # ... and the basis grew
 
 
-def test_dense_solve_reports_uncertified_wanted_pair(monkeypatch):
-    # the dense solve sees the whole spectrum, so a wanted pair that fails
-    # certification there is an error, not a pair to skip
+def test_whole_space_basis_reports_uncertified_wanted_pair(monkeypatch):
+    # once the basis spans the whole space it holds every eigenvalue, so a
+    # wanted pair that fails certification there is an error, not a pair
+    # to skip or a reason to grow
     system = make_system(np.diag([1.0, 2.0, 3.0]), np.eye(3), np.zeros((3, 3)),
                          np.eye(3), np.zeros((3, 3)))
-    original = eigensolver._dense_pairs
-
-    def corrupt_second(*args, **kwargs):
-        mu, vecs = original(*args, **kwargs)
-        vecs = vecs.copy()
-        vecs[:, np.argsort(-np.abs(mu), kind="stable")[1]] += 1e-3
-        return mu, vecs
-
-    monkeypatch.setattr(eigensolver, "_dense_pairs", corrupt_second)
-    with pytest.raises(SolverError, match="dense solve: eigenpair 2"):
+    _spy_vectors(monkeypatch, column=1)
+    with pytest.raises(SolverError, match=r"eigenpair 2 \(lambda=2\) misses"):
         solve_primal(system, SolverSettings(m=2))
+
+
+def _draw_deck(seed):
+    """The bench's deck for a seed (bench/workloads.py draw_deck): the
+    paper-table1 constants each scaled by a factor from [0.8, 1.2]."""
+    base, bc = builtin_deck("paper-table1")[1]
+    rng = np.random.default_rng(seed)
+    names = [f.name for f in dataclasses.fields(GroupConstants)]
+    while True:
+        factors = rng.uniform(0.8, 1.2, size=len(names))
+        gc = GroupConstants(**{n: getattr(base, n) * f for n, f in zip(names, factors)})
+        if ellipticity_check(gc).elliptic:
+            return {1: (gc, bc)}
+
+
+def test_cube_seed4_certifies_with_one_basis(monkeypatch):
+    # Cube k=1 N=6 with the seed-4 deck: the second copy of its double
+    # failed certification in the first restarted ARPACK attempt, which
+    # cost 114 applies over two attempts; one growing basis certifies all
+    # five pairs at the first certification, with 48 applies
+    mesh = generate_unit_cube(6)
+    system = assemble(mesh, build_dofmap(mesh, 1), _draw_deck(4), 1)
+    applies = _count_applies(monkeypatch)
+    certifications = _spy_vectors(monkeypatch)
+    sols = solve_primal(system, SolverSettings(m=5))
+    assert len(certifications) == 1
+    assert len(applies) <= 57  # half of the restarted solve's
+    lams = [sol.lam.real for sol in sols]
+    assert lams[1] == pytest.approx(lams[2], rel=1e-12)  # both copies
+    assert lams == pytest.approx(
+        [137.270186, 288.114908, 288.114908, 315.894541, 474.252969], rel=1e-8
+    )
+
+
+@pytest.mark.parametrize("solve", [solve_primal, solve_adjoint])
+@pytest.mark.parametrize("domain, degree, m", [("cube", 1, 5), ("disk", 1, 3)])
+def test_breakdown_keeps_both_copies_of_a_double(domain, degree, m, solve,
+                                                 table1_deck, monkeypatch):
+    # cube N=3 (n=8) and disk N=2 (n=9): the Krylov space of the start
+    # vector is invariant after 6 steps and holds one copy of the exact
+    # double; the fresh vector after the breakdown finds the other
+    mesh = GENERATORS[domain](3 if domain == "cube" else 2)
+    system = assemble(mesh, build_dofmap(mesh, degree), table1_deck, degree)
+    orthogonalized = []
+    original = eigensolver._orthogonalize
+
+    def spy(basis, w):
+        orthogonalized.append(w.shape)
+        return original(basis, w)
+
+    applies = _count_applies(monkeypatch)
+    monkeypatch.setattr(eigensolver, "_orthogonalize", spy)
+    sols = solve(system, SolverSettings(m=m))
+    assert len(orthogonalized) > len(applies)  # a breakdown took a fresh vector
+    A, B = system.A.toarray(), system.B.toarray()
+    if solve is solve_adjoint:
+        A, B = A.T, B.T
+    alpha, beta = scipy.linalg.eig(A, B, homogeneous_eigvals=True)[0]
+    finite = np.abs(beta) > 1e-8 * np.max(np.abs(beta))
+    want = np.sort(np.abs(alpha[finite] / beta[finite]))[:m]
+    got = np.array([sol.lam.real for sol in sols])
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert got[1] == pytest.approx(got[2], rel=1e-12)  # the double
+    vecs = np.column_stack([sol.phi1 for sol in sols[1:3]])
+    assert np.linalg.svd(vecs, compute_uv=False)[-1] > 0.1  # two copies
+
+
+def test_near_real_double_keeps_both_vectors():
+    # a real double split by rounding into a conjugate pair returns real,
+    # with the real and imaginary parts of the Ritz vector as its copies
+    h = np.array([[2.0, 3e-15, 0.0], [-3e-15, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    mu, y = np.linalg.eig(h)
+    assert np.iscomplexobj(mu) and np.abs(mu.imag).max() > 0
+    first = np.argsort(-np.abs(mu), kind="stable")
+    lams, vecs = eigensolver._ritz_pairs(mu, y, first)
+    assert not np.iscomplexobj(lams) and not np.iscomplexobj(vecs)
+    np.testing.assert_allclose(lams, [0.5, 0.5, 1.0], rtol=1e-14)
+    assert np.linalg.svd(vecs[:2, :2], compute_uv=False)[-1] > 0.1
+    np.testing.assert_allclose(h @ vecs, vecs / lams, atol=1e-13)
+
+
+def test_genuinely_complex_pair_stays_complex_in_the_krylov_path():
+    # n = 400, above the basis cap: a fission block that rotates two fast
+    # DOFs gives the smallest |lambda| as a conjugate pair, well off the
+    # real axis, ahead of a real spectrum
+    n = 400
+    theta = 0.35
+    a11 = sp.diags(np.linspace(1.0, 40.0, n), format="csr")
+    rot = sp.csr_matrix(([np.cos(theta), -np.sin(theta), np.sin(theta), np.cos(theta)],
+                         ([0, 0, 1, 1], [0, 1, 0, 1])), shape=(n, n))
+    f1 = (rot + sp.diags(np.r_[0.0, 0.0, np.ones(n - 2)])).tocsr()
+    zero = sp.csr_matrix((n, n))
+    eye = sp.identity(n, format="csr")
+    system = BlockSystem(
+        n=n, n_raw=n, mass=eye, stiffness=zero, a11=a11, a22=eye, coupling=zero,
+        f1=f1, f2=zero, free_dofs=np.arange(n), constrained_dofs=np.array([], dtype=int),
+    )
+    assert n > 10 * 4 + 40
+    for solve in (solve_primal, solve_adjoint):
+        sols = solve(system, SolverSettings(m=4))
+        lams = [sol.lam for sol in sols]
+        # T' = F1 a11^{-1}: the 2x2 block rot diag(1, 1/a11[1]) and 1/a11[j]
+        block = np.array([[np.cos(theta), -np.sin(theta) / a11[1, 1]],
+                          [np.sin(theta), np.cos(theta) / a11[1, 1]]])
+        pair = 1.0 / np.linalg.eigvals(block)
+        assert abs(pair[0].imag) > 0.1 * abs(pair[0])
+        assert sorted(lams[:2], key=lambda z: z.imag) == pytest.approx(
+            sorted(pair, key=lambda z: z.imag), rel=1e-10)
+        assert [z.imag for z in lams[2:]] == [0.0, 0.0]
+        for sol in sols:
+            assert residual(system, sol) <= 1e-9
 
 
 def test_repeated_solve_is_bitwise_deterministic(square16_system):
@@ -401,7 +534,7 @@ def _quarter_core_k1_system():
 
 def test_primal_adjoint_pair_factors_once(table1_deck, monkeypatch):
     system = _square_k2_system(table1_deck)
-    assert system.n >= 40  # exercises the ARPACK path
+    assert system.n > 10 * 3 + 40  # the basis cap is below n
     blocks = []
     original = eigensolver._factor
 
