@@ -8,6 +8,9 @@ benchmark iaea2d  packaged quarter-core problem: dominant k, flux fields
 oracle            closed-form eigenvalues of the homogeneous problem
 check-ellipticity coercivity report for a deck
 
+The first three write into --out (default .); the last two only print
+and take no --out or --tol.
+
 Exit codes: 0 success, 2 configuration error (bad flags, files, deck),
 3 solver failure: any SolverError, which the eigensolver raises when it
 cannot certify exactly --num pairs (the Arnoldi basis reaches its cap, a
@@ -488,7 +491,7 @@ def _spectrum_lines(solutions):
     for j, sol in enumerate(solutions, 1):
         lam = sol.lam
         lam_text = (
-            f"{lam.real:15.10f}" if abs(lam.imag) <= 1e-8 * abs(lam)
+            f"{lam.real:15.10f}" if lam.imag == 0
             else f"{lam.real:.6f}{lam.imag:+.2e}j"
         )
         lines.append(f"{j:3d}   {lam_text}   {sol.k_eff:11.6f}   {sol.residual:9.2e}")
@@ -520,7 +523,7 @@ def _cmd_converge(cfg):
         raise ConfigError("converge needs at least three --resolutions")
     study = run_study(
         cfg.domain, cfg.degree, cfg.resolutions, deck=cfg.deck,
-        deck_label=cfg.deck_label, m=cfg.settings.m, settings=cfg.settings,
+        deck_label=cfg.deck_label, m=cfg.settings.m, tol=cfg.settings.tol,
     )
     print(format_table(study))
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -584,11 +587,10 @@ def _parser():
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, *, tol=True):
+    def common(sp):
         sp.add_argument("--config", help="config file merged under the flags")
         sp.add_argument("--out", help="output directory (default .)")
-        if tol:
-            sp.add_argument("--tol", help="eigensolver tolerance")
+        sp.add_argument("--tol", help="eigensolver tolerance")
 
     sp = sub.add_parser("solve", help="solve one mesh and write eigenfields")
     sp.add_argument("--domain", help=f"generated mesh: one of {', '.join(DOMAINS)}")
@@ -620,11 +622,11 @@ def _parser():
     sp.add_argument("--domain", help=f"one of {', '.join(DOMAINS)} (default square)")
     sp.add_argument("--modes", help="how many eigenvalues (default 5)")
     sp.add_argument("--deck", help="built-in deck name (default paper-table1)")
-    common(sp, tol=False)
+    sp.add_argument("--config", help="config file merged under the flags")
 
     sp = sub.add_parser("check-ellipticity", help="coercivity report for a deck")
     sp.add_argument("--deck", help="built-in deck name")
-    common(sp, tol=False)
+    sp.add_argument("--config", help="config file merged under the flags")
     return p
 
 

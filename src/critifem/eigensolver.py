@@ -46,10 +46,11 @@ save anything.
 
 Conjugate Ritz pairs come back as genuinely complex eigenvalues, which
 the physical problems never produce but the solver must be able to
-report. When every wanted |Im lambda| is at most 1e-12 |lambda| the
+report. When every wanted |Im lambda| is at most _REAL |lambda| the
 eigenvalues are returned real; a conjugate pair there is a real double
 split by rounding, and the real and imaginary parts of its Ritz vector
-give its two eigenvectors.
+give its two eigenvectors. Other real Ritz values have an imaginary
+part of exactly 0, so lam.imag == 0 exactly when a pair is real.
 
 Every returned eigenpair is certified by explicitly forming
 ||A x - lambda B x||_2 / ||B x||_2 from the fast and thermal halves of
@@ -103,7 +104,7 @@ _SAFETY = 0.3
 _BREAKDOWN = 1e-12
 
 # Wanted eigenvalues all within this relative distance of the real axis
-# are returned real.
+# are returned real: the one realness rule of the package.
 _REAL = 1e-12
 
 # The first m + _GUARD Ritz pairs by |lambda| must pass the estimate. A
@@ -144,9 +145,10 @@ class SolverSettings:
 class EigenSolution:
     """One certified eigenpair of the pencil.
 
-    lam is the eigenvalue (lambda = 1/k, complex in general); phi1/phi2
-    are the fast/thermal coefficient vectors over the raw scalar DOFs
-    with zeros at Dirichlet-constrained entries, mass-normalized with the
+    lam is the eigenvalue (lambda = 1/k; lam.imag == 0 exactly when the
+    pair is real, and phi1/phi2 are float arrays then); phi1/phi2 are
+    the fast/thermal coefficient vectors over the raw scalar DOFs with
+    zeros at Dirichlet-constrained entries, mass-normalized with the
     first significant component rotated to the positive real axis.
     residual is ||A x - lam B x||_2 / ||B x||_2 on the reduced pencil.
     """
@@ -159,10 +161,8 @@ class EigenSolution:
 
     @property
     def k_eff(self):
-        """1/Re(lambda) when the eigenvalue is real to 1e-8, else nan."""
-        if abs(self.lam.imag) <= 1e-8 * abs(self.lam):
-            return 1.0 / self.lam.real
-        return math.nan
+        """1/lambda for a real pair (lam.imag == 0), else nan."""
+        return 1.0 / self.lam.real if self.lam.imag == 0 else math.nan
 
 
 def _factor(block):
@@ -251,10 +251,7 @@ def _normalize(system, x):
     mags = np.abs(x)
     idx = int(np.argmax(mags > 1e-8 * mags.max()))
     pivot = x[idx]
-    x = x * (pivot.conjugate() / abs(pivot))
-    if np.abs(x.imag).max() <= 1e-12 * max(np.abs(x.real).max(), 1e-300):
-        x = x.real.copy()
-    return x
+    return x * (pivot.conjugate() / abs(pivot))
 
 
 def _pencil_residual(system, lam, x, adjoint):
@@ -301,6 +298,8 @@ def residual(system, solution):
 
 def _solution(system, lam, x, res, adjoint):
     x = _normalize(system, x)
+    if lam.imag == 0:
+        x = x.real
     n = system.n
     phi1 = system.extend(x[:n])
     phi2 = system.extend(x[n:])

@@ -248,8 +248,7 @@ class DofMap:
     cell_dofs[c, i] is the global index of local node i of cell c; n is
     the total scalar DOF count. facet_dofs[f, i] is the global index of
     node i of the degree-k facet element on mesh.boundary_facets[f], in
-    that facet's vertex order. boundary_dofs maps each boundary tag to
-    the sorted indices of all DOFs whose nodes lie on facets of that tag.
+    that facet's vertex order; the boundary DOFs are np.unique of it.
     The DOF of a vertex node is its vertex id, so vertex DOFs occupy
     indices 0..num_vertices-1 in vertex order; this holds because a
     Mesh has no vertex outside its cells. The other DOFs follow, edge
@@ -261,7 +260,6 @@ class DofMap:
     n: int
     cell_dofs: np.ndarray
     facet_dofs: np.ndarray
-    boundary_dofs: dict
 
 
 def _node_rows(simplices, lattice, width):
@@ -298,9 +296,6 @@ def build_dofmap(mesh, k):
     cell_dofs = np.hstack([mesh.cells, index[:split].reshape(mesh.num_cells, -1)])
     facets = mesh.boundary_facets
     facet_dofs = np.hstack([facets, index[split:].reshape(len(facets), -1)])
-    tags = mesh.boundary_tags
-    boundary_dofs = {int(t): np.unique(facet_dofs[tags == t]) for t in np.unique(tags)}
-
     cell_dofs.flags.writeable = False
     facet_dofs.flags.writeable = False
-    return DofMap(mesh.dim, k, nv + len(counts), cell_dofs, facet_dofs, boundary_dofs)
+    return DofMap(mesh.dim, k, nv + len(counts), cell_dofs, facet_dofs)

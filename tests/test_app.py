@@ -207,6 +207,8 @@ def test_named_and_inline_deck_conflict(tmp_path):
     ["solve", "--config", "/nonexistent/run.ini", "--domain", "square"],
     ["solve", "--domain", "square", "--resolutions", "8", "--num", "3", "--tol", "nan"],
     ["solve", "--domain", "square", "--resolutions", "8", "--num", "3", "--tol", "inf"],
+    ["oracle", "--out", "x"],  # writes no file, takes no --out
+    ["check-ellipticity", "--out", "x"],
 ])
 def test_exit_code_two(argv, capsys):
     assert cli(argv) == 2

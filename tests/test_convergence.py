@@ -21,6 +21,7 @@ from critifem.convergence import (
     thermal_ratio,
     write_csv,
 )
+from critifem.eigensolver import EigenSolution, SolverSettings
 from critifem.materials import builtin_deck
 
 # exact criticality eigenvalues of the homogeneous Dirichlet problem,
@@ -103,8 +104,6 @@ def test_fit_input_validation():
         fit_rate((0.5, 0.25, 0.0), (1.0, 2.0, 3.0))
     with pytest.raises(ValueError, match="equal length"):
         fit_rate((0.5, 0.25, 0.125), (1.0, 2.0))
-    with pytest.raises(ValueError, match="lower bound exceeds the upper bound"):
-        fit_rate((0.5, 0.25, 0.125), (3.0, 2.0, 1.5), rate_bounds=(8.0, 0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +239,36 @@ def test_study_releases_each_system_before_the_next(monkeypatch):
     gc.collect()
     assert alive == [0, 0, 0]
     assert [ref() for ref in systems] == [None, None, None]
+
+
+def test_study_solves_with_its_own_m_and_tol(monkeypatch):
+    seen = []
+    original = convergence.solve_primal
+
+    def spy(system, settings):
+        seen.append(settings)
+        return original(system, settings)
+
+    monkeypatch.setattr(convergence, "solve_primal", spy)
+    study = run_study("square", 1, (4, 6, 8), m=2, tol=1e-8)
+    assert seen == [SolverSettings(m=2, tol=1e-8)] * 3
+    assert study.m == 2
+
+
+def test_study_notes_a_pair_the_solver_returned_complex(monkeypatch):
+    # 1 +- 1e-10 i: close to the real axis, yet the eigensolver returned
+    # it complex, and the study reads that decision
+    def spy(system, settings):
+        zero = np.zeros(system.n_raw, dtype=complex)
+        lams = (complex(1.0, -1e-10), complex(1.0, 1e-10), 2.0 + 0j)
+        return [EigenSolution(lam, zero, zero, 0.0) for lam in lams]
+
+    monkeypatch.setattr(convergence, "solve_primal", spy)
+    study = run_study("square", 1, (4, 6, 8), m=3)
+    nonreal = [note for note in study.notes if "non-real" in note]
+    assert nonreal == [
+        f"N={n}: non-real eigenvalue at sorted index 1, 2" for n in (4, 6, 8)
+    ]
 
 
 # ---------------------------------------------------------------------------

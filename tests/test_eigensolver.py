@@ -21,7 +21,7 @@ from critifem.eigensolver import (
     solve_adjoint,
     solve_primal,
 )
-from critifem.app import packaged_mesh_path
+from critifem.app import _spectrum_lines, packaged_mesh_path
 from critifem.fem_space import build_dofmap
 from critifem.materials import GroupConstants, builtin_deck, ellipticity_check
 from critifem.mesh import GENERATORS, generate_unit_cube, generate_unit_square, read_gmsh
@@ -497,6 +497,38 @@ def test_genuinely_complex_pair_stays_complex_in_the_krylov_path():
         assert [z.imag for z in lams[2:]] == [0.0, 0.0]
         for sol in sols:
             assert residual(system, sol) <= 1e-9
+
+
+@pytest.mark.parametrize("solve", [solve_primal, solve_adjoint])
+def test_near_real_complex_pair_is_complex_for_every_consumer(solve):
+    # the pair 1 +- 1e-10 i is outside the eigensolver's realness rule, so
+    # it comes back complex; k_eff and the CLI spectrum must agree
+    n = 400
+    theta = 1e-10
+    a11 = sp.diags(np.r_[1.0, 1.0, np.linspace(2.0, 40.0, n - 2)], format="csr")
+    rot = sp.csr_matrix(([np.cos(theta), -np.sin(theta), np.sin(theta), np.cos(theta)],
+                         ([0, 0, 1, 1], [0, 1, 0, 1])), shape=(n, n))
+    f1 = (rot + sp.diags(np.r_[0.0, 0.0, np.ones(n - 2)])).tocsr()
+    zero = sp.csr_matrix((n, n))
+    eye = sp.identity(n, format="csr")
+    system = BlockSystem(
+        n=n, n_raw=n, mass=eye, stiffness=zero, a11=a11, a22=eye, coupling=zero,
+        f1=f1, f2=zero, free_dofs=np.arange(n), constrained_dofs=np.array([], dtype=int),
+    )
+    sols = solve(system, SolverSettings(m=3))
+    pair, real = sols[:2], sols[2]
+    for sol in pair:
+        assert abs(sol.lam - 1.0) == pytest.approx(1e-10, rel=1e-6)
+        assert sol.lam.imag != 0
+        assert np.isnan(sol.k_eff)
+        assert np.iscomplexobj(sol.phi1) and np.iscomplexobj(sol.phi2)
+    assert real.lam == pytest.approx(2.0, rel=1e-12) and real.lam.imag == 0
+    assert real.k_eff == pytest.approx(0.5, rel=1e-12)
+    assert real.phi1.dtype == real.phi2.dtype == np.float64
+    lines = _spectrum_lines(sols)[1:]
+    assert sorted(line.split()[1] for line in lines[:2]) == [
+        "1.000000+1.00e-10j", "1.000000-1.00e-10j"]
+    assert lines[2].split()[1:3] == ["2.0000000000", "0.500000"]
 
 
 def test_repeated_solve_is_bitwise_deterministic(square16_system):

@@ -227,9 +227,10 @@ def test_vertex_dofs_come_first_in_vertex_order():
 
 def test_boundary_dof_sets():
     mesh = generate_unit_square(4)
-    assert len(build_dofmap(mesh, 1).boundary_dofs[1]) == 16
-    assert len(build_dofmap(mesh, 2).boundary_dofs[1]) == 32  # + edge midpoints
-    assert len(build_dofmap(mesh, 3).boundary_dofs[1]) == 48
+    # one boundary tag: every boundary node, counted once
+    assert len(np.unique(build_dofmap(mesh, 1).facet_dofs)) == 16
+    assert len(np.unique(build_dofmap(mesh, 2).facet_dofs)) == 32  # + edge midpoints
+    assert len(np.unique(build_dofmap(mesh, 3).facet_dofs)) == 48
 
 
 def test_shared_edge_dofs_agree_between_cells():
@@ -280,8 +281,6 @@ def test_numbering_matches_tuple_key_reference(make, k):
     assert dofmap.n == n
     assert np.array_equal(dofmap.cell_dofs, cell_dofs)
     assert np.array_equal(dofmap.facet_dofs, facet_dofs)
-    for t, dofs in dofmap.boundary_dofs.items():
-        assert np.array_equal(dofs, np.unique(facet_dofs[mesh.boundary_tags == t]))
 
 
 def all_rows_dofmap(mesh, k):
@@ -298,9 +297,7 @@ def all_rows_dofmap(mesh, k):
     index = index.ravel()
     cell_dofs = index[: len(cell_rows)].reshape(mesh.num_cells, -1)
     facet_dofs = index[len(cell_rows):].reshape(len(mesh.boundary_facets), -1)
-    tags = mesh.boundary_tags
-    boundary_dofs = {int(t): np.unique(facet_dofs[tags == t]) for t in np.unique(tags)}
-    return len(uniq), cell_dofs, facet_dofs, boundary_dofs
+    return len(uniq), cell_dofs, facet_dofs
 
 
 @pytest.mark.parametrize("make", [
@@ -314,10 +311,7 @@ def all_rows_dofmap(mesh, k):
 def test_dofmap_matches_all_rows_numbering(make, k):
     mesh = make()
     dofmap = build_dofmap(mesh, k)
-    n, cell_dofs, facet_dofs, boundary_dofs = all_rows_dofmap(mesh, k)
+    n, cell_dofs, facet_dofs = all_rows_dofmap(mesh, k)
     assert dofmap.n == n
     for got, want in ((dofmap.cell_dofs, cell_dofs), (dofmap.facet_dofs, facet_dofs)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert dofmap.boundary_dofs.keys() == boundary_dofs.keys()
-    for t, dofs in boundary_dofs.items():
-        assert np.array_equal(dofmap.boundary_dofs[t], dofs)
