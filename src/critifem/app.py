@@ -50,7 +50,7 @@ import itertools
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,10 +99,9 @@ _RUN_KEYS = {
     "domain", "mesh", "degree", "resolutions", "num", "deck", "bc", "out",
 }
 _SOLVER_KEYS = {"tol"}
-_DECK_KEYS = {
-    "D1", "D2", "sigma_a1", "sigma_a2", "sigma_12",
-    "nu_sigma_f1", "nu_sigma_f2", "bc",
-}
+# the GroupConstants fields, in declaration order
+_CONSTANT_KEYS = tuple(f.name for f in fields(GroupConstants))
+_DECK_KEYS = {*_CONSTANT_KEYS, "bc"}
 
 
 def parse_config(path):
@@ -178,7 +177,7 @@ def _inline_deck(sections, path):
             continue
         tag = 1 if name == "deck" else int(name.split(".", 1)[1])
         kwargs = {}
-        for key in _DECK_KEYS - {"bc"}:
+        for key in _CONSTANT_KEYS:
             if key not in body:
                 raise ConfigError(f"{path}: [{name}] is missing {key}")
             value, ln = body[key]
@@ -203,7 +202,6 @@ def _inline_deck(sections, path):
 class RunConfig:
     """Validated inputs of one CLI invocation."""
 
-    subcommand: str
     domain: str | None
     mesh_path: str | None
     degree: int
@@ -309,9 +307,8 @@ def build_config(ns):
     out_dir = _pick(getattr(ns, "out", None), sections, "run", "out") or "."
 
     return RunConfig(
-        subcommand=ns.subcommand, domain=domain, mesh_path=mesh_path,
-        degree=degree, resolutions=resolutions, deck=deck,
-        deck_label=deck_label, out_dir=out_dir, settings=settings,
+        domain=domain, mesh_path=mesh_path, degree=degree, resolutions=resolutions,
+        deck=deck, deck_label=deck_label, out_dir=out_dir, settings=settings,
     )
 
 
@@ -519,8 +516,6 @@ def _cmd_solve(cfg):
 def _cmd_converge(cfg):
     if cfg.domain is None:
         raise ConfigError("converge needs --domain")
-    if len(cfg.resolutions) < 3:
-        raise ConfigError("converge needs at least three --resolutions")
     study = run_study(
         cfg.domain, cfg.degree, cfg.resolutions, deck=cfg.deck,
         deck_label=cfg.deck_label, m=cfg.settings.m, tol=cfg.settings.tol,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fem_space import _build_reference_any, _simplex_rule, build_reference
+from .fem_space import build_reference, quadrature
 from .materials import validate_for_solve
 from .mesh import _jacobians
 
@@ -115,15 +115,17 @@ def _gradient_metric(mesh):
     return det, adj @ adj.transpose(0, 2, 1) / det[:, None, None]
 
 
-def _element_tables(mesh, k):
+def _element_tables(dim, k):
     """Reference mass (nb, nb) and stiffness tensor (dim, dim, nb, nb).
 
     S[d, f, i, j] = sum_q w_q d_d phi_i d_f phi_j, so a cell with gradient
     metric G has local stiffness sum_{d,f} G[d, f] S[d, f]; both scale
-    with the cell by |det J|, the stiffness through G.
+    with the cell by |det J|, the stiffness through G. At dim - 1 the
+    mass table is that of the boundary facets, scaled by the facet
+    measure.
     """
-    ref = build_reference(mesh.dim, k)
-    quad = _simplex_rule(mesh.dim, 2 * k)
+    ref = build_reference(dim, k)
+    quad = quadrature(dim, 2 * k)
     vals, grads = ref.tabulate(quad.points_ref)
     w = quad.weights
     mass_ref = np.einsum("q,iq,jq->ij", w, vals, vals)
@@ -209,7 +211,7 @@ def assemble(mesh, dofmap, deck, k):
     def csr(data):
         return sp.csr_matrix((data, indices, indptr), shape=(nf, nf))
 
-    mass_ref, stiff_ref = _element_tables(mesh, k)
+    mass_ref, stiff_ref = _element_tables(mesh.dim, k)
     det, G = _gradient_metric(mesh)
     dd = mesh.dim * mesh.dim
     stiff_local = G.reshape(-1, dd) @ stiff_ref.reshape(dd, -1)
@@ -232,10 +234,7 @@ def assemble(mesh, dofmap, deck, k):
         facet_slot = np.searchsorted(
             keys, _pair_keys(dofmap.facet_dofs[robin], index, nf)
         )
-        facet_ref = _build_reference_any(mesh.dim - 1, k)
-        facet_quad = _simplex_rule(mesh.dim - 1, 2 * k)
-        fvals, _ = facet_ref.tabulate(facet_quad.points_ref)
-        facet_mass_ref = np.einsum("q,iq,jq->ij", facet_quad.weights, fvals, fvals)
+        facet_mass_ref, _ = _element_tables(mesh.dim - 1, k)
         local = _facet_measure(mesh)[robin, None] * facet_mass_ref.ravel()
 
         def robin_term(attr):

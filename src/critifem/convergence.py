@@ -363,9 +363,12 @@ def write_csv(study, path):
     _atomic_write(path, lines)
 
 
-def format_table(study, digits=10):
+_TABLE_DIGITS = 10  # decimals of every value in the terminal table
+
+
+def format_table(study):
     """Aligned text table of the study for terminal output."""
-    width = max(digits + 8, 16)
+    width = _TABLE_DIGITS + 8
     head = ["N".rjust(6), "h".rjust(12)] + [
         f"lambda_{j + 1}".rjust(width) for j in range(study.m)
     ]
@@ -374,7 +377,7 @@ def format_table(study, digits=10):
         "  ".join(head),
     ]
     for n, h, row in zip(study.resolutions, study.h, study.eigenvalues):
-        cells = [f"{n:6d}", f"{h:12.6f}"] + [f"{v:{width}.{digits}f}" for v in row]
+        cells = [f"{n:6d}", f"{h:12.6f}"] + [f"{v:{width}.{_TABLE_DIGITS}f}" for v in row]
         lines.append("  ".join(cells))
     for label, attr in (("rate", "rate"), ("extrapolated", "extrapolated")):
         # the label spans the N and h columns (6 + 2 + 12 wide)
@@ -382,7 +385,7 @@ def format_table(study, digits=10):
         for ft in study.fits:
             v = getattr(ft, attr)
             cells.append(
-                f"{v:{width}.{digits}f}" if math.isfinite(v) else "inf".rjust(width)
+                f"{v:{width}.{_TABLE_DIGITS}f}" if math.isfinite(v) else "inf".rjust(width)
             )
         lines.append("  ".join(cells))
     for note in study.notes:

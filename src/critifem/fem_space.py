@@ -1,7 +1,10 @@
 """Lagrange reference elements, simplex quadrature and global DOF maps.
 
 Continuous scalar Lagrange spaces of degree k in {1,2,3} on triangles and
-tetrahedra. Basis functions are represented by their coefficients over
+tetrahedra. One code path serves segments, triangles and tetrahedra
+alike, so the element of the boundary facets is the same construction
+one dimension lower. The node lattice is one loop over the entities of
+the simplex. Basis functions are represented by their coefficients over
 the monomial basis (obtained from the inverse node Vandermonde matrix),
 which is well conditioned for the low degrees supported here.
 
@@ -24,6 +27,7 @@ At degree 1 there is nothing to sort.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -65,40 +69,24 @@ def _lattice_nodes(dim, degree):
     """Principal lattice in entity order: vertices, edges, faces, interior.
 
     Returns the integer barycentric coordinates (dim+1 entries summing to
-    degree) of each node.
+    degree) of each node. The entities of s vertices follow in
+    itertools.combinations order, s = 1..dim+1, and the nodes inside one
+    entity are the compositions of degree into s positive parts, in
+    descending order.
     """
-    k = degree
-    nodes = []
     nv = dim + 1
-    for v in range(nv):
-        lat = [0] * nv
-        lat[v] = k
-        nodes.append(tuple(lat))
-    for a, b in itertools.combinations(range(nv), 2):
-        for p in range(1, k):
-            lat = [0] * nv
-            lat[a], lat[b] = k - p, p
-            nodes.append(tuple(lat))
-    if nv >= 3:
-        for tri in itertools.combinations(range(nv), 3):
-            interior = [
-                c
-                for c in itertools.product(range(1, k), repeat=3)
-                if sum(c) == k
-            ]
-            interior.sort()
-            for c in interior:
+    nodes = []
+    for s in range(1, nv + 1):
+        parts = sorted(
+            (c for c in itertools.product(range(1, degree + 1), repeat=s) if sum(c) == degree),
+            reverse=True,
+        )
+        for entity in itertools.combinations(range(nv), s):
+            for c in parts:
                 lat = [0] * nv
-                for v, w in zip(tri, c):
+                for v, w in zip(entity, c):
                     lat[v] = w
-                nodes.append(tuple(lat))
-    if nv == 4:
-        interior = [
-            c for c in itertools.product(range(1, k), repeat=4) if sum(c) == k
-        ]
-        interior.sort()
-        for c in interior:
-            nodes.append(tuple(c))
+                nodes.append(lat)
     return np.array(nodes, dtype=np.int64)
 
 
@@ -141,22 +129,22 @@ class ReferenceElement:
         return vals, grads
 
 
-def _build_reference_any(dim, degree):
-    lattice = _lattice_nodes(dim, degree)
-    nodes_ref = lattice[:, 1:].astype(np.float64) / degree
-    powers = _monomial_powers(dim, degree)
+def build_reference(dim, k):
+    """Reference Lagrange element, dim in {1,2,3}, k in {1,2,3}.
+
+    Segments serve as the facet element of triangles, triangles as that
+    of tetrahedra.
+    """
+    if dim not in (1, 2, 3) or k not in (1, 2, 3):
+        raise ValueError(f"unsupported reference element (dim={dim}, k={k})")
+    lattice = _lattice_nodes(dim, k)
+    nodes_ref = lattice[:, 1:].astype(np.float64) / k
+    powers = _monomial_powers(dim, k)
     if powers.shape[0] != lattice.shape[0]:
         raise AssertionError("monomial count mismatch")
     # Vandermonde in the monomial basis, inverted for nodal coefficients
     coeffs = np.linalg.inv(_eval_monomials(nodes_ref, powers))
-    return ReferenceElement(dim, degree, lattice, nodes_ref, powers, coeffs)
-
-
-def build_reference(dim, k):
-    """Reference Lagrange element, dim in {2,3}, k in {1,2,3}."""
-    if dim not in (2, 3) or k not in (1, 2, 3):
-        raise ValueError(f"unsupported reference element (dim={dim}, k={k})")
-    return _build_reference_any(dim, k)
+    return ReferenceElement(dim, k, lattice, nodes_ref, powers, coeffs)
 
 
 @dataclass(frozen=True)
@@ -200,45 +188,32 @@ def _gauss_jacobi01(n, alpha):
     return (nodes + 1.0) / 2.0, vecs[0] ** 2 / (a + 1.0)
 
 
-def _simplex_rule(dim, exactness):
-    n = max(1, (int(exactness) + 2) // 2)  # 2n-1 >= exactness
-    if dim == 1:
-        x, w = _gauss_jacobi01(n, 0.0)
-        pts = x[:, None]
-        wts = w
-    elif dim == 2:
-        # Duffy collapse x = xi (1 - eta), y = eta, Jacobian (1 - eta)
-        xi, wx = _gauss_jacobi01(n, 0.0)
-        eta, we = _gauss_jacobi01(n, 1.0)
-        XI, ETA = np.meshgrid(xi, eta, indexing="ij")
-        pts = np.column_stack([(XI * (1.0 - ETA)).ravel(), ETA.ravel()])
-        wts = np.outer(wx, we).ravel()
-    elif dim == 3:
-        xi, wx = _gauss_jacobi01(n, 0.0)
-        eta, we = _gauss_jacobi01(n, 1.0)
-        zeta, wz = _gauss_jacobi01(n, 2.0)
-        XI, ETA, ZETA = np.meshgrid(xi, eta, zeta, indexing="ij")
-        x = XI * (1.0 - ETA) * (1.0 - ZETA)
-        y = ETA * (1.0 - ZETA)
-        pts = np.column_stack([x.ravel(), y.ravel(), ZETA.ravel()])
-        wts = (wx[:, None, None] * we[None, :, None] * wz[None, None, :]).ravel()
-    else:
-        raise ValueError(f"no simplex rule for dim={dim}")
-    bary = np.column_stack([1.0 - pts.sum(axis=1), pts])
-    return QuadratureRule(dim, 2 * n - 1, bary, wts)
-
-
 def quadrature(dim, exactness_degree):
-    """Simplex rule exact to the requested total degree, dim in {2,3}.
+    """Simplex rule exact to the requested total degree, dim in {1,2,3}.
 
-    Degrees above 6 are not part of the supported contract (degree 6
-    covers the k=3 mass terms).
+    A conical product of n-point Gauss-Jacobi rules, 2n - 1 >= the
+    degree: reference coordinate j is t_j (1 - t_i) over every later
+    coordinate i, and its factor rule carries the weight (1 - t)^j, the
+    Jacobian of that collapse. Degrees above 6 are not part of the
+    supported contract (degree 6 covers the k=3 mass terms).
     """
-    if dim not in (2, 3):
+    if dim not in (1, 2, 3):
         raise ValueError(f"unsupported quadrature dimension {dim}")
     if not 0 <= exactness_degree <= 6:
         raise ValueError(f"unsupported quadrature degree {exactness_degree}")
-    return _simplex_rule(dim, exactness_degree)
+    n = max(1, (int(exactness_degree) + 2) // 2)
+    rules = [_gauss_jacobi01(n, float(j)) for j in range(dim)]
+    t = np.meshgrid(*(x for x, _ in rules), indexing="ij")
+    coords = []
+    for j in range(dim):
+        c = t[j]
+        for i in range(j + 1, dim):
+            c = c * (1.0 - t[i])
+        coords.append(c.ravel())
+    pts = np.column_stack(coords)
+    wts = functools.reduce(np.multiply.outer, [w for _, w in rules]).ravel()
+    bary = np.column_stack([1.0 - pts.sum(axis=1), pts])
+    return QuadratureRule(dim, 2 * n - 1, bary, wts)
 
 
 @dataclass(frozen=True)
@@ -283,8 +258,10 @@ def _node_rows(simplices, lattice, width):
 
 def build_dofmap(mesh, k):
     """Build the global DOF map for degree k on a conforming mesh."""
-    lattice = build_reference(mesh.dim, k).nodes_lattice
-    facet_lattice = _build_reference_any(mesh.dim - 1, k).nodes_lattice
+    if k not in (1, 2, 3):
+        raise ValueError(f"unsupported degree k={k}")
+    lattice = _lattice_nodes(mesh.dim, k)
+    facet_lattice = _lattice_nodes(mesh.dim - 1, k)
     nv, width = mesh.num_vertices, mesh.dim + 1
     # both lattices list the vertex nodes first, node i on vertex i, and a
     # vertex node's DOF is its vertex id; only the other nodes are grouped

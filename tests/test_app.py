@@ -49,6 +49,13 @@ def config_file(tmp_path, text, name="run.ini"):
     return str(path)
 
 
+def fresh_env(**extra):
+    """Environment for a fresh interpreter that imports this critifem."""
+    src = os.path.dirname(os.path.dirname(critifem.__file__))
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
 # ---------------------------------------------------------------------------
 # config file parsing
 
@@ -174,6 +181,20 @@ def test_inline_deck_incomplete(tmp_path):
     with pytest.raises(ConfigError, match="missing"):
         build(["solve", "--domain", "square", "--resolutions", "4",
                "--config", path])
+
+
+@pytest.mark.parametrize("hashseed", ["1", "2", "3", "4", "5"])
+def test_inline_deck_names_first_missing_constant(tmp_path, hashseed):
+    # the report must not depend on set iteration order, which follows
+    # the string hash seed of the interpreter
+    path = config_file(tmp_path, "[deck]\nD1 = 1.0\n")
+    argv = ["solve", "--domain", "square", "--resolutions", "4", "--config", path]
+    done = subprocess.run(
+        [sys.executable, "-m", "critifem.app", *argv], capture_output=True, text=True,
+        env=fresh_env(PYTHONHASHSEED=hashseed), timeout=120,
+    )
+    assert done.returncode == 2
+    assert "is missing D2\n" in done.stderr
 
 
 def test_named_and_inline_deck_conflict(tmp_path):
@@ -577,12 +598,8 @@ def test_import_loads_no_optional_scipy_subpackage():
         "print(' '.join(m for m in ('scipy.optimize', 'scipy.special', 'scipy.io') "
         "if m in sys.modules))"
     )
-    src = os.path.dirname(os.path.dirname(critifem.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True,
         timeout=120, check=True,
     )
     assert done.stdout.split() == []

@@ -1,6 +1,8 @@
 """Assembled pencil: exact small matrices, an independent quadrature
 oracle for the bilinear forms, block pattern, and boundary handling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,12 +10,7 @@ import scipy.sparse.linalg as spla
 
 from critifem.app import packaged_mesh_path
 from critifem.assembly import assemble
-from critifem.fem_space import (
-    _build_reference_any,
-    _simplex_rule,
-    build_dofmap,
-    build_reference,
-)
+from critifem.fem_space import build_dofmap, build_reference, quadrature
 from critifem.materials import BoundaryCondition, GroupConstants, builtin_deck
 from critifem.mesh import (
     Mesh,
@@ -196,7 +193,7 @@ def _forms_by_quadrature(mesh, dofmap, deck, k, u, v):
         b_val += gc.nu_sigma_f1 * mass["u1v1"] + gc.nu_sigma_f2 * mass["u2v1"]
 
     # Robin boundary terms, 1D Gauss along each facet
-    facet_ref = _build_reference_any(mesh.dim - 1, k)
+    facet_ref = build_reference(mesh.dim - 1, k)
     t, wt = _leggauss01(8)
     fvals, _ = facet_ref.tabulate(t[:, None])
     facet2cell = {}
@@ -243,7 +240,7 @@ def coo_reference_system(mesh, dofmap, deck, k):
     indexing. Returns ({name: csr}, free DOFs)."""
     n = dofmap.n
     ref = build_reference(mesh.dim, k)
-    quad = _simplex_rule(mesh.dim, 2 * k)
+    quad = quadrature(mesh.dim, 2 * k)
     vals, grads = ref.tabulate(quad.points_ref)
     w = quad.weights
     v0 = mesh.vertices[mesh.cells[:, 0]]
@@ -269,8 +266,8 @@ def coo_reference_system(mesh, dofmap, deck, k):
 
     bcs = [deck[int(mesh.region_tags[c])][1] for c in mesh.boundary_cells]
     robin = np.array([bc.kind == "robin" for bc in bcs])
-    facet_quad = _simplex_rule(mesh.dim - 1, 2 * k)
-    fvals, _ = _build_reference_any(mesh.dim - 1, k).tabulate(facet_quad.points_ref)
+    facet_quad = quadrature(mesh.dim - 1, 2 * k)
+    fvals, _ = build_reference(mesh.dim - 1, k).tabulate(facet_quad.points_ref)
     facet_mass = np.einsum("q,iq,jq->ij", facet_quad.weights, fvals, fvals)
     pts = mesh.vertices[mesh.boundary_facets]
     if mesh.dim == 2:
@@ -350,6 +347,22 @@ def test_matrices_match_coo_reference(case, k):
         assert got.has_canonical_format, name
         scale = max(abs(ref).max(), 1e-300)
         assert abs(got - ref).max() <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("make,digest", [
+    (lambda: generate_unit_square(3),
+     "c58f7af39b768ee68ea7d7062caa3fffc48340e892a9fb58f5fb13209684e1a0"),
+    (lambda: generate_unit_cube(2),
+     "78be174c4ad5e5ad875f107e3449bd6bd8b6f5370ea0a3157d2a1ba2fdeeb92a"),
+], ids=["square3", "cube2"])
+def test_robin_k3_diagonal_blocks_are_pinned(make, digest):
+    # the bytes of a11 and a22 depend on the order of the cell and facet
+    # lattice nodes and of the quadrature points, not only on their sets
+    mesh = make()
+    deck = {1: (GC, BoundaryCondition.robin(0.3, 0.7))}
+    system = assemble(mesh, build_dofmap(mesh, 3), deck, 3)
+    data = system.a11.data.tobytes() + system.a22.data.tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from critifem.app import packaged_mesh_path
 from critifem.fem_space import (
-    _build_reference_any,
     _gauss_jacobi01,
     _node_rows,
     build_dofmap,
@@ -39,6 +38,7 @@ def simplex_monomial_integral(powers):
 # reference elements
 
 @pytest.mark.parametrize("dim,k,count", [
+    (1, 1, 2), (1, 2, 3), (1, 3, 4),
     (2, 1, 3), (2, 2, 6), (2, 3, 10),
     (3, 1, 4), (3, 2, 10), (3, 3, 20),
 ])
@@ -46,7 +46,7 @@ def test_node_counts(dim, k, count):
     assert build_reference(dim, k).num_nodes == count
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_lagrange_delta_property(dim, k):
     ref = build_reference(dim, k)
@@ -106,7 +106,7 @@ def test_interpolation_reproduces_polynomials(k, seed):
 
 
 def test_unsupported_reference_rejected():
-    for dim, k in ((1, 1), (4, 1), (2, 0), (2, 4), (3, 5)):
+    for dim, k in ((0, 1), (4, 1), (2, 0), (2, 4), (3, 5)):
         with pytest.raises(ValueError):
             build_reference(dim, k)
 
@@ -114,7 +114,7 @@ def test_unsupported_reference_rejected():
 # ---------------------------------------------------------------------------
 # quadrature
 
-@pytest.mark.parametrize("dim,volume", [(2, 0.5), (3, 1.0 / 6.0)])
+@pytest.mark.parametrize("dim,volume", [(1, 1.0), (2, 0.5), (3, 1.0 / 6.0)])
 def test_weights_positive_and_sum_to_volume(dim, volume):
     for deg in range(7):
         quad = quadrature(dim, deg)
@@ -122,7 +122,7 @@ def test_weights_positive_and_sum_to_volume(dim, volume):
         assert abs(quad.weights.sum() - volume) < 1e-14
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("deg", range(7))
 def test_monomial_exactness(dim, deg):
     quad = quadrature(dim, deg)
@@ -165,7 +165,9 @@ def test_unsupported_quadrature_rejected():
     with pytest.raises(ValueError):
         quadrature(2, 7)
     with pytest.raises(ValueError):
-        quadrature(1, 2)
+        quadrature(0, 2)
+    with pytest.raises(ValueError):
+        quadrature(4, 2)
     with pytest.raises(ValueError):
         quadrature(2, -1)
 
@@ -208,6 +210,13 @@ def test_dof_count_formula(make, k):
     mesh = make()
     dofmap = build_dofmap(mesh, k)
     assert dofmap.n == expected_dofs(mesh, k)
+
+
+def test_unsupported_dofmap_degree_rejected():
+    mesh = generate_unit_square(2)
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            build_dofmap(mesh, k)
 
 
 def test_dof_counts_square8():
@@ -255,7 +264,7 @@ def tuple_key_numbering(mesh, k):
         return tuple(sorted((int(v), int(w)) for v, w in zip(vertex_ids, lat) if w))
 
     lattice = build_reference(mesh.dim, k).nodes_lattice
-    facet_lattice = _build_reference_any(mesh.dim - 1, k).nodes_lattice
+    facet_lattice = build_reference(mesh.dim - 1, k).nodes_lattice
     cell_keys = [[key(cell, lat) for lat in lattice] for cell in mesh.cells]
     ordered = sorted({kk for ck in cell_keys for kk in ck},
                      key=lambda kk: (len(kk), [p[0] for p in kk], [p[1] for p in kk]))
@@ -288,7 +297,7 @@ def all_rows_dofmap(mesh, k):
     identity row per (cell, node) and per (boundary facet, facet node),
     vertex nodes included, all numbered by one np.unique(axis=0)."""
     lattice = build_reference(mesh.dim, k).nodes_lattice
-    facet_lattice = _build_reference_any(mesh.dim - 1, k).nodes_lattice
+    facet_lattice = build_reference(mesh.dim - 1, k).nodes_lattice
     width = mesh.dim + 1
     cell_rows = _node_rows(mesh.cells, lattice, width)
     facet_rows = _node_rows(mesh.boundary_facets, facet_lattice, width)
