@@ -8,8 +8,13 @@ benchmark iaea2d  packaged quarter-core problem: dominant k, flux fields
 oracle            closed-form eigenvalues of the homogeneous problem
 check-ellipticity coercivity report for a deck
 
-The first three write into --out (default .); the last two only print
-and take no --out or --tol.
+Each subcommand takes these options, as flags and as config keys alike:
+
+solve             domain, mesh, degree, resolutions, num, deck, bc, out, tol
+converge          domain, degree, resolutions, num, deck, bc, out, tol
+benchmark iaea2d  mesh, degree, num, out, tol
+oracle            domain, num (spelled --modes as a flag), deck
+check-ellipticity deck
 
 Exit codes: 0 success, 2 configuration error (bad flags, files, deck),
 3 solver failure: any SolverError, which the eigensolver raises when it
@@ -22,20 +27,19 @@ Config files
 ------------
 Plain text, INI-like, merged under the command-line flags (flags win).
 Blank lines and lines starting with # are ignored; no inline comments.
-Three section kinds:
+A config file sets exactly the options its subcommand takes: `tol`
+under [solver], every other option under [run]. Subcommands that take
+`deck` also accept inline deck sections:
 
-    [run]            domain, mesh, degree, resolutions, num, deck, bc,
-                     out
-    [solver]         tol
-    [deck]           inline region-1 constants: D1, D2, sigma_a1,
-                     sigma_a2, sigma_12, nu_sigma_f1, nu_sigma_f2,
-                     and optionally bc
+    [deck]           region-1 constants: D1, D2, sigma_a1, sigma_a2,
+                     sigma_12, nu_sigma_f1, nu_sigma_f2, and optionally bc
     [deck.<tag>]     the same keys for further regions
 
 `bc` values are `dirichlet` or `robin:<alpha>` (optionally
-`robin:<alpha1>,<alpha2>`). A named deck (`deck = ...` under [run] or
-`--deck`) and inline [deck] sections are mutually exclusive. Unknown
-sections or keys are rejected with their line number.
+`robin:<alpha1>,<alpha2>`), with finite alphas >= 0. A named deck
+(`deck = ...` under [run] or `--deck`) and inline [deck] sections are
+mutually exclusive. Any other section or key is rejected with its line
+number.
 
 Outputs are deterministic: identical configuration produces
 byte-identical CSV and VTK files (full-precision repr formatting, no
@@ -95,17 +99,43 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config file
 
-_RUN_KEYS = {
-    "domain", "mesh", "degree", "resolutions", "num", "deck", "bc", "out",
+# Every CLI option, declared once: its config section and its help text.
+# A subcommand takes an option as a flag and as a config key, or not at all.
+_OPTIONS = {
+    "domain": ("run", f"generated mesh: one of {', '.join(DOMAINS)}"),
+    "mesh": ("run", "MSH 2.2 mesh file (benchmark: replaces the packaged one)"),
+    "degree": ("run", "polynomial degree 1..3 (default 1)"),
+    "resolutions": ("run", "generator resolutions, comma-separated (solve: one)"),
+    "num": ("run", "eigenpairs to compute (default 5, benchmark 1)"),
+    "deck": ("run", f"built-in deck: {', '.join(BUILTIN_DECKS)}"),
+    "bc": ("run", "dirichlet or robin:<alpha>, overrides the deck"),
+    "out": ("run", "output directory (default .)"),
+    "tol": ("solver", "eigensolver tolerance"),
 }
-_SOLVER_KEYS = {"tol"}
+_SUBCOMMANDS = {
+    "solve": ("solve one mesh and write eigenfields", (
+        "domain", "mesh", "degree", "resolutions", "num", "deck", "bc", "out", "tol",
+    )),
+    "converge": ("refinement study and CSV table", (
+        "domain", "degree", "resolutions", "num", "deck", "bc", "out", "tol",
+    )),
+    "benchmark": ("packaged benchmark problems", (
+        "mesh", "degree", "num", "out", "tol",
+    )),
+    "oracle": ("closed-form eigenvalues (homogeneous deck)", ("domain", "num", "deck")),
+    "check-ellipticity": ("coercivity report for a deck", ("deck",)),
+}
+# flags not spelled --<option>
+_FLAG_SPELLING = {("oracle", "num"): "--modes"}
 # the GroupConstants fields, in declaration order
 _CONSTANT_KEYS = tuple(f.name for f in fields(GroupConstants))
 _DECK_KEYS = {*_CONSTANT_KEYS, "bc"}
 
 
-def parse_config(path):
-    """Read a config file into {section: {key: (value, line_number)}}."""
+def parse_config(path, subcommand):
+    """Read a config file into {section: {key: (value, line_number)}},
+    accepting only the options (and deck sections) the subcommand takes."""
+    takes = _SUBCOMMANDS[subcommand][1]
     sections = {}
     current = None
     try:
@@ -118,16 +148,17 @@ def parse_config(path):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            base = name.split(".", 1)[0]
-            if base == "deck" and "." in name:
-                tag = name.split(".", 1)[1]
-                if not tag.isdigit() or int(tag) < 1:
+            base, dot, tag = name.partition(".")
+            if base == "deck" and "deck" in takes:
+                if dot and (not tag.isdigit() or int(tag) < 1):
                     raise ConfigError(
                         f"{path}:{ln}: deck section tag must be a positive "
                         f"integer, got [{name}]"
                     )
-            elif name not in ("run", "solver", "deck"):
-                raise ConfigError(f"{path}:{ln}: unknown section [{name}]")
+            elif name not in ("run", "solver"):
+                raise ConfigError(
+                    f"{path}:{ln}: unknown section [{name}] for {subcommand}"
+                )
             if name in sections:
                 raise ConfigError(f"{path}:{ln}: duplicate section [{name}]")
             current = sections.setdefault(name, {})
@@ -138,13 +169,12 @@ def parse_config(path):
             raise ConfigError(f"{path}:{ln}: key outside any [section]")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        allowed = (
-            _RUN_KEYS if current is sections.get("run")
-            else _SOLVER_KEYS if current is sections.get("solver")
-            else _DECK_KEYS
-        )
-        if key not in allowed:
-            raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+        if name in ("run", "solver"):
+            known = key in takes and _OPTIONS[key][0] == name
+        else:
+            known = key in _DECK_KEYS
+        if not known:
+            raise ConfigError(f"{path}:{ln}: unknown key {key!r} for {subcommand}")
         if key in current:
             raise ConfigError(f"{path}:{ln}: duplicate key {key!r}")
         current[key] = (value, ln)
@@ -212,13 +242,6 @@ class RunConfig:
     settings: SolverSettings  # settings.m is --num
 
 
-def _pick(cli_value, sections, section, key):
-    if cli_value is not None:
-        return cli_value
-    entry = sections.get(section, {}).get(key)
-    return entry[0] if entry is not None else None
-
-
 def _to_int(value, name, minimum=None):
     try:
         n = int(value)
@@ -238,19 +261,25 @@ def _to_float(value, name):
 
 def build_config(ns):
     """Merge CLI flags over the config file and validate everything."""
-    sections = parse_config(ns.config) if ns.config else {}
+    sections = parse_config(ns.config, ns.subcommand) if ns.config else {}
+    flags = vars(ns)
+    given = {
+        **{key: value for name in ("run", "solver")
+           for key, (value, _ln) in sections.get(name, {}).items()},
+        **{key: flags[key] for key in _SUBCOMMANDS[ns.subcommand][1]
+           if flags[key] is not None},
+    }
 
-    domain = _pick(getattr(ns, "domain", None), sections, "run", "domain")
-    mesh_path = _pick(getattr(ns, "mesh", None), sections, "run", "mesh")
+    domain = given.get("domain")
+    mesh_path = given.get("mesh")
     if domain is not None and domain not in DOMAINS:
         raise ConfigError(f"unknown domain {domain!r}; choose from {DOMAINS}")
 
-    degree = _to_int(_pick(getattr(ns, "degree", None), sections, "run", "degree") or 1,
-                     "degree")
+    degree = _to_int(given.get("degree") or 1, "degree")
     if degree not in (1, 2, 3):
         raise ConfigError(f"degree must be 1, 2 or 3, got {degree}")
 
-    res_text = _pick(getattr(ns, "resolutions", None), sections, "run", "resolutions")
+    res_text = given.get("resolutions")
     resolutions = ()
     if res_text is not None:
         resolutions = tuple(
@@ -260,15 +289,12 @@ def build_config(ns):
             raise ConfigError(f"resolutions must be positive, got {res_text!r}")
 
     default_num = 1 if ns.subcommand == "benchmark" else 5
-    num = _to_int(
-        _pick(getattr(ns, "num", None), sections, "run", "num") or default_num,
-        "num", minimum=1,
-    )
+    num = _to_int(given.get("num") or default_num, "num", minimum=1)
 
-    bc_text = _pick(getattr(ns, "bc", None), sections, "run", "bc")
+    bc_text = given.get("bc")
     bc_override = _parse_bc(bc_text) if bc_text is not None else None
 
-    deck_name = _pick(getattr(ns, "deck", None), sections, "run", "deck")
+    deck_name = given.get("deck")
     inline = _inline_deck(sections, ns.config) if ns.config else None
     if deck_name is not None and inline is not None:
         raise ConfigError(
@@ -277,14 +303,10 @@ def build_config(ns):
     if inline is not None:
         deck, deck_label = inline, "inline"
     else:
-        label = deck_name or (
+        deck_label = deck_name or (
             "iaea-2d" if ns.subcommand == "benchmark" else "paper-table1"
         )
-        try:
-            deck = builtin_deck(label)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        deck_label = label
+        deck = builtin_deck(deck_label)
     if bc_override is not None:
         deck = {tag: (gc, bc_override) for tag, (gc, bc) in deck.items()}
     with warnings.catch_warnings():
@@ -296,19 +318,14 @@ def build_config(ns):
                 raise ConfigError(f"deck region {tag}: {e}") from None
 
     solver_kwargs = {"m": num}
-    tol = _pick(getattr(ns, "tol", None), sections, "solver", "tol")
-    if tol is not None:
-        solver_kwargs["tol"] = _to_float(tol, "tol")
-    try:
-        settings = SolverSettings(**solver_kwargs)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-
-    out_dir = _pick(getattr(ns, "out", None), sections, "run", "out") or "."
+    if given.get("tol") is not None:
+        solver_kwargs["tol"] = _to_float(given["tol"], "tol")
+    settings = SolverSettings(**solver_kwargs)
 
     return RunConfig(
         domain=domain, mesh_path=mesh_path, degree=degree, resolutions=resolutions,
-        deck=deck, deck_label=deck_label, out_dir=out_dir, settings=settings,
+        deck=deck, deck_label=deck_label, out_dir=given.get("out") or ".",
+        settings=settings,
     )
 
 
@@ -410,7 +427,6 @@ class IaeaResult:
     k_eff: float
     solutions: tuple
     fields: FieldOutput
-    mesh: object
     boundary_peak_fraction: tuple  # (fast, thermal), boundary max / global max
 
 
@@ -457,12 +473,11 @@ def run_iaea2d(mesh_path=None, degree=1, settings=None):
         float(np.max(np.abs(vec[:nv][boundary])) / np.max(np.abs(vec[:nv])))
         for vec in (normalized.phi1, normalized.phi2)
     )
-    fields = field_output(mesh, [normalized] + list(solutions[1:]))
+    solutions = (normalized, *solutions[1:])
     return IaeaResult(
         k_eff=fundamental.k_eff,
-        solutions=tuple([normalized] + list(solutions[1:])),
-        fields=fields,
-        mesh=mesh,
+        solutions=solutions,
+        fields=field_output(mesh, solutions),
         boundary_peak_fraction=fractions,
     )
 
@@ -528,11 +543,7 @@ def _cmd_converge(cfg):
     return 0
 
 
-def _cmd_benchmark(cfg, which):
-    if which != "iaea2d":
-        raise ConfigError(f"unknown benchmark {which!r}; available: iaea2d")
-    if cfg.deck_label != "iaea-2d":
-        raise ConfigError("benchmark iaea2d always uses the iaea-2d deck")
+def _cmd_benchmark(cfg):
     result = run_iaea2d(
         mesh_path=cfg.mesh_path, degree=cfg.degree, settings=cfg.settings
     )
@@ -548,16 +559,11 @@ def _cmd_benchmark(cfg, which):
     return 0
 
 
-def _cmd_oracle(cfg, modes):
-    domain = cfg.domain or "square"
+def _cmd_oracle(cfg):
     if len(cfg.deck) != 1:
         raise ConfigError("oracle needs a homogeneous (single-region) deck")
     (gc, _bc), = cfg.deck.values()
-    count = modes if modes is not None else cfg.settings.m
-    try:
-        mus = laplacian_modes(domain, count)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    mus = laplacian_modes(cfg.domain or "square", cfg.settings.m)
     print("  #              mu          lambda")
     for j, mu in enumerate(mus, 1):
         print(f"{j:3d}   {mu:13.6f}   {analytic_eigenvalue(mu, gc):13.8f}")
@@ -581,48 +587,24 @@ def _parser():
         description="two-group neutron-diffusion criticality solver",
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp):
+    for name, (help_text, takes) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if name == "benchmark":
+            sp.add_argument("which", choices=["iaea2d"])
+        for key in takes:
+            flag = _FLAG_SPELLING.get((name, key), f"--{key}")
+            sp.add_argument(flag, dest=key, help=_OPTIONS[key][1])
         sp.add_argument("--config", help="config file merged under the flags")
-        sp.add_argument("--out", help="output directory (default .)")
-        sp.add_argument("--tol", help="eigensolver tolerance")
-
-    sp = sub.add_parser("solve", help="solve one mesh and write eigenfields")
-    sp.add_argument("--domain", help=f"generated mesh: one of {', '.join(DOMAINS)}")
-    sp.add_argument("--mesh", help="MSH 2.2 mesh file")
-    sp.add_argument("--degree", help="polynomial degree 1..3")
-    sp.add_argument("--resolutions", help="generator resolution (single value)")
-    sp.add_argument("--num", help="eigenpairs to compute (default 5)")
-    sp.add_argument("--deck", help=f"built-in deck: {', '.join(BUILTIN_DECKS)}")
-    sp.add_argument("--bc", help="dirichlet or robin:<alpha>, overrides the deck")
-    common(sp)
-
-    sp = sub.add_parser("converge", help="refinement study and CSV table")
-    sp.add_argument("--domain", help=f"one of {', '.join(DOMAINS)}")
-    sp.add_argument("--degree", help="polynomial degree 1..3")
-    sp.add_argument("--resolutions", help="comma-separated list, e.g. 8,16,32,64")
-    sp.add_argument("--num", help="eigenvalues to track (default 5)")
-    sp.add_argument("--deck", help=f"built-in deck: {', '.join(BUILTIN_DECKS)}")
-    sp.add_argument("--bc", help="dirichlet or robin:<alpha>, overrides the deck")
-    common(sp)
-
-    sp = sub.add_parser("benchmark", help="packaged benchmark problems")
-    sp.add_argument("which", choices=["iaea2d"])
-    sp.add_argument("--mesh", help="override the packaged quarter-core mesh")
-    sp.add_argument("--degree", help="polynomial degree 1..3")
-    sp.add_argument("--num", help="eigenpairs to compute (default 1)")
-    common(sp)
-
-    sp = sub.add_parser("oracle", help="closed-form eigenvalues (homogeneous deck)")
-    sp.add_argument("--domain", help=f"one of {', '.join(DOMAINS)} (default square)")
-    sp.add_argument("--modes", help="how many eigenvalues (default 5)")
-    sp.add_argument("--deck", help="built-in deck name (default paper-table1)")
-    sp.add_argument("--config", help="config file merged under the flags")
-
-    sp = sub.add_parser("check-ellipticity", help="coercivity report for a deck")
-    sp.add_argument("--deck", help="built-in deck name")
-    sp.add_argument("--config", help="config file merged under the flags")
     return p
+
+
+_COMMANDS = {
+    "solve": _cmd_solve,
+    "converge": _cmd_converge,
+    "benchmark": _cmd_benchmark,
+    "oracle": _cmd_oracle,
+    "check-ellipticity": _cmd_check_ellipticity,
+}
 
 
 def cli(argv=None):
@@ -632,19 +614,7 @@ def cli(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        cfg = build_config(ns)
-        if ns.subcommand == "solve":
-            return _cmd_solve(cfg)
-        if ns.subcommand == "converge":
-            return _cmd_converge(cfg)
-        if ns.subcommand == "benchmark":
-            return _cmd_benchmark(cfg, ns.which)
-        if ns.subcommand == "oracle":
-            modes = _to_int(ns.modes, "modes", minimum=1) if ns.modes else None
-            return _cmd_oracle(cfg, modes)
-        if ns.subcommand == "check-ellipticity":
-            return _cmd_check_ellipticity(cfg)
-        raise AssertionError(f"unhandled subcommand {ns.subcommand!r}")
+        return _COMMANDS[ns.subcommand](build_config(ns))
     except (OSError, ValueError) as e:  # ConfigError and MeshFormatError too
         print(f"error: {e}", file=sys.stderr)
         return 2

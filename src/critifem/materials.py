@@ -13,7 +13,7 @@ continuous-energy data onto the two groups by flux-weighted averaging.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -54,18 +54,10 @@ class GroupConstants:
     nu_sigma_f2: float
 
     def __post_init__(self):
-        for name in (
-            "D1",
-            "D2",
-            "sigma_a1",
-            "sigma_a2",
-            "sigma_12",
-            "nu_sigma_f1",
-            "nu_sigma_f2",
-        ):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+                raise ValueError(f"{f.name} must be finite and >= 0, got {v}")
 
 
 def validate_for_solve(gc, region=None):
@@ -107,8 +99,11 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in ("dirichlet", "robin"):
             raise ValueError(f"unknown BC kind {self.kind!r}")
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError("Robin coefficients must be >= 0")
+        if not all(np.isfinite(a) and a >= 0 for a in (self.alpha1, self.alpha2)):
+            raise ValueError(
+                f"Robin coefficients must be finite and >= 0, got "
+                f"{self.alpha1}, {self.alpha2}"
+            )
 
     @classmethod
     def dirichlet(cls):

@@ -71,7 +71,7 @@ def test_parse_config_sections_and_lines(tmp_path):
         "[deck.3]",
         "D1 = 1.0",
     ]))
-    sections = parse_config(path)
+    sections = parse_config(path, "solve")
     assert sections["run"]["domain"] == ("square", 3)
     assert sections["run"]["degree"] == ("2", 5)
     assert sections["solver"]["tol"] == ("1e-9", 7)
@@ -97,25 +97,28 @@ def test_parse_config_sections_and_lines(tmp_path):
 def test_parse_config_errors(tmp_path, text, match):
     path = config_file(tmp_path, text)
     with pytest.raises(ConfigError, match=match):
-        parse_config(path)
+        parse_config(path, "solve")
+
+
+def readme_text():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def test_readme_ini_blocks_parse(tmp_path):
     # every documented config key and value must still be accepted
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        text = fh.read()
-    blocks = re.findall(r"^```ini\n(.*?)^```", text, flags=re.M | re.S)
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme_text(), flags=re.M | re.S)
     assert len(blocks) >= 2
     for i, block in enumerate(blocks):
         path = config_file(tmp_path, block, f"readme{i}.ini")
-        assert parse_config(path)
+        assert parse_config(path, "solve")
         build(["solve", "--config", path])
 
 
 def test_parse_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read config"):
-        parse_config("/nonexistent/run.ini")
+        parse_config("/nonexistent/run.ini", "solve")
 
 
 def test_parse_config_closes_the_file(tmp_path):
@@ -124,9 +127,102 @@ def test_parse_config_closes_the_file(tmp_path):
     path = config_file(tmp_path, "[run]\ndomain = square\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        parse_config(path)
+        parse_config(path, "solve")
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+# ---------------------------------------------------------------------------
+# option table: a config file sets exactly the options its subcommand takes
+
+# a value of every option that differs from its default
+OPTION_VALUES = {
+    "domain": "disk", "mesh": "x.msh", "degree": "2", "resolutions": "4,8,16",
+    "num": "3", "deck": "iaea-2d", "bc": "robin:0.5", "out": "results", "tol": "1e-9",
+}
+# options a subcommand reads nowhere, so neither a flag nor a config key
+NOT_TAKEN = {
+    "benchmark": ("domain", "resolutions", "bc", "deck"),
+    "converge": ("mesh",),
+    "oracle": ("mesh", "degree", "resolutions", "bc", "out", "tol"),
+    "check-ellipticity": (
+        "domain", "mesh", "degree", "resolutions", "num", "bc", "out", "tol",
+    ),
+}
+
+
+def command(subcommand):
+    return [subcommand, "iaea2d"] if subcommand == "benchmark" else [subcommand]
+
+
+@pytest.mark.parametrize("subcommand,key", [
+    (name, key) for name, (_help, takes) in app._SUBCOMMANDS.items() for key in takes
+])
+def test_flag_and_config_key_agree(subcommand, key, tmp_path):
+    value = OPTION_VALUES[key]
+    path = config_file(tmp_path, f"[{app._OPTIONS[key][0]}]\n{key} = {value}\n")
+    flag = app._FLAG_SPELLING.get((subcommand, key), f"--{key}")
+    by_flag = build(command(subcommand) + [flag, value])
+    assert build(command(subcommand) + ["--config", path]) == by_flag
+    assert by_flag != build(command(subcommand))  # the value took effect
+
+
+@pytest.mark.parametrize("subcommand,key", [
+    (name, key) for name, keys in NOT_TAKEN.items() for key in keys
+])
+def test_config_rejects_an_option_the_subcommand_does_not_take(
+    subcommand, key, tmp_path, capsys
+):
+    section = "solver" if key == "tol" else "run"
+    path = config_file(
+        tmp_path, f"# read nowhere\n[{section}]\n{key} = {OPTION_VALUES[key]}\n"
+    )
+    assert cli(command(subcommand) + ["--config", path]) == 2
+    assert f"run.ini:3: unknown key {key!r} for {subcommand}" in capsys.readouterr().err
+    assert cli(command(subcommand) + [f"--{key}", OPTION_VALUES[key]]) == 2
+
+
+@pytest.mark.parametrize("section", ["deck", "deck.2"])
+def test_benchmark_config_rejects_deck_sections(section, tmp_path, capsys):
+    path = config_file(tmp_path, f"[run]\nnum = 1\n[{section}]\nD1 = 1.0\n")
+    assert cli(["benchmark", "iaea2d", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert f"run.ini:3: unknown section [{section}] for benchmark" in err
+
+
+def test_oracle_takes_num_from_config_and_modes_flag(tmp_path, capsys):
+    path = config_file(tmp_path, "[run]\nnum = 3\n")
+    assert cli(["oracle", "--config", path]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+    assert cli(["oracle", "--config", path, "--modes", "2"]) == 0  # the flag wins
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2
+
+
+def test_documented_option_lists_match_subcommands():
+    # README's table and the module docstring both list each subcommand's options
+    docstring = app.__doc__.split("as config keys alike:\n\n")[1].split("\n\n")[0]
+    for rows in (
+        re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme_text(), flags=re.M),
+        re.findall(r"^([a-z-]+)(?: iaea2d)? +(.*)$", docstring, flags=re.M),
+    ):
+        documented = {
+            name: tuple(re.sub(r" \(.*\)", "", part) for part in options.split(", "))
+            for name, options in rows
+        }
+        assert documented == {
+            name: takes for name, (_help, takes) in app._SUBCOMMANDS.items()
+        }
+
+
+def test_readme_command_lines_parse():
+    block = re.search(r"^## Command line\n+```\n(.*?)^```", readme_text(),
+                      flags=re.M | re.S).group(1)
+    lines = block.splitlines()
+    assert len(lines) >= 6
+    for line in lines:
+        prog, *argv = line.split()
+        assert prog == "critifem"
+        _parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +330,31 @@ def test_named_and_inline_deck_conflict(tmp_path):
 def test_exit_code_two(argv, capsys):
     assert cli(argv) == 2
     assert capsys.readouterr().err.strip()
+
+
+@pytest.mark.parametrize("bc", ["robin:inf", "robin:nan", "robin:1,nan"])
+def test_non_finite_robin_flag_exits_two(bc, tmp_path, capsys):
+    code = cli(["solve", "--domain", "square", "--resolutions", "4", "--bc", bc,
+                "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Robin coefficients must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_inline_robin_exits_two(tmp_path, capsys):
+    path = config_file(tmp_path, "\n".join([
+        "[deck]",
+        "D1 = 1.0", "D2 = 0.5", "sigma_a1 = 0.2", "sigma_a2 = 0.1",
+        "sigma_12 = 0.1", "nu_sigma_f1 = 0.3", "nu_sigma_f2 = 0.1",
+        "bc = robin:inf",
+    ]))
+    code = cli(["solve", "--domain", "square", "--resolutions", "4",
+                "--config", path, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Robin coefficients must be finite" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -557,7 +678,7 @@ def test_benchmark_cli(tmp_path, capsys):
 def test_benchmark_cli_rejects_other_deck(tmp_path, capsys):
     path = config_file(tmp_path, "[run]\ndeck = paper-table1\n")
     assert cli(["benchmark", "iaea2d", "--config", path]) == 2
-    assert "iaea-2d" in capsys.readouterr().err
+    assert "run.ini:2: unknown key 'deck' for benchmark" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
 """Group constants, ellipticity, condensation, and the built-in decks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,15 @@ def test_boundary_condition_kinds():
         BoundaryCondition.robin(-1.0)
     with pytest.raises(ValueError):
         BoundaryCondition("neumann")
+
+
+@pytest.mark.parametrize("alphas", [
+    (math.inf,), (math.nan,), (1.0, math.nan), (math.inf, 1.0),
+])
+def test_non_finite_robin_coefficient_rejected(alphas):
+    # nan < 0 is False, so a sign check alone let these through to the solver
+    with pytest.raises(ValueError, match="finite"):
+        BoundaryCondition.robin(*alphas)
 
 
 # ---------------------------------------------------------------------------
