@@ -16,12 +16,20 @@ benchmark iaea2d  mesh, degree, num, out, tol
 oracle            domain, num (spelled --modes as a flag), deck
 check-ellipticity deck
 
-Exit codes: 0 success, 2 configuration error (bad flags, files, deck),
-3 solver failure: any SolverError, which the eigensolver raises when it
-cannot certify exactly --num pairs (the Arnoldi basis reaches its cap, a
-wanted pair misses certification with every eigenvalue in the basis, an
-empty spectrum, fewer finite eigenvalues than --num, or no free DOF left
-after the Dirichlet conditions).
+This module parses, dispatches, prints and writes. It converts values
+and checks what only it knows (flag syntax, --num >= 1, --mesh versus
+--domain); each other input is checked once, by the layer that uses it:
+the domain name and resolutions by the mesh generators, the degree by
+build_dofmap, the deck by assemble (solve, converge, benchmark),
+analytic_eigenvalue (oracle) or ellipticity_check (check-ellipticity).
+
+Exit codes: 0 success, 2 configuration error (bad flags, files, deck:
+any ValueError or OSError), 3 solver failure: any SolverError, which
+the eigensolver raises when it cannot certify exactly --num pairs (the
+Arnoldi basis reaches its cap, a wanted pair misses certification with
+every eigenvalue in the basis, an empty spectrum, fewer finite
+eigenvalues than --num, or no free DOF left after the Dirichlet
+conditions).
 
 Config files
 ------------
@@ -53,7 +61,6 @@ import importlib.resources
 import itertools
 import os
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -76,15 +83,12 @@ from .materials import (
     GroupConstants,
     builtin_deck,
     ellipticity_check,
-    validate_for_solve,
 )
-from .mesh import GENERATORS, _atomic_write, read_gmsh
+from .mesh import _atomic_write, generator, read_gmsh
 
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "FieldOutput",
-    "field_output",
     "write_vtk",
     "IaeaResult",
     "run_iaea2d",
@@ -230,14 +234,15 @@ def _inline_deck(sections, path):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated inputs of one CLI invocation."""
+    """Parsed inputs of one CLI invocation; the layers that use them
+    check their ranges."""
 
     domain: str | None
     mesh_path: str | None
     degree: int
     resolutions: tuple[int, ...]
-    deck: dict
-    deck_label: str
+    deck: dict | None  # None for subcommands that take no deck
+    deck_label: str | None
     out_dir: str
     settings: SolverSettings  # settings.m is --num
 
@@ -260,62 +265,44 @@ def _to_float(value, name):
 
 
 def build_config(ns):
-    """Merge CLI flags over the config file and validate everything."""
+    """Merge CLI flags over the config file and convert the values.
+
+    Ranges (degree, resolutions, domain name) and deck constants are
+    checked by the layers that use them, which raise ValueError.
+    """
+    takes = _SUBCOMMANDS[ns.subcommand][1]
     sections = parse_config(ns.config, ns.subcommand) if ns.config else {}
     flags = vars(ns)
     given = {
         **{key: value for name in ("run", "solver")
            for key, (value, _ln) in sections.get(name, {}).items()},
-        **{key: flags[key] for key in _SUBCOMMANDS[ns.subcommand][1]
-           if flags[key] is not None},
+        **{key: flags[key] for key in takes if flags[key] is not None},
     }
 
-    domain = given.get("domain")
-    mesh_path = given.get("mesh")
-    if domain is not None and domain not in DOMAINS:
-        raise ConfigError(f"unknown domain {domain!r}; choose from {DOMAINS}")
-
     degree = _to_int(given.get("degree") or 1, "degree")
-    if degree not in (1, 2, 3):
-        raise ConfigError(f"degree must be 1, 2 or 3, got {degree}")
-
-    res_text = given.get("resolutions")
-    resolutions = ()
-    if res_text is not None:
-        resolutions = tuple(
-            _to_int(p.strip(), "resolutions") for p in str(res_text).split(",") if p.strip()
-        )
-        if any(n < 1 for n in resolutions):
-            raise ConfigError(f"resolutions must be positive, got {res_text!r}")
-
+    resolutions = tuple(
+        _to_int(p.strip(), "resolutions")
+        for p in str(given.get("resolutions") or "").split(",") if p.strip()
+    )
     default_num = 1 if ns.subcommand == "benchmark" else 5
     num = _to_int(given.get("num") or default_num, "num", minimum=1)
 
-    bc_text = given.get("bc")
-    bc_override = _parse_bc(bc_text) if bc_text is not None else None
-
-    deck_name = given.get("deck")
-    inline = _inline_deck(sections, ns.config) if ns.config else None
-    if deck_name is not None and inline is not None:
-        raise ConfigError(
-            "deck name and inline [deck] sections are mutually exclusive"
-        )
-    if inline is not None:
-        deck, deck_label = inline, "inline"
-    else:
-        deck_label = deck_name or (
-            "iaea-2d" if ns.subcommand == "benchmark" else "paper-table1"
-        )
-        deck = builtin_deck(deck_label)
-    if bc_override is not None:
-        deck = {tag: (gc, bc_override) for tag, (gc, bc) in deck.items()}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # assembly re-validates and warns once
-        for tag, (gc, bc) in sorted(deck.items()):
-            try:
-                validate_for_solve(gc, region=tag)
-            except ValueError as e:
-                raise ConfigError(f"deck region {tag}: {e}") from None
+    deck = deck_label = None
+    if "deck" in takes:
+        deck_name = given.get("deck")
+        inline = _inline_deck(sections, ns.config) if ns.config else None
+        if deck_name is not None and inline is not None:
+            raise ConfigError(
+                "deck name and inline [deck] sections are mutually exclusive"
+            )
+        if inline is not None:
+            deck, deck_label = inline, "inline"
+        else:
+            deck_label = deck_name or "paper-table1"
+            deck = builtin_deck(deck_label)
+        if given.get("bc") is not None:
+            bc = _parse_bc(given["bc"])
+            deck = {tag: (gc, bc) for tag, (gc, _bc) in deck.items()}
 
     solver_kwargs = {"m": num}
     if given.get("tol") is not None:
@@ -323,60 +310,26 @@ def build_config(ns):
     settings = SolverSettings(**solver_kwargs)
 
     return RunConfig(
-        domain=domain, mesh_path=mesh_path, degree=degree, resolutions=resolutions,
-        deck=deck, deck_label=deck_label, out_dir=given.get("out") or ".",
-        settings=settings,
+        domain=given.get("domain"), mesh_path=given.get("mesh"), degree=degree,
+        resolutions=resolutions, deck=deck, deck_label=deck_label,
+        out_dir=given.get("out") or ".", settings=settings,
     )
 
 
 # ---------------------------------------------------------------------------
 # field serialization
 
-@dataclass(frozen=True)
-class FieldOutput:
-    """Vertex-sampled scalar fields over one mesh.
+def write_vtk(mesh, solutions, path):
+    """Legacy ASCII VTK unstructured grid with the fluxes of each pair.
 
-    fields maps names to (num_vertices,) float arrays; higher-degree
-    coefficient vectors are sampled at the mesh vertices (the Lagrange
-    basis is nodal there), the full coefficients travel in a sidecar
-    CSV instead of the VTK file.
-    """
-
-    mesh: object
-    fields: dict
-
-    def __post_init__(self):
-        nv = self.mesh.num_vertices
-        for name, arr in self.fields.items():
-            if arr.shape != (nv,):
-                raise ValueError(
-                    f"field {name!r} has shape {arr.shape}, expected ({nv},)"
-                )
-
-
-def field_output(mesh, solutions):
-    """Per-eigenpair phi1/phi2 vertex fields, imaginary parts only when
-    an eigenvalue came out genuinely complex."""
-    nv = mesh.num_vertices
-    fields = {}
-    for j, sol in enumerate(solutions, 1):
-        for gname, vec in (("phi1", sol.phi1), ("phi2", sol.phi2)):
-            vertex = np.asarray(vec)[:nv]
-            fields[f"{gname}_{j}"] = np.ascontiguousarray(vertex.real, dtype=float)
-            if np.iscomplexobj(vertex) and np.max(np.abs(vertex.imag)) > 0:
-                fields[f"{gname}_{j}_im"] = np.ascontiguousarray(
-                    vertex.imag, dtype=float
-                )
-    return FieldOutput(mesh=mesh, fields=fields)
-
-
-def write_vtk(output, path):
-    """Legacy ASCII VTK unstructured grid with point-data scalars.
-
+    Point data phi1_<j>, phi2_<j> for eigenpair j: the coefficient
+    vector sampled at the mesh vertices (vertex DOFs come first and the
+    Lagrange basis is nodal there; the full higher-degree coefficients
+    travel in the sidecar CSV). A field is followed by its imaginary
+    part, <name>_im, exactly when that part is nonzero at some vertex.
     Deterministic byte-for-byte: full-precision repr coordinates and
-    values, constant header, fields in insertion order.
+    values, constant header.
     """
-    mesh = output.mesh
     nv, nc = mesh.num_vertices, mesh.num_cells
     nloc = mesh.dim + 1
     xyz = mesh.vertices.T.tolist()
@@ -397,9 +350,15 @@ def write_vtk(output, path):
         itertools.repeat("5" if mesh.dim == 2 else "10", nc),
         [f"POINT_DATA {nv}"],
     ]
-    for name, arr in output.fields.items():
-        parts.append([f"SCALARS {name} double 1", "LOOKUP_TABLE default"])
-        parts.append(map(repr, np.asarray(arr, dtype=float).tolist()))
+    for j, sol in enumerate(solutions, 1):
+        for gname, vec in (("phi1", sol.phi1), ("phi2", sol.phi2)):
+            vertex = np.asarray(vec)[:nv]
+            scalars = [(f"{gname}_{j}", vertex.real)]
+            if np.any(vertex.imag):
+                scalars.append((f"{gname}_{j}_im", vertex.imag))
+            for name, values in scalars:
+                parts.append([f"SCALARS {name} double 1", "LOOKUP_TABLE default"])
+                parts.append(map(repr, values.astype(float).tolist()))
     _atomic_write(path, itertools.chain.from_iterable(parts))
 
 
@@ -426,7 +385,7 @@ class IaeaResult:
 
     k_eff: float
     solutions: tuple
-    fields: FieldOutput
+    mesh: object
     boundary_peak_fraction: tuple  # (fast, thermal), boundary max / global max
 
 
@@ -446,11 +405,6 @@ def run_iaea2d(mesh_path=None, degree=1, settings=None):
             mesh = read_gmsh(p)
     else:
         mesh = read_gmsh(mesh_path)
-    if int(mesh.region_tags.max()) > 5:
-        raise ConfigError(
-            f"quarter-core mesh must use region tags 1..5, found "
-            f"{int(mesh.region_tags.max())}"
-        )
     deck = builtin_deck("iaea-2d")
     settings = settings if settings is not None else SolverSettings(m=1)
     dofmap = build_dofmap(mesh, degree)
@@ -473,11 +427,10 @@ def run_iaea2d(mesh_path=None, degree=1, settings=None):
         float(np.max(np.abs(vec[:nv][boundary])) / np.max(np.abs(vec[:nv])))
         for vec in (normalized.phi1, normalized.phi2)
     )
-    solutions = (normalized, *solutions[1:])
     return IaeaResult(
         k_eff=fundamental.k_eff,
-        solutions=solutions,
-        fields=field_output(mesh, solutions),
+        solutions=(normalized, *solutions[1:]),
+        mesh=mesh,
         boundary_peak_fraction=fractions,
     )
 
@@ -495,7 +448,7 @@ def _load_mesh(cfg):
             "--domain needs exactly one value in --resolutions, got "
             f"{list(cfg.resolutions) or 'none'}"
         )
-    return GENERATORS[cfg.domain](cfg.resolutions[0])
+    return generator(cfg.domain)(cfg.resolutions[0])
 
 
 def _spectrum_lines(solutions):
@@ -520,7 +473,7 @@ def _cmd_solve(cfg):
         os.path.basename(cfg.mesh_path)
     )[0]
     base = os.path.join(cfg.out_dir, f"{stem}_k{cfg.degree}_modes")
-    write_vtk(field_output(mesh, solutions), base + ".vtk")
+    write_vtk(mesh, solutions, base + ".vtk")
     print(f"wrote {base}.vtk")
     if cfg.degree >= 2:
         _write_coefficient_csv(solutions, dofmap.n, base + "_coefficients.csv")
@@ -554,7 +507,7 @@ def _cmd_benchmark(cfg):
           f"thermal {result.boundary_peak_fraction[1]:.4f}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"iaea2d_k{cfg.degree}.vtk")
-    write_vtk(result.fields, path)
+    write_vtk(result.mesh, result.solutions, path)
     print(f"wrote {path}")
     return 0
 
@@ -564,15 +517,16 @@ def _cmd_oracle(cfg):
         raise ConfigError("oracle needs a homogeneous (single-region) deck")
     (gc, _bc), = cfg.deck.values()
     mus = laplacian_modes(cfg.domain or "square", cfg.settings.m)
+    lams = [analytic_eigenvalue(mu, gc) for mu in mus]  # raises before any output
     print("  #              mu          lambda")
-    for j, mu in enumerate(mus, 1):
-        print(f"{j:3d}   {mu:13.6f}   {analytic_eigenvalue(mu, gc):13.8f}")
+    for j, (mu, lam) in enumerate(zip(mus, lams), 1):
+        print(f"{j:3d}   {mu:13.6f}   {lam:13.8f}")
     return 0
 
 
 def _cmd_check_ellipticity(cfg):
     for tag, (gc, _bc) in sorted(cfg.deck.items()):
-        report = ellipticity_check(gc)
+        report = ellipticity_check(gc, region=tag)
         verdict = "elliptic" if report.elliptic else "NOT elliptic"
         print(f"region {tag}: margin = {report.margin:+.6g} -> {verdict}")
     return 0

@@ -31,8 +31,8 @@ import numpy as np
 from .assembly import assemble
 from .eigensolver import SolverError, SolverSettings, solve_primal
 from .fem_space import build_dofmap
-from .materials import builtin_deck
-from .mesh import GENERATORS, _atomic_write, mesh_size
+from .materials import builtin_deck, validate_for_solve
+from .mesh import GENERATORS, _atomic_write, generator, mesh_size
 
 __all__ = [
     "RateFit",
@@ -62,11 +62,16 @@ def analytic_eigenvalue(mu, gc):
         lambda = (D1 mu + sa1 + s12) / (nsf1 + nsf2 * s12 / (D2 mu + sa2))
 
     Every Laplacian mode yields one criticality eigenvalue this way, and
-    since lambda is increasing in mu the orderings agree.
+    since lambda is increasing in mu the orderings agree. The constants
+    must pass validate_for_solve, and a deck without fission production
+    (a zero denominator) has no finite eigenvalue: both raise ValueError.
     """
+    validate_for_solve(gc)
     mu = float(mu)
     removal = gc.D1 * mu + gc.sigma_a1 + gc.sigma_12
     fission = gc.nu_sigma_f1 + gc.nu_sigma_f2 * thermal_ratio(mu, gc)
+    if fission == 0:
+        raise ValueError("no fission production: no finite eigenvalue")
     return removal / fission
 
 
@@ -288,8 +293,7 @@ def run_study(domain, degree, resolutions, deck=None, deck_label="paper-table1",
     of any resolution is raised again with the domain and resolution
     prefixed to its message.
     """
-    if domain not in GENERATORS:
-        raise ValueError(f"unknown domain {domain!r}; choose from {DOMAINS}")
+    generate = generator(domain)
     resolutions = tuple(int(n) for n in resolutions)
     if len(resolutions) < 3:
         raise ValueError("need at least three resolutions for the rate fit")
@@ -302,7 +306,7 @@ def run_study(domain, degree, resolutions, deck=None, deck_label="paper-table1",
     notes = []
     hs, rows = [], []
     for n in resolutions:
-        mesh = GENERATORS[domain](n)
+        mesh = generate(n)
         dofmap = build_dofmap(mesh, degree)
         try:
             # no name keeps the system (and its factors) past its solve

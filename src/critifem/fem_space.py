@@ -241,15 +241,18 @@ def _node_rows(simplices, lattice, width):
     """Identity rows of every (simplex, lattice node) pair, simplex-major.
 
     Each row is [count, vertex ids ascending, their weights], with the
-    vertex and weight parts padded by -1 to `width` entries.
+    vertex and weight parts padded by -1 to `width` entries. Each (vertex
+    id, weight) pair is packed into one key, id * radix + weight, so one
+    sort orders both parts; the absent vertices sort last as int64 max.
     """
+    radix = int(lattice.max(initial=0)) + 1
     pad = np.iinfo(np.int64).max
-    ids = np.where(lattice > 0, simplices[:, None, :], pad)
-    order = np.argsort(ids, axis=-1)
-    ids = np.take_along_axis(ids, order, axis=-1)
-    weights = np.take_along_axis(np.broadcast_to(lattice, ids.shape), order, axis=-1)
-    weights = np.where(ids == pad, -1, weights)
-    ids = np.where(ids == pad, -1, ids)
+    key = np.where(lattice > 0, simplices[:, None, :] * radix + lattice, pad)
+    key.sort(axis=-1)
+    ids, weights = np.divmod(key, radix)
+    absent = key == pad
+    ids[absent] = -1
+    weights[absent] = -1
     fill = np.full(ids.shape[:2] + (width - ids.shape[2],), -1, dtype=np.int64)
     count = np.broadcast_to((lattice > 0).sum(axis=1)[:, None], ids.shape[:2] + (1,))
     rows = np.concatenate([count, ids, fill, weights, fill], axis=-1)

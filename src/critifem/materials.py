@@ -119,16 +119,21 @@ class EllipticityReport(NamedTuple):
     margin: float
 
 
-def ellipticity_check(gc):
+def ellipticity_check(gc, region=None):
     """Coercivity condition on the coupled form.
 
-    The form is elliptic exactly when
+    With positive diffusion coefficients (the hypothesis of the
+    condition; otherwise ValueError, naming the region if given) the
+    form is elliptic exactly when
         sigma_12^2 - 4 sigma_a2 sigma_12 - 4 sigma_a1 sigma_a2 < 0;
     margin is the value of that quadratic (negative means elliptic).
     Equivalently, some weighting epsilon of the thermal test function
     exists with sigma_12 / (2 (sigma_a1 + sigma_12)) < epsilon and
     epsilon < 2 sigma_a2 / sigma_12.
     """
+    if gc.D1 <= 0 or gc.D2 <= 0:
+        where = f" in region {region}" if region is not None else ""
+        raise ValueError(f"diffusion coefficients must be > 0{where}")
     m = (
         gc.sigma_12**2
         - 4.0 * gc.sigma_a2 * gc.sigma_12

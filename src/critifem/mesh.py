@@ -28,6 +28,7 @@ __all__ = [
     "generate_unit_cube",
     "generate_disk",
     "GENERATORS",
+    "generator",
     "read_gmsh",
     "write_msh",
     "mesh_size",
@@ -423,6 +424,16 @@ GENERATORS = {
     "cube": generate_unit_cube,
     "disk": generate_disk,
 }
+
+
+def generator(domain):
+    """The generator of a domain name, looked up in GENERATORS at call time."""
+    try:
+        return GENERATORS[domain]
+    except KeyError:
+        raise ValueError(
+            f"unknown domain {domain!r}; choose from {tuple(sorted(GENERATORS))}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

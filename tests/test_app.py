@@ -19,12 +19,10 @@ import critifem
 from critifem import app
 from critifem.app import (
     ConfigError,
-    FieldOutput,
     _parser,
     _write_coefficient_csv,
     build_config,
     cli,
-    field_output,
     packaged_mesh_path,
     parse_config,
     run_iaea2d,
@@ -46,6 +44,27 @@ SQUARE_REF = (66.5747701901, 165.2710351639, 165.2710351639,
 def config_file(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
+    return str(path)
+
+
+TABLE1_DECK = dict(D1=1.0, D2=0.5, sigma_a1=0.2, sigma_a2=0.1,
+                   sigma_12=0.1, nu_sigma_f1=0.3, nu_sigma_f2=0.1)
+
+
+def deck_file(tmp_path, **changes):
+    """Config file with one inline [deck]: the paper-table1 constants
+    with `changes` applied."""
+    body = "".join(f"{key} = {value}\n"
+                   for key, value in {**TABLE1_DECK, **changes}.items())
+    return config_file(tmp_path, "[deck]\n" + body, "deck.ini")
+
+
+def six_region_mesh(tmp_path):
+    """MSH file of a square whose cells carry region tags 1..6."""
+    base = generate_unit_square(2)
+    path = tmp_path / "sixregions.msh"
+    write_msh(Mesh(2, base.vertices, base.cells, np.array([1, 2, 3, 4, 5, 6, 1, 2])),
+              path)
     return str(path)
 
 
@@ -326,10 +345,65 @@ def test_named_and_inline_deck_conflict(tmp_path):
     ["solve", "--domain", "square", "--resolutions", "8", "--num", "3", "--tol", "inf"],
     ["oracle", "--out", "x"],  # writes no file, takes no --out
     ["check-ellipticity", "--out", "x"],
+    # checked where they are used: the generator, run_study, assemble
+    ["solve", "--domain", "square", "--resolutions", "0"],
+    ["converge", "--domain", "square", "--resolutions", "0,4,8"],
+    ["solve", "--domain", "square", "--resolutions", "4",
+     "--config", lambda tmp_path: deck_file(tmp_path, sigma_a2=0.0)],
+    ["benchmark", "iaea2d", "--mesh", six_region_mesh],
 ])
-def test_exit_code_two(argv, capsys):
+@pytest.mark.filterwarnings("ignore:sigma_a1 = 0")
+def test_exit_code_two(argv, tmp_path, capsys):
+    # a callable argument is an input file, written by it under tmp_path
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
     assert cli(argv) == 2
-    assert capsys.readouterr().err.strip()
+    err = capsys.readouterr().err
+    assert err.strip()
+    assert "Traceback" not in err
+
+
+def test_error_texts_name_the_checking_layer(tmp_path, capsys):
+    cases = [
+        (["solve", "--domain", "square", "--resolutions", "4", "--degree", "4"],
+         "unsupported degree k=4"),
+        (["solve", "--domain", "square", "--resolutions", "0"], "N must be >= 1"),
+        (["solve", "--domain", "hexagon", "--resolutions", "4"],
+         "unknown domain 'hexagon'"),
+        (["converge", "--domain", "hexagon", "--resolutions", "4,8,16"],
+         "unknown domain 'hexagon'"),
+        (["solve", "--domain", "square", "--resolutions", "4",
+          "--config", deck_file(tmp_path, sigma_a2=0.0)],
+         "error: thermal absorption sigma_a2 must be > 0 in region 1\n"),
+    ]
+    for argv, message in cases:
+        assert cli(argv + ["--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+    with pytest.warns(UserWarning, match="sigma_a1 = 0 in region"):
+        assert cli(["benchmark", "iaea2d", "--mesh", six_region_mesh(tmp_path),
+                    "--out", str(tmp_path)]) == 2
+    assert "deck is missing region 6" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.vtk"))
+
+
+def test_check_ellipticity_reports_any_deck_with_positive_diffusion(tmp_path, capsys):
+    # sigma_a2 = 0 leaves no admissible weighting: an answer, not an error
+    assert cli(["check-ellipticity", "--config",
+                deck_file(tmp_path, sigma_a2=0.0)]) == 0
+    assert capsys.readouterr().out == "region 1: margin = +0.01 -> NOT elliptic\n"
+    # the condition assumes D1, D2 > 0
+    assert cli(["check-ellipticity", "--config", deck_file(tmp_path, D1=0.0)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "diffusion coefficients must be > 0 in region 1" in captured.err
+
+
+def test_oracle_without_fission_exits_two_before_printing(tmp_path, capsys):
+    path = deck_file(tmp_path, nu_sigma_f1=0.0, nu_sigma_f2=0.0)
+    assert cli(["oracle", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no fission production" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("bc", ["robin:inf", "robin:nan", "robin:1,nan"])
@@ -529,33 +603,31 @@ def test_check_ellipticity_reports(capsys):
 # ---------------------------------------------------------------------------
 # field serialization
 
-def test_field_output_shape_validation():
-    mesh = generate_unit_square(1)
-    with pytest.raises(ValueError, match="expected"):
-        FieldOutput(mesh=mesh, fields={"f": np.zeros(3)})
+def vtk_field_names(path):
+    return re.findall(r"^SCALARS (\S+) double 1$", path.read_text(), flags=re.M)
 
 
-def test_field_output_imaginary_fields_only_when_complex():
+def test_field_output_imaginary_fields_only_when_complex(tmp_path):
     mesh = generate_unit_square(1)
-    real = types.SimpleNamespace(phi1=np.ones(4), phi2=np.zeros(4))
-    out = field_output(mesh, [real])
-    assert sorted(out.fields) == ["phi1_1", "phi2_1"]
-    cplx = types.SimpleNamespace(phi1=np.ones(4) + 1j * np.arange(4),
-                                 phi2=np.ones(4) + 0j)
-    out = field_output(mesh, [cplx])
-    assert "phi1_1_im" in out.fields
-    assert "phi2_1_im" not in out.fields  # zero imaginary part dropped
-    assert np.array_equal(out.fields["phi1_1_im"], np.arange(4, dtype=float))
+    path = tmp_path / "fields.vtk"
+    # the vectors run past the 4 vertices, like higher-degree coefficients
+    real = types.SimpleNamespace(phi1=np.ones(6), phi2=np.zeros(6))
+    write_vtk(mesh, [real], path)
+    assert vtk_field_names(path) == ["phi1_1", "phi2_1"]
+    cplx = types.SimpleNamespace(phi1=np.ones(6) + 1j * np.arange(6),
+                                 phi2=np.ones(6) + 0j)
+    write_vtk(mesh, [real, cplx], path)
+    # zero imaginary part dropped
+    assert vtk_field_names(path) == ["phi1_1", "phi2_1", "phi1_2", "phi1_2_im", "phi2_2"]
+    _points, imag = vtk_points_and_field(path, "phi1_2_im")
+    assert np.array_equal(imag, np.arange(4, dtype=float))
 
 
 def test_write_vtk_3d_cells(tmp_path):
     mesh = generate_unit_cube(1)
-    out = field_output(
-        mesh, [types.SimpleNamespace(phi1=np.arange(8, dtype=float),
-                                     phi2=np.zeros(8))]
-    )
     path = tmp_path / "cube.vtk"
-    write_vtk(out, path)
+    write_vtk(mesh, [types.SimpleNamespace(phi1=np.arange(8, dtype=float),
+                                           phi2=np.zeros(8))], path)
     text = path.read_text().splitlines()
     assert "POINTS 8 double" in text
     assert "CELLS 6 30" in text
@@ -591,7 +663,7 @@ def sha256(path):
 def test_write_vtk_bytes_are_pinned(tmp_path):
     mesh = read_gmsh(packaged_mesh_path())
     path = tmp_path / "fields.vtk"
-    write_vtk(field_output(mesh, [synthetic_solution(mesh.num_vertices)]), path)
+    write_vtk(mesh, [synthetic_solution(mesh.num_vertices)], path)
     assert sha256(path) == (
         "273fbfcb47a73bf16c73874d201b83b67f0ae7230853f95647140cec9f33091c"
     )
@@ -619,7 +691,7 @@ def test_write_msh_round_trip_bytes_are_pinned(tmp_path):
 
 def test_write_vtk_3d_bytes_are_pinned(tmp_path):
     path = tmp_path / "cube.vtk"
-    write_vtk(field_output(generate_unit_cube(2), [synthetic_solution(27)]), path)
+    write_vtk(generate_unit_cube(2), [synthetic_solution(27)], path)
     assert sha256(path) == (
         "079c1bf2c7c3e5cd5a1b87efbc3a19f42cb2cecaabd1ab629b317e0cb0806293"
     )
@@ -644,22 +716,20 @@ def test_run_iaea2d_dominant_mode():
     assert 0.97 < result.k_eff < 0.99
     sol = result.solutions[0]
     assert sol.residual <= 1e-9
-    # per-group unit-max normalization
-    assert abs(np.max(result.fields.fields["phi1_1"]) - 1.0) < 1e-12
-    assert abs(np.max(result.fields.fields["phi2_1"]) - 1.0) < 1e-12
+    # per-group unit-max normalization, over the vertex values written out
+    nv = result.mesh.num_vertices
+    assert abs(np.max(sol.phi1[:nv]) - 1.0) < 1e-12
+    assert abs(np.max(sol.phi2[:nv]) - 1.0) < 1e-12
     fast, thermal = result.boundary_peak_fraction
     assert 0.0 < fast < 0.2
     assert 0.0 < thermal < 0.2
 
 
+@pytest.mark.filterwarnings("ignore:sigma_a1 = 0")
 def test_run_iaea2d_rejects_extra_regions(tmp_path):
-    base = generate_unit_square(2)
-    mesh = Mesh(2, base.vertices, base.cells,
-                np.array([1, 2, 3, 4, 5, 6, 1, 2]))
-    path = tmp_path / "sixregions.msh"
-    write_msh(mesh, path)
-    with pytest.raises(ConfigError, match="region tags 1..5"):
-        run_iaea2d(mesh_path=path)
+    # the five-region deck has no constants for region 6; assemble says so
+    with pytest.raises(ValueError, match="deck is missing region 6"):
+        run_iaea2d(mesh_path=six_region_mesh(tmp_path))
 
 
 def test_packaged_mesh_is_shipped():
@@ -691,20 +761,20 @@ def test_solved_system_is_released_before_output(argv, tmp_path, monkeypatch):
     # once its pairs are out, the system (and any factors left on it) must
     # be garbage before the fields are sampled and written
     systems, released = [], []
-    assemble, field_output = app.assemble, app.field_output
+    assemble, write_vtk = app.assemble, app.write_vtk
 
     def assemble_spy(*args):
         system = assemble(*args)
         systems.append(weakref.ref(system))
         return system
 
-    def field_output_spy(*args):
+    def write_vtk_spy(*args):
         gc.collect()
         released.append([ref() is None for ref in systems])
-        return field_output(*args)
+        return write_vtk(*args)
 
     monkeypatch.setattr(app, "assemble", assemble_spy)
-    monkeypatch.setattr(app, "field_output", field_output_spy)
+    monkeypatch.setattr(app, "write_vtk", write_vtk_spy)
     assert cli(argv + ["--out", str(tmp_path)]) == 0
     assert released == [[True]]
 

@@ -1,6 +1,7 @@
 """Rate fitting, closed-form references, and the study driver."""
 
 import csv
+import dataclasses
 import gc
 import math
 import weakref
@@ -166,6 +167,20 @@ def test_analytic_eigenvalue_and_ratio(table1_gc):
     mus = np.linspace(1.0, 400.0, 50)
     vals = [analytic_eigenvalue(v, table1_gc) for v in mus]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("changes,match", [
+    (dict(nu_sigma_f1=0.0, nu_sigma_f2=0.0), "no fission production"),
+    (dict(sigma_a2=0.0), "thermal absorption sigma_a2 must be > 0"),
+    (dict(D2=0.0), "diffusion coefficients must be > 0"),
+])
+def test_analytic_eigenvalue_rejects_decks_without_a_finite_eigenvalue(
+    table1_gc, changes, match
+):
+    # without fission the denominator is 0; the other decks fail the
+    # checks of an assembled solve, as the reference must too
+    with pytest.raises(ValueError, match=match):
+        analytic_eigenvalue(2.0 * math.pi ** 2, dataclasses.replace(table1_gc, **changes))
 
 
 # ---------------------------------------------------------------------------

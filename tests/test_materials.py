@@ -106,6 +106,16 @@ def test_ellipticity_violated():
     assert abs(report.margin - (1.0 - 0.04 - 0.0004)) < 1e-12
 
 
+def test_ellipticity_reports_zero_absorption_and_requires_diffusion():
+    # any deck GroupConstants accepts gets a verdict, given D1, D2 > 0
+    report = ellipticity_check(make_gc(sa1=0.0, sa2=0.0))
+    assert not report.elliptic
+    assert report.margin == 0.1 ** 2
+    for key in ("D1", "D2"):
+        with pytest.raises(ValueError, match="must be > 0 in region 3"):
+            ellipticity_check(make_gc(**{key: 0.0}), region=3)
+
+
 @given(sa1=positive, sa2=positive, s12=positive)
 @settings(max_examples=200, deadline=None)
 def test_ellipticity_matches_interval_scan(sa1, sa2, s12):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from critifem import mesh as mesh_module
 from critifem.mesh import (
     Mesh,
     MeshFormatError,
@@ -23,6 +24,7 @@ from critifem.mesh import (
     generate_lshape,
     generate_unit_cube,
     generate_unit_square,
+    generator,
     mesh_size,
     read_gmsh,
     write_msh,
@@ -96,6 +98,27 @@ def test_cube_counts(N):
 
 def test_cube_smallest():
     assert generate_unit_cube(1).num_cells == 6
+
+
+@pytest.mark.parametrize("generate,N,match", [
+    (generate_unit_square, 0, "N must be >= 1"),
+    (generate_unit_cube, 0, "N must be >= 1"),
+    (generate_disk, 1, "N must be >= 2"),
+])
+def test_generators_reject_their_bad_resolutions(generate, N, match):
+    with pytest.raises(ValueError, match=match):
+        generate(N)
+
+
+def test_generator_looks_up_the_registry_at_call_time(monkeypatch):
+    assert generator("disk") is generate_disk
+    with pytest.raises(ValueError, match=r"unknown domain 'hexagon'; choose from "
+                                         r"\('cube', 'disk', 'lshape', 'square'\)"):
+        generator("hexagon")
+    # a wrapper put into the registry (as a tracer does) is what callers get
+    wrapped = lambda N: generate_disk(N)  # noqa: E731
+    monkeypatch.setitem(mesh_module.GENERATORS, "disk", wrapped)
+    assert generator("disk") is wrapped
 
 
 def loop_grid_triangles(N, drop_quadrant=False):
