@@ -94,9 +94,15 @@ _LSHAPE_UNIT_LEG = (
 )
 
 
+# Most modes laplacian_modes lists: the square and cube lists grow with
+# count and the disk computes count zeros of each of count + 1 Bessel
+# orders, 0.6 s at this bound.
+_MAX_MODES = 100
+
+
 def laplacian_modes(domain, count):
     """First `count` Dirichlet-Laplacian eigenvalues of the domain, sorted
-    ascending with multiplicity.
+    ascending with multiplicity; 1 <= count <= _MAX_MODES.
 
     square: pi^2 (m^2 + n^2);  cube: pi^2 (l^2 + m^2 + n^2);
     disk (unit radius): squared Bessel zeros j_{n,k}^2, double for n >= 1;
@@ -104,6 +110,8 @@ def laplacian_modes(domain, count):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > _MAX_MODES:
+        raise ValueError(f"at most {_MAX_MODES} modes are listed, got {count}")
     if domain == "square":
         r = int(math.isqrt(2 * count)) + 2
         vals = [

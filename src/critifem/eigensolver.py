@@ -22,7 +22,12 @@ eigenvectors and by consecutive solves on one system: the diagonal
 blocks are symmetric, so the factors serve primal and adjoint alike. A
 solve that factors leaves its factors on the system, and the next solve
 there takes them off, so a primal/adjoint pair factors once and a system
-holds at most one factorization.
+holds at most one factorization. In 3-D both blocks are factored in the
+geometric nested-dissection order the system carries
+(BlockSystem.ordering) with natural column ordering, where minimum
+degree fills far more; in 2-D SuperLU's minimum degree ordering serves.
+The reordering stays inside the factor: Arnoldi, its start vector and
+the eigenvectors keep the system's own numbering.
 
 Arnoldi is one unrestarted iteration on T' from a fixed start vector,
 orthogonalized by classical Gram-Schmidt run twice against a basis of at
@@ -165,10 +170,28 @@ class EigenSolution:
         return 1.0 / self.lam.real if self.lam.imag == 0 else math.nan
 
 
-def _factor(block):
-    return spla.splu(
-        block.tocsc(), permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True)
-    )
+def _factor(block, ordering):
+    """Symmetric-mode SuperLU factor of an SPD block: in the given
+    ordering with natural columns, or by minimum degree when ordering is
+    None."""
+    options = dict(SymmetricMode=True)
+    if ordering is None:
+        return spla.splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A", options=options)
+    lu = spla.splu(block[ordering][:, ordering].tocsc(), permc_spec="NATURAL",
+                   options=options)
+    return _Reordered(lu, ordering)
+
+
+class _Reordered:
+    """A factor of block[p][:, p] that solves with the block itself."""
+
+    def __init__(self, lu, ordering):
+        self.lu = lu
+        self._ordering = ordering
+        self._inverse = np.argsort(ordering)
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs[self._ordering])[self._inverse]
 
 
 class _FissionSource:
@@ -182,11 +205,13 @@ class _FissionSource:
     below.
 
     Both diagonal blocks are SPD, so _factor factors each by SuperLU in
-    symmetric mode: minimum degree ordering on the block's own graph and
-    diagonal pivots, which keeps the fill at about half of a general
-    column ordering. The diagonal blocks are symmetric, so the same
-    factors serve the adjoint (a11^T = a11, a22^T = a22); the coupling
-    and fission blocks are not, and are transposed there.
+    symmetric mode with diagonal pivots, which keeps the fill at about
+    half of a general column ordering. The order is the system's
+    geometric nested dissection in 3-D (natural column ordering of the
+    reordered block) and minimum degree on the block's own graph in 2-D.
+    The diagonal blocks are symmetric, so the same factors serve the
+    adjoint (a11^T = a11, a22^T = a22); the coupling and fission blocks
+    are not, and are transposed there.
     """
 
     def __init__(self, system, factors, adjoint):
@@ -411,7 +436,8 @@ def _solve(system, settings, adjoint):
     object.__setattr__(system, "_factors", None)
     factored = factors is None
     if factored:
-        factors = (_factor(system.a11), _factor(system.a22))
+        order = system.ordering
+        factors = (_factor(system.a11, order), _factor(system.a22, order))
     source = _FissionSource(system, factors, adjoint)
     lams, vecs, res = _arnoldi(system, source, m, 10.0 * settings.tol)
     if factored:

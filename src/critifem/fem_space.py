@@ -279,3 +279,15 @@ def build_dofmap(mesh, k):
     cell_dofs.flags.writeable = False
     facet_dofs.flags.writeable = False
     return DofMap(mesh.dim, k, nv + len(counts), cell_dofs, facet_dofs)
+
+
+def _dof_coordinates(mesh, dofmap):
+    """(n, dim) coordinates of every DOF: a vertex DOF at its vertex, any
+    other at the lattice-weighted mean of its cell's vertices."""
+    k, width = dofmap.degree, mesh.dim + 1
+    coords = np.empty((dofmap.n, mesh.dim))
+    coords[: mesh.num_vertices] = mesh.vertices
+    if k > 1:
+        lattice = _lattice_nodes(mesh.dim, k)[width:]
+        coords[dofmap.cell_dofs[:, width:]] = lattice @ mesh.vertices[mesh.cells] / k
+    return coords

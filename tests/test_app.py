@@ -406,6 +406,28 @@ def test_oracle_without_fission_exits_two_before_printing(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("domain", ["square", "cube", "disk"])
+def test_oracle_mode_count_is_bounded(domain):
+    # An unbounded mode list grows with the count (square, cube) or its
+    # square (disk): a child process capped at 1 GiB of address space
+    # turns a missing bound into a failed test, not an exhausted machine.
+    argv = ["oracle", "--domain", domain, "--modes", "99999999999999999999"]
+    done = subprocess.run(
+        [sys.executable, "-m", "critifem.app", *argv], capture_output=True, text=True,
+        env=fresh_env(), timeout=120, preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert "at most 100 modes" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("bc", ["robin:inf", "robin:nan", "robin:1,nan"])
 def test_non_finite_robin_flag_exits_two(bc, tmp_path, capsys):
     code = cli(["solve", "--domain", "square", "--resolutions", "4", "--bc", bc,

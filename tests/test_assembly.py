@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from critifem.app import packaged_mesh_path
 from critifem.assembly import assemble
-from critifem.fem_space import build_dofmap, build_reference, quadrature
+from critifem.fem_space import _dof_coordinates, build_dofmap, build_reference, quadrature
 from critifem.materials import BoundaryCondition, GroupConstants, builtin_deck
 from critifem.mesh import (
     Mesh,
@@ -415,3 +415,52 @@ def test_dofmap_mismatch_rejected():
     dofmap = build_dofmap(mesh, 2)
     with pytest.raises(ValueError, match="dofmap"):
         assemble(mesh, dofmap, {1: (GC, ROBIN0)}, 1)
+
+
+# ---------------------------------------------------------------------------
+# factorization order
+
+def _recursive_dissection(coords, indptr, indices, nodes):
+    """The dissection written as a recursion over parts, nodes ascending."""
+    if len(nodes) <= 48:
+        return list(nodes)
+    x = coords[nodes]
+    x = x[:, np.argmax(x.max(axis=0) - x.min(axis=0))]
+    median = np.sort(x)[len(x) // 2]
+    on_left = x < median if median > x.min() else x <= median
+    left = set(nodes[on_left])
+    right = nodes[~on_left]
+    cut = np.array([any(j in left for j in indices[indptr[i]:indptr[i + 1]])
+                    for i in right], dtype=bool)
+    return (_recursive_dissection(coords, indptr, indices, nodes[on_left])
+            + _recursive_dissection(coords, indptr, indices, right[~cut])
+            + list(right[cut]))
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "robin"])
+@pytest.mark.parametrize("k, N", [(1, 6), (2, 4), (3, 3)])
+def test_cube_ordering_dissects_the_free_dofs(k, N, bc):
+    # Robin boundary DOFs are free, so they are ordered too
+    mesh = generate_unit_cube(N)
+    dofmap = build_dofmap(mesh, k)
+    bcs = {"dirichlet": BoundaryCondition.dirichlet(), "robin": ROBIN0}
+    system = assemble(mesh, dofmap, {1: (GC, bcs[bc])}, k)
+    assert system.n > 48  # more than one leaf part
+    assert (system.n == system.n_raw) == (bc == "robin")
+    np.testing.assert_array_equal(np.sort(system.ordering), np.arange(system.n))
+    coords = _dof_coordinates(mesh, dofmap)[system.free_dofs]
+    a = system.a11
+    want = _recursive_dissection(coords, a.indptr, a.indices, np.arange(system.n))
+    np.testing.assert_array_equal(system.ordering, want)
+
+
+@pytest.mark.filterwarnings("ignore:sigma_a1 = 0")
+@pytest.mark.parametrize("case", ["square", "lshape", "disk", "quarter-core"])
+def test_2d_systems_carry_no_ordering(case):
+    if case == "quarter-core":
+        mesh, deck = read_gmsh(packaged_mesh_path()), builtin_deck("iaea-2d")
+    else:
+        generate = {"square": generate_unit_square, "lshape": generate_lshape,
+                    "disk": generate_disk}[case]
+        mesh, deck = generate(4), {1: (GC, BoundaryCondition.dirichlet())}
+    assert assemble(mesh, build_dofmap(mesh, 2), deck, 2).ordering is None

@@ -146,6 +146,14 @@ def test_laplacian_modes_errors():
         laplacian_modes("square", 0)
 
 
+def test_laplacian_modes_are_bounded():
+    assert len(laplacian_modes("square", 100)) == 100
+    assert len(laplacian_modes("cube", 100)) == 100
+    for domain in ("square", "cube", "disk", "lshape"):
+        with pytest.raises(ValueError, match="at most 100 modes are listed, got 101"):
+            laplacian_modes(domain, 101)
+
+
 def test_reference_eigenvalues_frozen(table1_gc):
     for domain, refs in (("square", SQUARE_REF), ("disk", DISK_REF),
                          ("cube", CUBE_REF)):

@@ -2,6 +2,7 @@
 biorthogonality, certification, and determinism."""
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -550,6 +551,50 @@ def test_solution_is_frozen(square16_system):
 
 
 # ---------------------------------------------------------------------------
+# the first-m contract against dense QZ
+
+@functools.cache
+def _cube_system(N, k):
+    mesh = generate_unit_cube(N)
+    return assemble(mesh, build_dofmap(mesh, k), builtin_deck("paper-table1"), k)
+
+
+@functools.cache
+def _qz_finite_eigenvalues(N, k, adjoint):
+    """Finite eigenvalues of (A, B), or (A^T, B^T), by ascending |lambda|."""
+    system = _cube_system(N, k)
+    A, B = system.A.toarray(), system.B.toarray()
+    if adjoint:
+        A, B = A.T, B.T
+    alpha, beta = scipy.linalg.eigvals(A, B, homogeneous_eigvals=True)
+    finite = np.abs(beta) > 1e-8 * np.max(np.abs(beta))
+    lams = alpha[finite] / beta[finite]
+    return lams[np.argsort(np.abs(lams), kind="stable")]
+
+
+# The cube's lambda_2 = lambda_3 is an exact double, so m = 2 splits it
+# and m = 3 needs its second copy, which a Krylov space from one vector
+# gets only from rounding: a solver that stops on the m wanted pairs
+# alone returns lambda_4 there. N=2 k=1 has one free DOF, so one finite
+# eigenvalue.
+@pytest.mark.parametrize("solve", [solve_primal, solve_adjoint])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("N, k", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2)])
+def test_first_m_pairs_match_dense_qz(N, k, m, solve):
+    system = _cube_system(N, k)
+    want = _qz_finite_eigenvalues(N, k, solve is solve_adjoint)
+    settings = SolverSettings(m=m)
+    if len(want) < m:
+        with pytest.raises(SolverError, match=f"certified only {len(want)} of {m}"):
+            solve(system, settings)
+        return
+    sols = solve(system, settings)
+    np.testing.assert_allclose([sol.lam for sol in sols], want[:m], rtol=1e-8)
+    for sol in sols:
+        assert residual(system, sol) <= 10 * settings.tol
+
+
+# ---------------------------------------------------------------------------
 # factor hand-off and block certification
 
 def _square_k2_system(deck):
@@ -570,9 +615,9 @@ def test_primal_adjoint_pair_factors_once(table1_deck, monkeypatch):
     blocks = []
     original = eigensolver._factor
 
-    def spy(block):
+    def spy(block, ordering):
         blocks.append(block)
-        return original(block)
+        return original(block, ordering)
 
     monkeypatch.setattr(eigensolver, "_factor", spy)
     settings = SolverSettings(m=3)
@@ -591,6 +636,16 @@ def test_primal_adjoint_pair_factors_once(table1_deck, monkeypatch):
     assert [s.lam for s in primal] == pytest.approx([s.lam for s in adjoint], rel=1e-8)
 
 
+def test_cube_ordering_fills_no_more_than_minimum_degree():
+    # L + U entries of both blocks, cube N=12 k=1: about 0.35 M against 0.40 M
+    system = _cube_system(12, 1)
+    blocks = (system.a11, system.a22)
+    dissected = [eigensolver._factor(b, system.ordering).lu for b in blocks]
+    minimum_degree = [eigensolver._factor(b, None) for b in blocks]
+    assert sum(lu.L.nnz + lu.U.nnz for lu in dissected) <= sum(
+        lu.L.nnz + lu.U.nnz for lu in minimum_degree)
+
+
 def test_replaced_system_factors_afresh(table1_deck, monkeypatch):
     system = _square_k2_system(table1_deck)
     settings = SolverSettings(m=2)
@@ -599,9 +654,9 @@ def test_replaced_system_factors_afresh(table1_deck, monkeypatch):
     calls = []
     original = eigensolver._factor
 
-    def spy(block):
+    def spy(block, ordering):
         calls.append(block)
-        return original(block)
+        return original(block, ordering)
 
     monkeypatch.setattr(eigensolver, "_factor", spy)
     doubled = dataclasses.replace(system, a11=2.0 * system.a11)
