@@ -1,4 +1,4 @@
-"""Two-group material data: parameter sets, ellipticity check, condensation.
+"""Two-group material data: parameter sets, ellipticity check, built-in decks.
 
 A GroupConstants instance carries the seven constants of the two-group
 model for one material region. Decks map region tags to a constants and
@@ -6,8 +6,7 @@ boundary-condition pair; two built-in decks cover the homogeneous test
 problems and the quarter-core reactor benchmark.
 
 The ellipticity check evaluates the quadratic form whose negativity makes
-the coupled bilinear form coercive; condensation collapses tabulated
-continuous-energy data onto the two groups by flux-weighted averaging.
+the coupled bilinear form coercive.
 """
 
 from __future__ import annotations
@@ -21,17 +20,12 @@ import numpy as np
 __all__ = [
     "GroupConstants",
     "BoundaryCondition",
-    "EnergyTabulated",
     "EllipticityReport",
-    "CondensationResult",
     "ellipticity_check",
-    "condense_two_group",
     "builtin_deck",
     "validate_for_solve",
     "BUILTIN_DECKS",
 ]
-
-_trapz = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
 
 @dataclass(frozen=True)
@@ -140,104 +134,6 @@ def ellipticity_check(gc, region=None):
         - 4.0 * gc.sigma_a1 * gc.sigma_a2
     )
     return EllipticityReport(elliptic=bool(m < 0), margin=float(m))
-
-
-@dataclass(frozen=True)
-class EnergyTabulated:
-    """Continuous-energy data on an ascending grid, for condensation.
-
-    scatter[i, j] is the differential scattering cross section from
-    energy[i] to energy[j]. The thermal group is [energy[0],
-    energy[group_boundary_index]] and the fast group everything above;
-    the split index must be strictly interior. flux is the weighting
-    spectrum, strictly positive; chi is the fission emission spectrum.
-    """
-
-    energy: np.ndarray
-    sigma_a: np.ndarray
-    diffusion: np.ndarray
-    nu_sigma_f: np.ndarray
-    scatter: np.ndarray
-    chi: np.ndarray
-    flux: np.ndarray
-    group_boundary_index: int
-
-    def __post_init__(self):
-        e = np.asarray(self.energy, dtype=np.float64)
-        M = len(e)
-        if M < 3:
-            raise ValueError("need at least 3 energy grid points")
-        if np.any(np.diff(e) <= 0):
-            raise ValueError("energy grid must be strictly increasing")
-        ib = self.group_boundary_index
-        if not 0 < ib < M - 1:
-            raise ValueError("group boundary must be strictly inside the grid")
-        for name in ("sigma_a", "diffusion", "nu_sigma_f", "chi", "flux"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (M,):
-                raise ValueError(f"{name} must have shape ({M},)")
-            object.__setattr__(self, name, arr)
-        sc = np.asarray(self.scatter, dtype=np.float64)
-        if sc.shape != (M, M):
-            raise ValueError(f"scatter must have shape ({M}, {M})")
-        if np.any(self.flux <= 0):
-            raise ValueError("weighting flux must be strictly positive")
-        object.__setattr__(self, "energy", e)
-        object.__setattr__(self, "scatter", sc)
-
-
-@dataclass(frozen=True)
-class CondensationResult:
-    """Two-group constants plus the quantities the model drops.
-
-    sigma_21 (thermal -> fast up-scattering) is computed for reporting
-    but never assembled; chi_fast / chi_thermal are the group integrals
-    of the fission spectrum (the model assumes chi_fast = 1).
-    """
-
-    constants: GroupConstants
-    sigma_21: float
-    chi_fast: float
-    chi_thermal: float
-
-
-def condense_two_group(tab):
-    """Collapse tabulated data to two-group constants, trapezoid rule.
-
-    Every constant is the flux-weighted group average of its pointwise
-    quantity; the transfer cross sections integrate the scattering kernel
-    over the destination group before averaging over the source group.
-    """
-    e = tab.energy
-    ib = tab.group_boundary_index
-    th = slice(0, ib + 1)  # thermal: low energies
-    fa = slice(ib, len(e))  # fast: high energies
-
-    def gavg(q, s):
-        w = _trapz(tab.flux[s], e[s])
-        if w <= 0:
-            raise ValueError("zero group flux integral")
-        return float(_trapz(q[s] * tab.flux[s], e[s]) / w)
-
-    # destination-group integral of the kernel, per source energy
-    to_thermal = _trapz(tab.scatter[:, th], e[th], axis=1)
-    to_fast = _trapz(tab.scatter[:, fa], e[fa], axis=1)
-
-    gc = GroupConstants(
-        D1=gavg(tab.diffusion, fa),
-        D2=gavg(tab.diffusion, th),
-        sigma_a1=gavg(tab.sigma_a, fa),
-        sigma_a2=gavg(tab.sigma_a, th),
-        sigma_12=gavg(to_thermal, fa),
-        nu_sigma_f1=gavg(tab.nu_sigma_f, fa),
-        nu_sigma_f2=gavg(tab.nu_sigma_f, th),
-    )
-    return CondensationResult(
-        constants=gc,
-        sigma_21=gavg(to_fast, th),
-        chi_fast=float(_trapz(tab.chi[fa], e[fa])),
-        chi_thermal=float(_trapz(tab.chi[th], e[th])),
-    )
 
 
 def _iaea_constants():

@@ -4,7 +4,9 @@ and the packaged quarter-core benchmark."""
 import filecmp
 import gc
 import hashlib
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -802,7 +804,18 @@ def test_solved_system_is_released_before_output(argv, tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# import footprint
+# import footprint and exports
+
+@pytest.mark.parametrize(
+    "name", sorted(info.name for info in pkgutil.iter_modules(critifem.__path__))
+)
+def test_every_export_resolves(name):
+    # a stale __all__ entry breaks `from critifem.<module> import *`
+    module = importlib.import_module(f"critifem.{name}")
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+    exec(f"from critifem.{name} import *", {})
+
 
 def test_import_loads_no_optional_scipy_subpackage():
     # a fresh interpreter, because this one already has scipy loaded

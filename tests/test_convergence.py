@@ -131,6 +131,20 @@ def test_laplacian_modes_disk():
     )
 
 
+def test_disk_modes_match_the_full_bessel_enumeration():
+    # reference: orders 0..100, 100 zeros each, azimuthal modes doubled
+    from scipy.special import jn_zeros
+
+    full = sorted(
+        float(z) ** 2
+        for n in range(101)
+        for z in jn_zeros(n, 100)
+        for _ in range(1 if n == 0 else 2)
+    )
+    for count in range(1, 101):
+        assert laplacian_modes("disk", count) == full[:count]
+
+
 def test_laplacian_modes_lshape():
     got = laplacian_modes("lshape", 5)
     assert got == sorted(got)

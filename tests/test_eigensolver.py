@@ -24,7 +24,12 @@ from critifem.eigensolver import (
 )
 from critifem.app import _spectrum_lines, packaged_mesh_path
 from critifem.fem_space import build_dofmap
-from critifem.materials import GroupConstants, builtin_deck, ellipticity_check
+from critifem.materials import (
+    BoundaryCondition,
+    GroupConstants,
+    builtin_deck,
+    ellipticity_check,
+)
 from critifem.mesh import GENERATORS, generate_unit_cube, generate_unit_square, read_gmsh
 
 
@@ -553,16 +558,25 @@ def test_solution_is_frozen(square16_system):
 # ---------------------------------------------------------------------------
 # the first-m contract against dense QZ
 
-@functools.cache
-def _cube_system(N, k):
-    mesh = generate_unit_cube(N)
-    return assemble(mesh, build_dofmap(mesh, k), builtin_deck("paper-table1"), k)
+def _deck(name):
+    """A built-in deck, or "robin:<alpha>": the paper-table1 constants
+    under a Robin boundary."""
+    if name.startswith("robin:"):
+        gc = builtin_deck("paper-table1")[1][0]
+        return {1: (gc, BoundaryCondition.robin(float(name[len("robin:"):])))}
+    return builtin_deck(name)
 
 
 @functools.cache
-def _qz_finite_eigenvalues(N, k, adjoint):
+def _system(domain, N, k, deck="paper-table1"):
+    mesh = GENERATORS[domain](N)
+    return assemble(mesh, build_dofmap(mesh, k), _deck(deck), k)
+
+
+@functools.cache
+def _qz_finite_eigenvalues(case, adjoint):
     """Finite eigenvalues of (A, B), or (A^T, B^T), by ascending |lambda|."""
-    system = _cube_system(N, k)
+    system = _system(*case)
     A, B = system.A.toarray(), system.B.toarray()
     if adjoint:
         A, B = A.T, B.T
@@ -572,17 +586,35 @@ def _qz_finite_eigenvalues(N, k, adjoint):
     return lams[np.argsort(np.abs(lams), kind="stable")]
 
 
-# The cube's lambda_2 = lambda_3 is an exact double, so m = 2 splits it
-# and m = 3 needs its second copy, which a Krylov space from one vector
-# gets only from rounding: a solver that stops on the m wanted pairs
-# alone returns lambda_4 there. N=2 k=1 has one free DOF, so one finite
-# eigenvalue.
+def _case_id(case):
+    domain, N, k, deck = case
+    name = f"{N}-{k}" if domain == "cube" else f"{domain}-{N}-{k}"
+    return name if deck == "paper-table1" else f"{name}-{deck.replace(':', '')}"
+
+
+# (domain, N, k, deck), each with n <= 343 free DOFs per group
+_QZ_CASES = [
+    *(("cube", N, k, "paper-table1") for k in (1, 2) for N in (2, 3, 4)),
+    ("cube", 2, 3, "paper-table1"),
+    ("square", 8, 2, "paper-table1"),
+    ("lshape", 8, 2, "paper-table1"),
+    ("disk", 4, 2, "paper-table1"),
+    ("disk", 3, 3, "paper-table1"),
+    ("square", 6, 2, "robin:0.5"),
+]
+
+
+# The cube's lambda_2 = lambda_3 is an exact double (as are the square's
+# and the disk's), so m = 2 splits it and m = 3 needs its second copy,
+# which a Krylov space from one vector gets only from rounding: a solver
+# that stops on the m wanted pairs alone returns lambda_4 there. N=2 k=1
+# has one free DOF, so one finite eigenvalue.
 @pytest.mark.parametrize("solve", [solve_primal, solve_adjoint])
-@pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("N, k", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2)])
-def test_first_m_pairs_match_dense_qz(N, k, m, solve):
-    system = _cube_system(N, k)
-    want = _qz_finite_eigenvalues(N, k, solve is solve_adjoint)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", _QZ_CASES, ids=_case_id)
+def test_first_m_pairs_match_dense_qz(case, m, solve):
+    system = _system(*case)
+    want = _qz_finite_eigenvalues(case, solve is solve_adjoint)
     settings = SolverSettings(m=m)
     if len(want) < m:
         with pytest.raises(SolverError, match=f"certified only {len(want)} of {m}"):
@@ -638,7 +670,7 @@ def test_primal_adjoint_pair_factors_once(table1_deck, monkeypatch):
 
 def test_cube_ordering_fills_no_more_than_minimum_degree():
     # L + U entries of both blocks, cube N=12 k=1: about 0.35 M against 0.40 M
-    system = _cube_system(12, 1)
+    system = _system("cube", 12, 1)
     blocks = (system.a11, system.a22)
     dissected = [eigensolver._factor(b, system.ordering).lu for b in blocks]
     minimum_degree = [eigensolver._factor(b, None) for b in blocks]

@@ -1,4 +1,4 @@
-"""Group constants, ellipticity, condensation, and the built-in decks."""
+"""Group constants, ellipticity, and the built-in decks."""
 
 import math
 
@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from critifem.materials import (
     BUILTIN_DECKS,
     BoundaryCondition,
-    EnergyTabulated,
     GroupConstants,
     builtin_deck,
-    condense_two_group,
     ellipticity_check,
     validate_for_solve,
 )
@@ -129,94 +127,6 @@ def test_ellipticity_matches_interval_scan(sa1, sa2, s12):
         grid = np.append(grid, 0.5 * (lo + hi))
     exists = bool(np.any((grid > lo) & (grid < hi)))
     assert ellipticity_check(gc).elliptic == exists
-
-
-# ---------------------------------------------------------------------------
-# condensation
-
-def make_tab(energy, ib, **kw):
-    M = len(energy)
-    fields = dict(
-        sigma_a=np.ones(M), diffusion=np.ones(M), nu_sigma_f=np.ones(M),
-        scatter=np.zeros((M, M)), chi=np.zeros(M), flux=np.ones(M),
-    )
-    fields.update(kw)
-    return EnergyTabulated(energy=np.asarray(energy, dtype=float),
-                           group_boundary_index=ib, **fields)
-
-
-def test_constant_data_condenses_to_itself():
-    tab = make_tab([0.0, 1.0, 2.0, 3.0], 2, sigma_a=np.full(4, 0.7))
-    res = condense_two_group(tab)
-    assert abs(res.constants.sigma_a1 - 0.7) < 1e-15
-    assert abs(res.constants.sigma_a2 - 0.7) < 1e-15
-
-
-def test_linear_data_uniform_weight():
-    # sigma_a(e) = e averaged over the thermal group [0, 1] gives 1/2;
-    # the trapezoid rule is exact for linear data
-    e = np.array([0.0, 0.5, 1.0, 2.0])
-    tab = make_tab(e, 2, sigma_a=e.copy())
-    res = condense_two_group(tab)
-    assert abs(res.constants.sigma_a2 - 0.5) < 1e-15
-    assert abs(res.constants.sigma_a1 - 1.5) < 1e-15
-
-
-def test_fission_spectrum_above_boundary():
-    # chi vanishing on the thermal grid nodes integrates to (0, 1)
-    e = np.array([0.0, 1.0, 2.0, 3.0])
-    chi = np.array([0.0, 0.0, 1.0, 0.0])
-    tab = make_tab(e, 1, chi=chi)
-    res = condense_two_group(tab)
-    assert res.chi_thermal == 0.0
-    assert abs(res.chi_fast - 1.0) < 1e-15
-
-
-def test_scatter_condensation_and_upscatter_reporting():
-    e = np.array([0.0, 1.0, 2.0, 3.0])
-    scatter = np.full((4, 4), 0.25)  # kernel constant in both arguments
-    tab = make_tab(e, 1, scatter=scatter)
-    res = condense_two_group(tab)
-    # from any fast energy, integral over the thermal group [0,1] is 0.25
-    assert abs(res.constants.sigma_12 - 0.25) < 1e-14
-    # up-scattering integrates the kernel over the fast group [1,3]
-    assert abs(res.sigma_21 - 0.5) < 1e-14
-
-
-@given(scale=st.floats(min_value=1e-3, max_value=1e3), seed=st.integers(0, 100))
-@settings(max_examples=40, deadline=None)
-def test_condensation_invariant_under_flux_scaling(scale, seed):
-    rng = np.random.default_rng(seed)
-    e = np.sort(rng.uniform(0.0, 5.0, size=6))
-    e += 0.01 * np.arange(6)  # enforce strict increase
-    flux = rng.uniform(0.5, 2.0, size=6)
-    data = dict(
-        sigma_a=rng.uniform(0.1, 1.0, size=6),
-        diffusion=rng.uniform(0.1, 2.0, size=6),
-        nu_sigma_f=rng.uniform(0.0, 1.0, size=6),
-        scatter=rng.uniform(0.0, 1.0, size=(6, 6)),
-        chi=rng.uniform(0.0, 1.0, size=6),
-    )
-    a = condense_two_group(make_tab(e, 3, flux=flux, **data))
-    b = condense_two_group(make_tab(e, 3, flux=scale * flux, **data))
-    for name in ("D1", "D2", "sigma_a1", "sigma_a2", "sigma_12",
-                 "nu_sigma_f1", "nu_sigma_f2"):
-        va, vb = getattr(a.constants, name), getattr(b.constants, name)
-        assert abs(va - vb) <= 1e-13 * max(1.0, abs(va))
-    assert abs(a.sigma_21 - b.sigma_21) <= 1e-13 * max(1.0, abs(a.sigma_21))
-
-
-def test_tabulated_validation():
-    with pytest.raises(ValueError, match="increasing"):
-        make_tab([0.0, 2.0, 1.0, 3.0], 1)
-    with pytest.raises(ValueError, match="boundary"):
-        make_tab([0.0, 1.0, 2.0], 2)
-    with pytest.raises(ValueError, match="3 energy"):
-        make_tab([0.0, 1.0], 1)
-    with pytest.raises(ValueError, match="flux"):
-        make_tab([0.0, 1.0, 2.0], 1, flux=np.array([1.0, 0.0, 1.0]))
-    with pytest.raises(ValueError, match="scatter"):
-        make_tab([0.0, 1.0, 2.0], 1, scatter=np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
