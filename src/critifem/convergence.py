@@ -95,9 +95,70 @@ _LSHAPE_UNIT_LEG = (
 
 
 # Most modes laplacian_modes lists: the square and cube lists grow with
-# count and the disk computes count zeros of each Bessel order it visits,
-# about 60 ms at this bound (2-CPU Xeon, best of 5).
+# count, and the disk table below stops here.
 _MAX_MODES = 100
+
+# First _MAX_MODES Dirichlet-Laplacian eigenvalues of the unit disk: the
+# squared Bessel zeros j_{n,k}^2 in ascending order, those of order n >= 1
+# twice (the cos and sin modes).  Each literal is repr(float(z) ** 2) for
+# the zero z that SciPy's jn_zeros returns, tabulated so that no run loads
+# the Bessel code; the test test_disk_modes_match_the_full_bessel_enumeration
+# re-derives every value, bit for bit, from jn_zeros.
+_DISK_UNIT_RADIUS = (
+    5.783185962946783,
+    14.681970642123895, 14.681970642123895,
+    26.374616427163392, 26.374616427163392,
+    30.471262343662087,
+    40.70646581820033, 40.70646581820033,
+    49.2184563216946, 49.2184563216946,
+    57.582940903291124, 57.582940903291124,
+    70.84999891909588, 70.84999891909588,
+    74.88700679069518,
+    76.9389283336474, 76.9389283336474,
+    95.27757254403716, 95.27757254403716,
+    98.72627247724941, 98.72627247724941,
+    103.49945389513657, 103.49945389513657,
+    122.42779606492816, 122.42779606492816,
+    122.90760020361625, 122.90760020361625,
+    135.02070886597045, 135.02070886597045,
+    139.04028442645983,
+    149.4528808634265, 149.4528808634265,
+    152.2411535417489, 152.2411535417489,
+    169.39544982609945, 169.39544982609945,
+    177.52076681380464, 177.52076681380464,
+    178.3373412416295, 178.3373412416295,
+    184.66880733916813, 184.66880733916813,
+    206.56981037699245, 206.56981037699245,
+    209.54012012644094, 209.54012012644094,
+    218.92018914566347, 218.92018914566347,
+    219.67000667833864, 219.67000667833864,
+    222.93230361763418,
+    243.04335706046118, 243.04335706046118,
+    246.4954661332502, 246.4954661332502,
+    257.21020099790394, 257.21020099790394,
+    263.2008542550082, 263.2008542550082,
+    271.28165427287337, 271.28165427287337,
+    278.8315508532629, 278.8315508532629,
+    289.1298832956067, 289.1298832956067,
+    297.2596802775586, 297.2596802775586,
+    310.3222598678765, 310.3222598678765,
+    316.89109351651985, 316.89109351651985,
+    322.55511629254477, 322.55511629254477,
+    326.5633529323285,
+    334.43568585488043, 334.43568585488043,
+    339.79258276137705, 339.79258276137705,
+    357.20992262998226, 357.20992262998226,
+    360.2454819197523, 360.2454819197523,
+    376.7253994321673, 376.7253994321673,
+    382.379895031191, 382.379895031191,
+    384.7819051027094, 384.7819051027094,
+    384.7861575775256, 384.7861575775256,
+    399.77725621053963, 399.77725621053963,
+    412.93447426220087, 412.93447426220087,
+    432.2202064608301, 432.2202064608301,
+    432.9332377047204, 432.9332377047204,
+    433.76113639380605, 433.76113639380605,
+)
 
 
 def laplacian_modes(domain, count):
@@ -105,7 +166,8 @@ def laplacian_modes(domain, count):
     ascending with multiplicity; 1 <= count <= _MAX_MODES.
 
     square: pi^2 (m^2 + n^2);  cube: pi^2 (l^2 + m^2 + n^2);
-    disk (unit radius): squared Bessel zeros j_{n,k}^2, double for n >= 1;
+    disk (unit radius): squared Bessel zeros j_{n,k}^2, double for n >= 1,
+    tabulated up to _MAX_MODES;
     lshape: tabulated (only the first five are available).
     """
     if count < 1:
@@ -128,16 +190,7 @@ def laplacian_modes(domain, count):
             for n in range(1, r + 1)
         ]
     elif domain == "disk":
-        from scipy.special import jn_zeros  # reference-only, kept off the import path
-
-        # j_{n,1} grows with n, so the orders stop contributing at the
-        # first one whose smallest zero lies above the count-th value so far
-        vals = []
-        for n in range(count + 1):
-            squares = [float(z) ** 2 for z in jn_zeros(n, count)]
-            if len(vals) >= count and squares[0] > sorted(vals)[count - 1]:
-                break
-            vals.extend(v for v in squares for _ in range(1 if n == 0 else 2))
+        return list(_DISK_UNIT_RADIUS[:count])
     elif domain == "lshape":
         if count > len(_LSHAPE_UNIT_LEG):
             raise ValueError(

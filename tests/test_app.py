@@ -5,6 +5,7 @@ import filecmp
 import gc
 import hashlib
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -61,12 +62,16 @@ def deck_file(tmp_path, **changes):
     return config_file(tmp_path, "[deck]\n" + body, "deck.ini")
 
 
+def tagged_square(path, tags):
+    """Write the eight cells of square N=2, with these region tags, to path."""
+    base = generate_unit_square(2)
+    write_msh(Mesh(2, base.vertices, base.cells, np.array(tags)), path)
+
+
 def six_region_mesh(tmp_path):
     """MSH file of a square whose cells carry region tags 1..6."""
-    base = generate_unit_square(2)
     path = tmp_path / "sixregions.msh"
-    write_msh(Mesh(2, base.vertices, base.cells, np.array([1, 2, 3, 4, 5, 6, 1, 2])),
-              path)
+    tagged_square(path, [1, 2, 3, 4, 5, 6, 1, 2])
     return str(path)
 
 
@@ -428,6 +433,83 @@ def test_oracle_mode_count_is_bounded(domain):
     assert done.stdout == ""
     assert "at most 100 modes" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+# A valid, tiny run of each subcommand (square N=2: one free DOF; the
+# benchmark's mesh carries the iaea-2d deck's five regions), and the
+# values the sweep below gives each of its options in turn; HUGE may size
+# an allocation, so it runs in a child under a memory cap.
+FIVE_REGIONS = [1, 2, 3, 4, 5, 1, 2, 3]
+SWEEP_BASELINE = {
+    "solve": {"domain": "square", "resolutions": "2", "num": "1"},
+    "converge": {"domain": "square", "resolutions": "2,3,4", "num": "1"},
+    "benchmark": {"mesh": "five_regions.msh"},
+    "oracle": {},
+    "check-ellipticity": {},
+}
+BAD_VALUES = ("", "x", "0", "-1", "nan", "inf", "-inf", "1e-300", "1e300")
+HUGE = "99999999999999999999"
+
+
+def with_options(subcommand, options):
+    return command(subcommand) + [
+        f"{app._FLAG_SPELLING.get((subcommand, key), f'--{key}')}={value}"
+        for key, value in options.items()
+    ]
+
+
+def sweep_argvs(subcommand, values):
+    """argv of the subcommand's baseline with one option set to a value,
+    for each option it takes and each of the values."""
+    return [
+        with_options(subcommand, {**SWEEP_BASELINE[subcommand], key: value})
+        for key in app._SUBCOMMANDS[subcommand][1] for value in values
+    ]
+
+
+@pytest.mark.parametrize("subcommand", list(app._SUBCOMMANDS))
+@pytest.mark.filterwarnings("ignore:sigma_a1 = 0")
+def test_every_bad_option_value_exits_with_a_documented_code(
+    subcommand, tmp_path, monkeypatch, capsys
+):
+    # relative --out values land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    tagged_square(tmp_path / "five_regions.msh", FIVE_REGIONS)
+    assert cli(with_options(subcommand, SWEEP_BASELINE[subcommand])) == 0
+    failed = []
+    for argv in sweep_argvs(subcommand, BAD_VALUES):
+        code = cli(argv)
+        captured = capsys.readouterr()
+        if code not in (0, 2, 3) or "Traceback" in captured.out + captured.err:
+            failed.append((argv, code))
+    assert failed == []
+
+
+def test_every_huge_option_value_exits_with_a_documented_code(tmp_path):
+    # A 20-digit integer as a count or a resolution must be refused before
+    # anything of that size is allocated: the cases run in one child capped
+    # at 1 GiB of address space, so a regression fails here instead of
+    # exhausting the machine.
+    tagged_square(tmp_path / "five_regions.msh", FIVE_REGIONS)
+    argvs = [argv for name in app._SUBCOMMANDS for argv in sweep_argvs(name, [HUGE])]
+    code = "\n".join([
+        "import contextlib, json, sys, warnings",
+        "from critifem.app import cli",
+        "warnings.simplefilter('ignore')",
+        "for argv in json.loads(sys.argv[1]):",
+        "    with contextlib.redirect_stdout(sys.stderr):",
+        "        print(cli(argv), flush=True, file=sys.__stdout__)",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+        text=True, cwd=tmp_path, env=fresh_env(), timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    codes = [int(line) for line in done.stdout.split()]
+    assert len(codes) == len(argvs)
+    assert [(argv, c) for argv, c in zip(argvs, codes) if c not in (0, 2, 3)] == []
 
 
 @pytest.mark.parametrize("bc", ["robin:inf", "robin:nan", "robin:1,nan"])
@@ -818,12 +900,18 @@ def test_every_export_resolves(name):
 
 
 def test_import_loads_no_optional_scipy_subpackage():
-    # a fresh interpreter, because this one already has scipy loaded
-    code = (
-        "import sys, critifem.app; "
+    # a fresh interpreter, because this one already has scipy loaded; the
+    # disk references (a bench study's set-up, the oracle) load none either
+    code = "\n".join([
+        "import contextlib, io, sys, critifem.app",
+        "from critifem.convergence import reference_eigenvalues",
+        "from critifem.materials import builtin_deck",
+        "reference_eigenvalues('disk', 5, builtin_deck('paper-table1')[1][0])",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert critifem.app.cli(['oracle', '--domain', 'disk', '--modes', '100']) == 0",
         "print(' '.join(m for m in ('scipy.optimize', 'scipy.special', 'scipy.io') "
-        "if m in sys.modules))"
-    )
+        "if m in sys.modules))",
+    ])
     done = subprocess.run(
         [sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True,
         timeout=120, check=True,

@@ -559,16 +559,20 @@ def test_solution_is_frozen(square16_system):
 # the first-m contract against dense QZ
 
 def _deck(name):
-    """A built-in deck, or "robin:<alpha>": the paper-table1 constants
-    under a Robin boundary."""
+    """A built-in deck; "robin:<alpha>": the paper-table1 constants under a
+    Robin boundary; or "seed:<s>": the bench's deck for seed s."""
     if name.startswith("robin:"):
         gc = builtin_deck("paper-table1")[1][0]
         return {1: (gc, BoundaryCondition.robin(float(name[len("robin:"):])))}
+    if name.startswith("seed:"):
+        return _draw_deck(int(name[len("seed:"):]))
     return builtin_deck(name)
 
 
 @functools.cache
 def _system(domain, N, k, deck="paper-table1"):
+    if domain == "nonsymmetric":  # hand-built: n = N, blocks drawn from the seed
+        return _nonsymmetric_pencil(N, int(deck[len("seed:"):]))
     mesh = GENERATORS[domain](N)
     return assemble(mesh, build_dofmap(mesh, k), _deck(deck), k)
 
@@ -589,10 +593,13 @@ def _qz_finite_eigenvalues(case, adjoint):
 def _case_id(case):
     domain, N, k, deck = case
     name = f"{N}-{k}" if domain == "cube" else f"{domain}-{N}-{k}"
+    if domain == "nonsymmetric":
+        name = f"{domain}-{N}"
     return name if deck == "paper-table1" else f"{name}-{deck.replace(':', '')}"
 
 
-# (domain, N, k, deck), each with n <= 343 free DOFs per group
+# (domain, N, k, deck), each with n <= 343 free DOFs per group; the
+# nonsymmetric pencils (N = n, no k) have genuinely complex pairs
 _QZ_CASES = [
     *(("cube", N, k, "paper-table1") for k in (1, 2) for N in (2, 3, 4)),
     ("cube", 2, 3, "paper-table1"),
@@ -601,7 +608,21 @@ _QZ_CASES = [
     ("disk", 4, 2, "paper-table1"),
     ("disk", 3, 3, "paper-table1"),
     ("square", 6, 2, "robin:0.5"),
+    ("disk", 2, 1, "robin:0.5"),
+    ("disk", 2, 2, "seed:1"),
+    ("cube", 2, 2, "seed:1"),
+    ("cube", 3, 2, "seed:2"),
+    ("nonsymmetric", 12, None, "seed:2"),
+    ("nonsymmetric", 60, None, "seed:60"),
 ]
+
+
+# Open defect: waiting for one pair beyond the m-th does not always give
+# the second copy of a double time to surface. On this case lambda_5 =
+# lambda_6 comes back once and lambda_7 takes the second place. Whether
+# the copy surfaces in time depends on rounding, so another BLAS may pass
+# these; a solver that mends the defect shows them as XPASS.
+_MISSED_COPY = {(("cube", 3, 2, "seed:2"), m, "solve_primal") for m in (6, 7)}
 
 
 # The cube's lambda_2 = lambda_3 is an exact double (as are the square's
@@ -610,9 +631,11 @@ _QZ_CASES = [
 # that stops on the m wanted pairs alone returns lambda_4 there. N=2 k=1
 # has one free DOF, so one finite eigenvalue.
 @pytest.mark.parametrize("solve", [solve_primal, solve_adjoint])
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("case", _QZ_CASES, ids=_case_id)
-def test_first_m_pairs_match_dense_qz(case, m, solve):
+def test_first_m_pairs_match_dense_qz(case, m, solve, request):
+    if (case, m, solve.__name__) in _MISSED_COPY:
+        request.applymarker(pytest.mark.xfail(reason="second copy of a double missed"))
     system = _system(*case)
     want = _qz_finite_eigenvalues(case, solve is solve_adjoint)
     settings = SolverSettings(m=m)
@@ -621,7 +644,15 @@ def test_first_m_pairs_match_dense_qz(case, m, solve):
             solve(system, settings)
         return
     sols = solve(system, settings)
-    np.testing.assert_allclose([sol.lam for sol in sols], want[:m], rtol=1e-8)
+    got = [sol.lam for sol in sols]
+    # the moduli of a conjugate pair differ by rounding, so which of the
+    # two comes first, or alone when m splits the pair, is open: the
+    # moduli must match in order and the values one to one
+    np.testing.assert_allclose(np.abs(got), np.abs(want[:m]), rtol=1e-8)
+    left = list(want)
+    for lam in got:
+        match = left.pop(int(np.argmin(np.abs(np.subtract(left, lam)))))
+        assert abs(lam - match) <= 1e-8 * abs(match)
     for sol in sols:
         assert residual(system, sol) <= 10 * settings.tol
 
