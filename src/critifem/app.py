@@ -24,7 +24,9 @@ build_dofmap, the deck by assemble (solve, converge, benchmark),
 analytic_eigenvalue (oracle) or ellipticity_check (check-ellipticity).
 
 Exit codes: 0 success, 2 configuration error (bad flags, files, deck:
-any ValueError or OSError), 3 solver failure: any SolverError, which
+any ValueError or OSError; an empty flag or config value is refused,
+never read as unset) or out of memory (any MemoryError, printed as
+"error: out of memory: ..."), 3 solver failure: any SolverError, which
 the eigensolver raises when it cannot certify exactly --num pairs (the
 Arnoldi basis reaches its cap, a wanted pair misses certification with
 every eigenvalue in the basis, an empty spectrum, fewer finite
@@ -103,18 +105,35 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config file
 
-# Every CLI option, declared once: its config section and its help text.
-# A subcommand takes an option as a flag and as a config key, or not at all.
+def _ints(text):
+    # comma-separated integers; blank parts are skipped
+    return tuple(int(part) for part in text.split(",") if part.strip())
+
+
+def _parse_bc(text):
+    if text == "dirichlet":
+        return BoundaryCondition.dirichlet()
+    if not text.startswith("robin:"):
+        raise ValueError(f"must be `dirichlet` or `robin:<alpha>`, got {text!r}")
+    alphas = text[len("robin:"):].split(",")
+    if len(alphas) > 2:
+        raise ValueError(f"at most two Robin coefficients, got {text!r}")
+    return BoundaryCondition.robin(*map(float, alphas))
+
+
+# Every CLI option, declared once: its config section, the converter of
+# its text, and its help text. A subcommand takes an option as a flag and
+# as a config key, or not at all.
 _OPTIONS = {
-    "domain": ("run", f"generated mesh: one of {', '.join(DOMAINS)}"),
-    "mesh": ("run", "MSH 2.2 mesh file (benchmark: replaces the packaged one)"),
-    "degree": ("run", "polynomial degree 1..3 (default 1)"),
-    "resolutions": ("run", "generator resolutions, comma-separated (solve: one)"),
-    "num": ("run", "eigenpairs to compute (default 5, benchmark 1)"),
-    "deck": ("run", f"built-in deck: {', '.join(BUILTIN_DECKS)}"),
-    "bc": ("run", "dirichlet or robin:<alpha>, overrides the deck"),
-    "out": ("run", "output directory (default .)"),
-    "tol": ("solver", "eigensolver tolerance"),
+    "domain": ("run", str, f"generated mesh: one of {', '.join(DOMAINS)}"),
+    "mesh": ("run", str, "MSH 2.2 mesh file (benchmark: replaces the packaged one)"),
+    "degree": ("run", int, "polynomial degree 1..3 (default 1)"),
+    "resolutions": ("run", _ints, "generator resolutions, comma-separated (solve: one)"),
+    "num": ("run", int, "eigenpairs to compute (default 5, benchmark 1)"),
+    "deck": ("run", str, f"built-in deck: {', '.join(BUILTIN_DECKS)}"),
+    "bc": ("run", _parse_bc, "dirichlet or robin:<alpha>, overrides the deck"),
+    "out": ("run", str, "output directory (default .)"),
+    "tol": ("solver", float, "eigensolver tolerance"),
 }
 _SUBCOMMANDS = {
     "solve": ("solve one mesh and write eigenfields", (
@@ -133,7 +152,24 @@ _SUBCOMMANDS = {
 _FLAG_SPELLING = {("oracle", "num"): "--modes"}
 # the GroupConstants fields, in declaration order
 _CONSTANT_KEYS = tuple(f.name for f in fields(GroupConstants))
-_DECK_KEYS = {*_CONSTANT_KEYS, "bc"}
+# each deck key and its converter
+_DECK_KEYS = {**dict.fromkeys(_CONSTANT_KEYS, float), "bc": _parse_bc}
+
+
+def _flag(subcommand, key):
+    return _FLAG_SPELLING.get((subcommand, key), f"--{key}")
+
+
+def _convert(convert, text, name):
+    """Convert the text of one option or deck value. An empty text is
+    refused; any failure is a ConfigError that starts with `name`, the
+    flag or the config value's path:line and key."""
+    try:
+        if not text:
+            raise ValueError("empty value")
+        return convert(text)
+    except ValueError as e:
+        raise ConfigError(f"{name}: {e}") from None
 
 
 def parse_config(path, subcommand):
@@ -185,24 +221,6 @@ def parse_config(path, subcommand):
     return sections
 
 
-def _parse_bc(text):
-    if text == "dirichlet":
-        return BoundaryCondition.dirichlet()
-    if text.startswith("robin:"):
-        parts = text[len("robin:"):].split(",")
-        if len(parts) > 2:
-            raise ConfigError(f"bc: at most two Robin coefficients, got {text!r}")
-        try:
-            alphas = [float(p) for p in parts]
-        except ValueError:
-            raise ConfigError(f"bc: bad Robin coefficient in {text!r}") from None
-        try:
-            return BoundaryCondition.robin(*alphas)
-        except ValueError as e:
-            raise ConfigError(f"bc: {e}") from None
-    raise ConfigError(f"bc must be `dirichlet` or `robin:<alpha>`, got {text!r}")
-
-
 def _inline_deck(sections, path):
     """Build a deck from [deck]/[deck.<tag>] sections."""
     deck = {}
@@ -210,20 +228,16 @@ def _inline_deck(sections, path):
         if name != "deck" and not name.startswith("deck."):
             continue
         tag = 1 if name == "deck" else int(name.split(".", 1)[1])
-        kwargs = {}
-        for key in _CONSTANT_KEYS:
-            if key not in body:
-                raise ConfigError(f"{path}: [{name}] is missing {key}")
-            value, ln = body[key]
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{ln}: {key} must be a number, got {value!r}"
-                ) from None
-        bc = _parse_bc(body["bc"][0]) if "bc" in body else BoundaryCondition.dirichlet()
+        values = {
+            key: _convert(_DECK_KEYS[key], text, f"{path}:{ln}: {key}")
+            for key, (text, ln) in body.items()
+        }
+        missing = [key for key in _CONSTANT_KEYS if key not in values]
+        if missing:
+            raise ConfigError(f"{path}: [{name}] is missing {missing[0]}")
+        bc = values.pop("bc", BoundaryCondition.dirichlet())
         try:
-            deck[tag] = (GroupConstants(**kwargs), bc)
+            deck[tag] = (GroupConstants(**values), bc)
         except ValueError as e:
             raise ConfigError(f"{path}: [{name}]: {e}") from None
     return deck or None
@@ -247,72 +261,53 @@ class RunConfig:
     settings: SolverSettings  # settings.m is --num
 
 
-def _to_int(value, name, minimum=None):
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if minimum is not None and n < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {n}")
-    return n
-
-
-def _to_float(value, name):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-
-
 def build_config(ns):
     """Merge CLI flags over the config file and convert the values.
 
-    Ranges (degree, resolutions, domain name) and deck constants are
-    checked by the layers that use them, which raise ValueError.
+    Every value, flag or config key, goes through _convert. Ranges
+    (degree, resolutions, domain name) and deck constants are checked by
+    the layers that use them, which raise ValueError.
     """
     takes = _SUBCOMMANDS[ns.subcommand][1]
     sections = parse_config(ns.config, ns.subcommand) if ns.config else {}
-    flags = vars(ns)
-    given = {
-        **{key: value for name in ("run", "solver")
-           for key, (value, _ln) in sections.get(name, {}).items()},
-        **{key: flags[key] for key in takes if flags[key] is not None},
+    given = {  # option -> (text, the name its errors start with)
+        key: (text, f"{ns.config}:{ln}: {key}")
+        for name in ("run", "solver")
+        for key, (text, ln) in sections.get(name, {}).items()
+    }
+    for key in takes:
+        if (text := getattr(ns, key)) is not None:
+            given[key] = (text, _flag(ns.subcommand, key))
+    opts = {
+        key: _convert(_OPTIONS[key][1], text, name)
+        for key, (text, name) in given.items()
     }
 
-    degree = _to_int(given.get("degree") or 1, "degree")
-    resolutions = tuple(
-        _to_int(p.strip(), "resolutions")
-        for p in str(given.get("resolutions") or "").split(",") if p.strip()
-    )
-    default_num = 1 if ns.subcommand == "benchmark" else 5
-    num = _to_int(given.get("num") or default_num, "num", minimum=1)
+    num = opts.get("num", 1 if ns.subcommand == "benchmark" else 5)
+    if num < 1:
+        raise ConfigError(f"{given['num'][1]}: must be >= 1, got {num}")
 
     deck = deck_label = None
     if "deck" in takes:
-        deck_name = given.get("deck")
-        inline = _inline_deck(sections, ns.config) if ns.config else None
-        if deck_name is not None and inline is not None:
+        inline = _inline_deck(sections, ns.config)
+        if "deck" in opts and inline is not None:
             raise ConfigError(
                 "deck name and inline [deck] sections are mutually exclusive"
             )
         if inline is not None:
             deck, deck_label = inline, "inline"
         else:
-            deck_label = deck_name or "paper-table1"
+            deck_label = opts.get("deck", "paper-table1")
             deck = builtin_deck(deck_label)
-        if given.get("bc") is not None:
-            bc = _parse_bc(given["bc"])
-            deck = {tag: (gc, bc) for tag, (gc, _bc) in deck.items()}
+        if "bc" in opts:
+            deck = {tag: (gc, opts["bc"]) for tag, (gc, _bc) in deck.items()}
 
-    solver_kwargs = {"m": num}
-    if given.get("tol") is not None:
-        solver_kwargs["tol"] = _to_float(given["tol"], "tol")
-    settings = SolverSettings(**solver_kwargs)
-
+    tol = {"tol": opts["tol"]} if "tol" in opts else {}
     return RunConfig(
-        domain=given.get("domain"), mesh_path=given.get("mesh"), degree=degree,
-        resolutions=resolutions, deck=deck, deck_label=deck_label,
-        out_dir=given.get("out") or ".", settings=settings,
+        domain=opts.get("domain"), mesh_path=opts.get("mesh"),
+        degree=opts.get("degree", 1), resolutions=opts.get("resolutions", ()),
+        deck=deck, deck_label=deck_label, out_dir=opts.get("out", "."),
+        settings=SolverSettings(m=num, **tol),
     )
 
 
@@ -546,8 +541,7 @@ def _parser():
         if name == "benchmark":
             sp.add_argument("which", choices=["iaea2d"])
         for key in takes:
-            flag = _FLAG_SPELLING.get((name, key), f"--{key}")
-            sp.add_argument(flag, dest=key, help=_OPTIONS[key][1])
+            sp.add_argument(_flag(name, key), dest=key, help=_OPTIONS[key][2])
         sp.add_argument("--config", help="config file merged under the flags")
     return p
 
@@ -571,6 +565,9 @@ def cli(argv=None):
         return _COMMANDS[ns.subcommand](build_config(ns))
     except (OSError, ValueError) as e:  # ConfigError and MeshFormatError too
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
     except SolverError as e:
         print(f"solver failure: {e}", file=sys.stderr)

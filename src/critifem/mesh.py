@@ -279,13 +279,12 @@ def cell_volumes(mesh):
 
 def mesh_size(mesh):
     """h = max over cells of the cell diameter (largest vertex pair distance)."""
+    i, j = np.triu_indices(mesh.cells.shape[1], 1)  # every vertex pair
     h2 = 0.0
-    verts, cells = mesh.vertices, mesh.cells
-    nloc = cells.shape[1]
-    for i, j in itertools.combinations(range(nloc), 2):
-        d = verts[cells[:, i]] - verts[cells[:, j]]
-        h2 = max(h2, float(np.max(np.einsum("ij,ij->i", d, d))))
-    return float(np.sqrt(h2))
+    for coord in mesh.vertices.T:  # one gather per coordinate: (cells, pairs)
+        x = coord[mesh.cells]
+        h2 = h2 + (x[:, i] - x[:, j]) ** 2
+    return float(np.sqrt(np.max(h2)))
 
 
 def _grid_triangles(N):

@@ -485,6 +485,77 @@ def test_every_bad_option_value_exits_with_a_documented_code(
     assert failed == []
 
 
+def config_text(options):
+    """Config file text that sets these options, each under its section."""
+    sections = {}
+    for key, value in options.items():
+        sections.setdefault(app._OPTIONS[key][0], []).append(f"{key} = {value}")
+    return "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
+                   for name, lines in sections.items())
+
+
+@pytest.mark.parametrize("subcommand", list(app._SUBCOMMANDS))
+def test_every_empty_option_value_exits_two_naming_the_option(
+    subcommand, tmp_path, monkeypatch, capsys
+):
+    # an empty value is refused, never read as "unset", whether it comes
+    # from a flag or from a config key (the baseline then goes in the file
+    # too, so that no flag overrides the empty key)
+    monkeypatch.chdir(tmp_path)
+    tagged_square(tmp_path / "five_regions.msh", FIVE_REGIONS)
+    failed = []
+    for key in app._SUBCOMMANDS[subcommand][1]:
+        options = {**SWEEP_BASELINE[subcommand], key: ""}
+        text = config_text(options)
+        path = config_file(tmp_path, text)
+        line = text.splitlines().index(f"{key} = ") + 1
+        for argv, name in [
+            (with_options(subcommand, options),
+             app._FLAG_SPELLING.get((subcommand, key), f"--{key}")),
+            (command(subcommand) + ["--config", path], f"{path}:{line}: {key}"),
+        ]:
+            code = cli(argv)
+            captured = capsys.readouterr()
+            if (code, captured.out) != (2, "") or captured.err != (
+                f"error: {name}: empty value\n"
+            ):
+                failed.append((argv, code, captured.err))
+    assert failed == []
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("run", "degree", "two"),
+    ("run", "resolutions", "4,x"),
+    ("run", "num", "0"),
+    ("run", "bc", "robin:x"),
+    ("solver", "tol", "fast"),
+])
+def test_bad_config_value_names_its_line(section, key, value, tmp_path, capsys):
+    path = config_file(tmp_path, f"# line 1\n[{section}]\n{key} = {value}\n")
+    resolutions = [] if key == "resolutions" else ["--resolutions", "4"]
+    assert cli(["solve", "--domain", "square", *resolutions,
+                "--out", str(tmp_path), "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: {key}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("domain,n", [("square", "1000000"), ("cube", "3000")])
+def test_out_of_memory_exits_two(domain, n, tmp_path):
+    # the mesh needs terabytes, far beyond the child's 1 GiB of address
+    # space, and the generators set no bound on N: cli reports the
+    # MemoryError like any input error
+    argv = ["solve", "--domain", domain, "--resolutions", n, "--out", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-m", "critifem.app", *argv], capture_output=True, text=True,
+        env=fresh_env(), timeout=120, preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in done.stderr
+
+
 def test_every_huge_option_value_exits_with_a_documented_code(tmp_path):
     # A 20-digit integer as a count or a resolution must be refused before
     # anything of that size is allocated: the cases run in one child capped

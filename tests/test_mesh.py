@@ -220,6 +220,30 @@ def test_mesh_size_values():
     assert abs(mesh_size(generate_unit_cube(4)) - math.sqrt(3) / 4) < 1e-15
 
 
+def loop_mesh_size(mesh):
+    """The per-vertex-pair loop mesh_size replaced, kept as its reference."""
+    h2 = 0.0
+    for i, j in itertools.combinations(range(mesh.cells.shape[1]), 2):
+        d = mesh.vertices[mesh.cells[:, i]] - mesh.vertices[mesh.cells[:, j]]
+        h2 = max(h2, float(np.max(np.einsum("ij,ij->i", d, d))))
+    return float(np.sqrt(h2))
+
+
+@pytest.mark.parametrize("domain,n", [
+    ("square", 1), ("square", 5), ("square", 64), ("lshape", 2), ("lshape", 18),
+    ("disk", 2), ("disk", 5), ("disk", 20), ("cube", 1), ("cube", 5), ("cube", 18),
+    ("packaged", None),
+])
+def test_mesh_size_equals_the_pair_loop(domain, n):
+    if domain == "packaged":
+        ref = importlib.resources.files("critifem") / "data" / "iaea2d_quarter.msh"
+        with importlib.resources.as_file(ref) as path:
+            mesh = read_gmsh(path)
+    else:
+        mesh = generator(domain)(n)
+    assert mesh_size(mesh) == loop_mesh_size(mesh)
+
+
 def test_region_and_boundary_defaults():
     mesh = generate_unit_square(3)
     assert mesh.region_ids().tolist() == [1]
