@@ -303,11 +303,15 @@ def build_config(ns):
             deck = {tag: (gc, opts["bc"]) for tag, (gc, _bc) in deck.items()}
 
     tol = {"tol": opts["tol"]} if "tol" in opts else {}
+    try:
+        settings = SolverSettings(m=num, **tol)
+    except ValueError as e:  # num is checked above, so only tol is out of range
+        raise ConfigError(f"{given['tol'][1]}: {e}") from None
     return RunConfig(
         domain=opts.get("domain"), mesh_path=opts.get("mesh"),
         degree=opts.get("degree", 1), resolutions=opts.get("resolutions", ()),
         deck=deck, deck_label=deck_label, out_dir=opts.get("out", "."),
-        settings=SolverSettings(m=num, **tol),
+        settings=settings,
     )
 
 

@@ -23,9 +23,11 @@ has a slot in it, and a matrix's data is one np.bincount of its local
 entries over those slots; pairs touching a constrained DOF fall into a
 discard slot, so the reduction to free DOFs is part of the pattern. Robin
 facet entries reuse the slots of their owning cells. Matrices are scipy
-CSR throughout, with sorted, duplicate-free indices. Only the five n x n
-blocks are stored; the 2n x 2n A and B are built on request. In 3-D the
-pattern and the DOF coordinates also give the geometric nested
+CSR throughout, with sorted, duplicate-free indices. Seven n x n matrices
+are stored: the five pencil blocks and the plain mass and stiffness. All
+seven hold the same two read-only index arrays (indices, indptr) and a
+data array of their own; the 2n x 2n A and B are built on request. In
+3-D the pattern and the DOF coordinates also give the geometric nested
 dissection order in which the solver factors the diagonal blocks.
 """
 
@@ -54,6 +56,9 @@ class BlockSystem:
     the fast-then-thermal block ordering, built from them on each access
     and never used by the solver. mass and stiffness are the plain scalar
     matrices (coefficient 1) restricted to the free DOFs, used for norms.
+    The seven stored matrices share one CSR pattern: their indices and
+    indptr are the same two read-only arrays, so an in-place edit of one
+    matrix's pattern raises instead of changing the other six.
 
     A solve that has to factor the diagonal blocks leaves its factors on
     the system, and the next solve on the same system (the other half of
@@ -274,8 +279,13 @@ def assemble(mesh, dofmap, deck, k):
         _pair_keys(dofmap.cell_dofs, index, nf), return_inverse=True
     )
     nnz = int(np.searchsorted(keys, nf * nf))
-    indices = keys[:nnz] % nf
-    indptr = np.searchsorted(keys[:nnz], np.arange(nf + 1) * nf)
+    # in the index dtype scipy would choose, so that every matrix takes
+    # these two arrays as they are instead of a private downcast copy;
+    # read-only, so that no block can rewrite the pattern of the others
+    index_dtype = np.int32 if max(nnz, nf) <= np.iinfo(np.int32).max else np.int64
+    indices = (keys[:nnz] % nf).astype(index_dtype)
+    indptr = np.searchsorted(keys[:nnz], np.arange(nf + 1) * nf).astype(index_dtype)
+    indices.flags.writeable = indptr.flags.writeable = False
 
     def fill(slot, local):
         return np.bincount(slot, weights=local.ravel(), minlength=nnz)[:nnz]

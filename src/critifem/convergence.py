@@ -248,12 +248,12 @@ def _profile(h_pow, lam):
 def fit_rate(h, lam):
     """Least-squares fit of the three-parameter refinement model.
 
-    h, lam: matching sequences, at least three pairs, h positive and
-    distinct.  The rate is profiled out: for each candidate rate the
-    remaining two parameters are a linear solve.  The 1-D misfit is
-    searched on a 65-point grid over rates 0.25 to 8, which is zoomed into
-    the bracket around its best point until the bracket is narrower than
-    1e-12, and the full three-parameter problem is then polished by
+    h, lam: matching sequences, at least three pairs, all finite, h
+    positive and distinct.  The rate is profiled out: for each candidate
+    rate the remaining two parameters are a linear solve.  The 1-D misfit
+    is searched on a 65-point grid over rates 0.25 to 8, which is zoomed
+    into the bracket around its best point until the bracket is narrower
+    than 1e-12, and the full three-parameter problem is then polished by
     Gauss-Newton.  Data that is constant to machine precision
     short-circuits to RateFit(lam[0], inf, 0.0, 0.0): already converged,
     nothing to fit.
@@ -264,6 +264,8 @@ def fit_rate(h, lam):
         raise ValueError("h and lam must be 1-D sequences of equal length")
     if h.size < 3:
         raise ValueError("need at least three (h, lambda) pairs to fit three parameters")
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(lam))):
+        raise ValueError("mesh sizes and eigenvalues must be finite")
     if np.any(h <= 0):
         raise ValueError("mesh sizes must be positive")
     if len(set(h.tolist())) != h.size:

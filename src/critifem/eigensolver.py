@@ -76,6 +76,7 @@ without m certified pairs fails too.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +132,8 @@ class SolverError(RuntimeError):
 class SolverSettings:
     """Eigensolver settings.
 
-    m: number of eigenpairs to return (ascending |lambda|).
+    m: number of eigenpairs to return (ascending |lambda|); an integer,
+        not a bool.
     tol: tolerance; accepted pairs must certify a pencil residual below
         10x this value.
     """
@@ -140,6 +142,8 @@ class SolverSettings:
     tol: float = 1e-10
 
     def __post_init__(self):
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -627,16 +627,23 @@ def read_gmsh(path):
 
 
 def _atomic_write(path, lines):
-    """Write the lines, each ended by a newline, to path via temp file + rename."""
+    """Write the lines, each ended by a newline, to path via temp file + rename.
+
+    The temp file is created with mode 0o666, so the process umask sets
+    its permissions as it would for a plain open(path, "w").
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    while True:
+        tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            pass  # another writer's temp file: draw a new name
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines))
             fh.write("\n")
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp defaults to 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

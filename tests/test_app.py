@@ -529,6 +529,7 @@ def test_every_empty_option_value_exits_two_naming_the_option(
     ("run", "num", "0"),
     ("run", "bc", "robin:x"),
     ("solver", "tol", "fast"),
+    ("solver", "tol", "0"),
 ])
 def test_bad_config_value_names_its_line(section, key, value, tmp_path, capsys):
     path = config_file(tmp_path, f"# line 1\n[{section}]\n{key} = {value}\n")
@@ -538,6 +539,15 @@ def test_bad_config_value_names_its_line(section, key, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:3: {key}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand,resolutions", [("solve", "4"), ("converge", "4,8,16")])
+def test_out_of_range_tol_flag_names_the_flag(subcommand, resolutions, tmp_path, capsys):
+    assert cli([subcommand, "--domain", "square", "--resolutions", resolutions,
+                "--tol", "0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --tol: tolerances must be positive and finite\n"
+    )
 
 
 @pytest.mark.parametrize("domain,n", [("square", "1000000"), ("cube", "3000")])

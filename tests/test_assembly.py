@@ -123,6 +123,35 @@ def test_block_pattern(square16_system):
     assert np.max(np.abs(B[n:, :])) == 0.0
 
 
+BLOCKS = ("a11", "a22", "coupling", "f1", "f2", "mass", "stiffness")
+
+
+@pytest.mark.parametrize("make, k, bc", [
+    (lambda: generate_disk(4), 3, BoundaryCondition.dirichlet()),
+    (lambda: generate_unit_square(3), 2, BoundaryCondition.robin(0.3, 0.7)),
+    (lambda: generate_unit_cube(3), 1, BoundaryCondition.dirichlet()),
+], ids=["disk-k3-dirichlet", "square-k2-robin", "cube-k1-dirichlet"])
+def test_blocks_share_one_read_only_pattern(make, k, bc):
+    mesh = make()
+    system = assemble(mesh, build_dofmap(mesh, k), {1: (GC, bc)}, k)
+    blocks = [getattr(system, name) for name in BLOCKS]
+    first = blocks[0]
+    for name, block in zip(BLOCKS, blocks):
+        assert np.shares_memory(block.indices, first.indices), name
+        assert np.shares_memory(block.indptr, first.indptr), name
+        assert not block.indices.flags.writeable, name
+        assert not block.indptr.flags.writeable, name
+        assert block.has_canonical_format, name
+    # the data arrays stay separate
+    for i, block in enumerate(blocks):
+        for other in blocks[i + 1:]:
+            assert not np.shares_memory(block.data, other.data)
+    with pytest.raises(ValueError, match="read-only"):
+        system.a11.indices[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        system.f2.indptr[-1] = 0
+
+
 def test_dirichlet_reduction_counts():
     mesh = generate_unit_square(8)
     dofmap = build_dofmap(mesh, 1)

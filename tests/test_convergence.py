@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import gc
 import math
+import os
+import stat
 import weakref
 
 import numpy as np
@@ -105,6 +107,21 @@ def test_fit_input_validation():
         fit_rate((0.5, 0.25, 0.0), (1.0, 2.0, 3.0))
     with pytest.raises(ValueError, match="equal length"):
         fit_rate((0.5, 0.25, 0.125), (1.0, 2.0))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_rate((0.5, 0.25, 0.125), (1.0, bad, 2.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_rate((0.5, bad, 0.125), (1.0, 1.5, 2.0))
+    # inf in lam used to pass as constant data (np.ptp is inf), and nan
+    # used to reach the least-squares solve
+    with pytest.raises(ValueError, match="must be finite"):
+        fit_rate((0.5, 0.25, 0.125), (math.inf, math.inf, math.inf))
+
+
+def test_run_study_rejects_a_non_integer_m():
+    for m in (2.5, True):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            run_study("square", 1, (2, 3, 4), m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +354,27 @@ def test_csv_line_endings(tmp_path, small_study):
     assert b"\r" not in data
     assert data.endswith(b"\n")
     assert data.count(b"\n") == 1 + 1 + 3 + 4 + len(small_study.notes)
+
+
+def test_csv_mode_follows_the_umask(tmp_path, small_study):
+    old = os.umask(0o027)
+    try:
+        write_csv(small_study, tmp_path / "study.csv")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "study.csv").stat().st_mode) == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["study.csv"]  # no temp file left
+
+
+def test_csv_write_leaves_the_umask_alone(tmp_path, small_study, monkeypatch):
+    # reading the umask means setting it, and a file another thread
+    # creates in between gets the wrong mode
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    write_csv(small_study, tmp_path / "study.csv")
+    assert (tmp_path / "study.csv").read_text().startswith("# convergence study")
 
 
 def test_format_table_alignment(small_study):

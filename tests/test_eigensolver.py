@@ -187,6 +187,11 @@ def test_complex_pair_reported_not_silently_realified():
 def test_settings_validation():
     with pytest.raises(ValueError, match="m must be"):
         SolverSettings(m=0)
+    for m in (2.5, 3.0, True, np.bool_(True), "3", None):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            SolverSettings(m=m)
+    for m in (3, np.int64(3), np.int32(3), np.uint8(3)):
+        assert SolverSettings(m=m).m == 3
     for tol in (0.0, -1e-10, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="tolerances must be positive and finite"):
             SolverSettings(tol=tol)
