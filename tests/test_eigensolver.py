@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from critifem import eigensolver
 from critifem.assembly import BlockSystem, assemble
-from critifem.convergence import reference_eigenvalues, thermal_ratio
+from critifem.convergence import analytic_eigenvalue, reference_eigenvalues, thermal_ratio
 from critifem.eigensolver import (
     EigenSolution,
     SolverError,
@@ -660,6 +660,56 @@ def test_first_m_pairs_match_dense_qz(case, m, solve, request):
         assert abs(lam - match) <= 1e-8 * abs(match)
     for sol in sols:
         assert residual(system, sol) <= 10 * settings.tol
+
+
+# ---------------------------------------------------------------------------
+# the first-m contract against the closed form
+
+@functools.cache
+def _closed_form_eigenvalues(case):
+    """The ten smallest eigenvalues of a single-region Dirichlet system.
+    Every block is a combination of the free-DOF stiffness K and mass M,
+    so each generalized eigenvalue kappa of (K, M), with its multiplicity,
+    gives the pencil eigenvalue analytic_eigenvalue(kappa, gc), in the same
+    order: a symmetric oracle far past the reach of dense QZ."""
+    system = _system(*case)
+    kappa = scipy.linalg.eigh(system.stiffness.toarray(), system.mass.toarray(),
+                              subset_by_index=[0, 9], eigvals_only=True)
+    gc = _deck(case[3])[1][0]
+    return np.array([analytic_eigenvalue(k, gc) for k in kappa])
+
+
+# (domain, N, k, deck), single-region Dirichlet with 64 to 1225 free DOFs
+# per group; the cubes hold exact doubles among their first eight
+_CLOSED_FORM_CASES = [
+    ("cube", 5, 1, "seed:3"),
+    ("cube", 8, 1, "seed:2"),
+    ("cube", 4, 2, "paper-table1"),
+    ("cube", 3, 3, "seed:1"),
+    ("square", 16, 2, "seed:1"),
+    ("square", 12, 3, "seed:5"),
+    ("disk", 8, 2, "seed:4"),
+]
+
+
+# The open defect of _MISSED_COPY: the second copy of lambda_5 = lambda_6
+# is missed and lambda_7 takes its place
+_MISSED_CLOSED_FORM = {
+    (("cube", 5, 1, "seed:3"), 6, "solve_primal"),
+    (("cube", 8, 1, "seed:2"), 6, "solve_adjoint"),
+}
+
+
+@pytest.mark.parametrize("solve", [solve_primal, solve_adjoint])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("case", _CLOSED_FORM_CASES, ids=_case_id)
+def test_first_m_pairs_match_closed_form(case, m, solve, request):
+    if (case, m, solve.__name__) in _MISSED_CLOSED_FORM:
+        request.applymarker(pytest.mark.xfail(reason="second copy of a double missed"))
+    sols = solve(_system(*case), SolverSettings(m=m))
+    got = np.array([sol.lam for sol in sols])
+    assert np.all(got.imag == 0)
+    np.testing.assert_allclose(got.real, _closed_form_eigenvalues(case)[:m], rtol=1e-8)
 
 
 # ---------------------------------------------------------------------------
