@@ -239,7 +239,9 @@ def _inline_deck(sections, path):
         try:
             deck[tag] = (GroupConstants(**values), bc)
         except ValueError as e:
-            raise ConfigError(f"{path}: [{name}]: {e}") from None
+            # the range error starts with the constant's name: point at its line
+            key, reason = str(e).split(" ", 1)
+            raise ConfigError(f"{path}:{body[key][1]}: {key}: {reason}") from None
     return deck or None
 
 

@@ -26,28 +26,34 @@ holds at most one factorization. In 3-D both blocks are factored in the
 geometric nested-dissection order the system carries
 (BlockSystem.ordering) with natural column ordering, where minimum
 degree fills far more; in 2-D SuperLU's minimum degree ordering serves.
-The reordering stays inside the factor: Arnoldi, its start vector and
+The reordering stays inside the factor: Arnoldi, its start vectors and
 the eigenvectors keep the system's own numbering.
 
-Arnoldi is one unrestarted iteration on T' from a fixed start vector,
-orthogonalized by classical Gram-Schmidt run twice against a basis of at
-most min(n, 10 m + 40) vectors. With the thermal half recovered exactly,
-the pencil residual of a pair is |lambda| ||T' z - mu z|| / ||T' z||, so
-the Arnoldi residual of a Ritz pair estimates the certified measure
-itself: |lambda|^2 beta |y_k| for a unit Ritz vector y of the Hessenberg
-matrix and the last subdiagonal entry beta. Every 2 steps the Ritz
-values are checked; once the estimate of each of the first m + 1 pairs
-by |lambda| is below 0.3 x the acceptance level, the first m are
-recovered by one multi-column solve with each block and certified. The
-one extra pair gives the second copy of an exact double time to surface
-from rounding. A pair that misses certification makes the basis grow;
-nothing restarts. When the new direction vanishes to rounding (a
-breakdown: the basis spans an invariant subspace, which holds one copy
-of an exact double) the iteration continues from a fresh vector
-orthogonal to the basis, and accepts only once the basis holds every
-finite eigenvalue. At n vectors the Hessenberg matrix is the whole
-operator, which also covers systems too small for a Krylov method to
-save anything.
+Arnoldi is one unrestarted band-2 (block) iteration on T' (Ruhe, Math.
+Comp. 33, 1979; Saad, Numerical Methods for Large Eigenvalue Problems,
+2011). It starts from two fixed orthonormal vectors, a cosine and a
+seeded random one, because a Krylov space grown from one vector holds
+one copy of an exact double eigenvalue, and the square, disk and cube
+spectra all have them. Step k applies T' to basis vector k - 1 and
+orthogonalizes the image, by classical Gram-Schmidt run twice, against
+the k + 1 vectors so far; T' takes two basis vectors at a time as one
+block, so each factor does one two-column solve. At most
+min(n, 10 m + 40) vectors are applied. After k steps the Rayleigh
+quotient is the leading k x k block H_k of the band Hessenberg matrix.
+With the thermal half recovered exactly, the pencil residual of a pair
+is |lambda| ||T' z - mu z|| / ||T' z||, so the Arnoldi residual of a
+Ritz pair estimates the certified measure itself: |lambda|^2 ||E_k y||
+for a unit Ritz vector y of H_k, where E_k is the two rows below H_k
+(beta |y_k| at width 1). Every 2 steps the Ritz values are checked; once
+the estimate of each of the first m pairs by |lambda| is below 0.3 x the
+acceptance level, they are recovered by one multi-column solve with each
+block and certified. A pair that misses certification makes the basis
+grow; nothing restarts. A new direction that vanishes to rounding
+deflates, and the band narrows to width 1. Once both have deflated the
+basis spans an invariant subspace, which holds every finite eigenvalue
+of multiplicity up to two, and H_k is T' on it: the solve accepts or
+fails there. That also covers a basis that spans the space, and systems
+too small for a Krylov method to save anything.
 
 Conjugate Ritz pairs come back as genuinely complex eigenvalues, which
 the physical problems never produce but the solver must be able to
@@ -67,10 +73,9 @@ pair is never replaced by a higher mode.
 The contract is all or nothing: a solve returns exactly m certified
 pairs or raises SolverError, also when the pencil has fewer than m
 finite eigenvalues (no fission production, no free DOF, or fewer than m
-fast DOFs with fission). The basis holds every finite eigenvalue once it
-spans the space, or once T' maps a fresh vector into it with a zero
-diagonal entry; a shortfall then fails at once. Reaching the basis cap
-without m certified pairs fails too.
+fast DOFs with fission). Once the basis is invariant it holds every
+finite eigenvalue of multiplicity up to two, so a shortfall then fails
+at once. Reaching the basis cap without m certified pairs fails too.
 """
 
 from __future__ import annotations
@@ -105,26 +110,19 @@ _ZERO_MU = 1e-7
 _CHECK_EVERY = 2
 _SAFETY = 0.3
 
-# A new direction shorter than this fraction of ||T'|| is rounding: the
-# basis spans an invariant subspace.
+# A new direction shorter than this fraction of ||T'|| is rounding: it
+# deflates, and the basis grows from the other direction alone.
 _BREAKDOWN = 1e-12
 
 # Wanted eigenvalues all within this relative distance of the real axis
 # are returned real: the one realness rule of the package.
 _REAL = 1e-12
 
-# The first m + _GUARD Ritz pairs by |lambda| must pass the estimate. A
-# Krylov space from one vector holds one copy of an exact multiple
-# eigenvalue; the other copy surfaces from rounding only after the first
-# has converged to rounding level, and waiting for the next pair gives it
-# that time, so a copy is not skipped when the m-th pair splits a double.
-_GUARD = 1
-
 
 class SolverError(RuntimeError):
     """The solve cannot return exactly m certified eigenpairs: the Arnoldi
-    basis reached its cap, a wanted pair fails certification with the
-    whole spectrum in the basis, or the pencil has fewer than m finite
+    basis reached its cap, a wanted pair fails certification in an
+    invariant basis, or the pencil has fewer than m finite
     eigenvalues (none at all without fission or free DOF)."""
 
 
@@ -231,7 +229,8 @@ class _FissionSource:
             self._up = system.f2
 
     def apply(self, z):
-        """T' z (T'* z in adjoint mode) for one real n-vector z."""
+        """T' z (T'* z in adjoint mode) for a real n x k block z, by one
+        k-column solve with each block."""
         x1 = self._lu11.solve(z)
         return self._fast @ x1 + self._up @ self._lu22.solve(self._down @ x1)
 
@@ -356,68 +355,64 @@ def _ritz_pairs(mu, y, first):
 
 
 def _arnoldi(system, source, m, accept):
-    """Unrestarted Arnoldi on T' until the first m pairs by |lambda|
+    """Unrestarted band-2 Arnoldi on T' until the first m pairs by |lambda|
     certify; returns their eigenvalues, vectors [x1; x2] and residuals."""
     n = system.n
-    cap = min(n, 10 * m + 40)  # basis vectors at most
-    basis = np.empty((cap + 1, n))  # orthonormal rows, touched as they fill
-    hess = np.zeros((cap + 1, cap))
-    start = np.cos(0.7 * np.arange(n) + 0.3)  # fixed, generic start vector
-    basis[0] = start / np.linalg.norm(start)
-    fresh = 0  # the last basis vector that is not the image of another
-    broken = False  # whether the basis ever spanned an invariant subspace
+    cap = min(n, 10 * m + 40)  # operator columns at most
+    basis = np.empty((cap + 2, n))  # orthonormal rows, touched as they fill
+    hess = np.zeros((cap + 2, cap))
+    # two fixed, generic start vectors: one for each copy of an exact double
+    start = [np.cos(0.7 * np.arange(n) + 0.3),
+             np.random.default_rng(1).standard_normal(n)]
+    start = np.linalg.qr(np.transpose(start))[0].T  # one vector when n = 1
+    size = len(start)  # basis vectors so far
+    basis[:size] = start
     norm = 0.0  # largest ||T' v|| so far, a lower bound of ||T'||
-    for k in range(1, cap + 1):
-        w = source.apply(basis[k - 1])
-        norm = max(norm, np.linalg.norm(w))
-        hess[:k, k - 1] = _orthogonalize(basis[:k], w)
-        beta = np.linalg.norm(w)
-        broke = beta <= _BREAKDOWN * norm
-        broken |= broke
-        if not broke:
-            hess[k, k - 1] = beta
-            basis[k] = w / beta
-        if broke or k == cap or (k > m and k % _CHECK_EVERY == 0):
-            mu, y = np.linalg.eig(hess[:k, :k])
-            cut = _ZERO_MU * np.abs(mu).max()
-            finite = np.flatnonzero(np.abs(mu) > cut)
-            # The basis holds every finite eigenvalue when it spans the
-            # space, or when T' maps a fresh, generic vector into it with a
-            # zero diagonal entry: T' is then zero off the basis.
-            whole = k == n or (broke and fresh == k - 1 and abs(hess[k - 1, k - 1]) <= cut)
-            if len(finite) < m:
-                if whole:
-                    raise SolverError(f"solver certified only {len(finite)} of {m} pairs")
-            elif whole or not broken:
-                lams = 1.0 / mu[finite]
-                order = finite[np.lexsort((lams.imag, np.abs(lams)))]
-                guard = order[: m + _GUARD]
-                # ||T' z - mu z|| of each unit Ritz vector z; the pencil
-                # residual is about |lambda|^2 times that
-                err = 0.0 if whole else hess[k, k - 1] * np.abs(y[-1, guard])
-                if whole or k == cap or np.all(err <= _SAFETY * accept * np.abs(mu[guard]) ** 2):
-                    lams, vecs = _ritz_pairs(mu, y, order[:m])
-                    vecs = source.vectors(lams, basis[:k].T @ vecs)
-                    res = _pencil_residual(system, lams, vecs, source.adjoint)
-                    # every pair up to the m-th smallest |lambda| must certify
-                    if np.all(res <= accept):
-                        return lams, vecs, res
-                    if whole:
-                        bad = int(np.argmax(res > accept))
-                        raise SolverError(
-                            f"eigenpair {bad + 1} (lambda={lams[bad]:.6g}) misses "
-                            f"certification with residual {res[bad]:.2e}, with every "
-                            "finite eigenvalue in the Arnoldi basis"
-                        )
-        if broke and k < cap:
-            # An invariant subspace reached from one vector holds one copy
-            # of each eigenvalue, so a later copy of an exact multiple can
-            # only come from outside it: continue from a fresh direction,
-            # and accept only once the basis holds every finite eigenvalue.
-            fresh = k
-            vec = np.random.default_rng(k).standard_normal(n)
-            _orthogonalize(basis[:k], vec)
-            basis[k] = vec / np.linalg.norm(vec)
+    k = 0  # basis vectors applied so far
+    while k < cap:
+        # T' on the next two basis vectors as one block: one after a
+        # direction has deflated, or for the last column at an odd cap
+        width = min(size - k, 2, cap - k)
+        for w in np.array(source.apply(basis[k:k + width].T).T):
+            norm = max(norm, np.linalg.norm(w))
+            hess[:size, k] = _orthogonalize(basis[:size], w)
+            beta = np.linalg.norm(w)
+            if beta > _BREAKDOWN * norm:  # else this direction deflates
+                hess[size, k] = beta
+                basis[size] = w / beta
+                size += 1
+            k += 1
+        # With both directions deflated the basis spans an invariant
+        # subspace, which holds every finite eigenvalue of multiplicity up
+        # to two; so does a basis that spans the space.
+        whole = size == k
+        if not (whole or k == cap or (k > m and k % _CHECK_EVERY == 0)):
+            continue
+        mu, y = np.linalg.eig(hess[:k, :k])
+        finite = np.flatnonzero(np.abs(mu) > _ZERO_MU * np.abs(mu).max())
+        if len(finite) < m:
+            if whole:
+                raise SolverError(f"solver certified only {len(finite)} of {m} pairs")
+            continue
+        lams = 1.0 / mu[finite]
+        order = finite[np.lexsort((lams.imag, np.abs(lams)))][:m]
+        # ||T' z - mu z|| of each unit Ritz vector z, which is 0 when the
+        # basis is invariant; the pencil residual is about |lambda|^2 times that
+        err = np.linalg.norm(hess[k:k + 2, :k] @ y[:, order], axis=0)
+        if k == cap or np.all(err <= _SAFETY * accept * np.abs(mu[order]) ** 2):
+            lams, vecs = _ritz_pairs(mu, y, order)
+            vecs = source.vectors(lams, basis[:k].T @ vecs)
+            res = _pencil_residual(system, lams, vecs, source.adjoint)
+            # every pair up to the m-th smallest |lambda| must certify
+            if np.all(res <= accept):
+                return lams, vecs, res
+            if whole:
+                bad = int(np.argmax(res > accept))
+                raise SolverError(
+                    f"eigenpair {bad + 1} (lambda={lams[bad]:.6g}) misses "
+                    f"certification with residual {res[bad]:.2e}, with every "
+                    "finite eigenvalue in the Arnoldi basis"
+                )
     raise SolverError(
         f"Arnoldi basis exhausted: {cap} vectors without {m} certified eigenpairs"
     )
@@ -456,11 +451,15 @@ def solve_primal(system, settings=SolverSettings()):
     Returns exactly settings.m pairs, each certified to 10 * settings.tol.
     Strict: every Ritz pair up to and including the m-th smallest |lambda|
     must certify; a rejected pair in that range makes the Arnoldi basis
-    grow, never a skip to a higher mode. Raises SolverError when the
-    system has no free DOF, when B = 0 (empty spectrum), when the pencil
-    has fewer than m finite eigenvalues, when a wanted pair misses
-    certification with the whole spectrum in the basis, or when the
-    basis reaches its cap of min(n, 10 m + 40) vectors first.
+    grow, never a skip to a higher mode. Arnoldi starts from two fixed
+    vectors, so both copies of an exact double are in the basis from the
+    first step, and it estimates each Ritz residual from the two band rows
+    below the Rayleigh quotient: an eigenvalue of multiplicity up to two
+    comes back with every copy. Raises SolverError when the system has no
+    free DOF, when B = 0 (empty spectrum), when the pencil has fewer than
+    m finite eigenvalues, when a wanted pair misses certification in an
+    invariant basis, or when the basis reaches its cap of
+    min(n, 10 m + 40) applied vectors first.
     """
     return _solve(system, settings, adjoint=False)
 

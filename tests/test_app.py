@@ -541,6 +541,18 @@ def test_bad_config_value_names_its_line(section, key, value, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,value,line", [("D1", "-1", 2), ("nu_sigma_f2", "inf", 8)])
+def test_out_of_range_deck_constant_names_its_line(key, value, line, tmp_path, capsys):
+    # a constant that converts but is out of range is reported in the
+    # form of a conversion error: path:line, key, reason
+    path = deck_file(tmp_path, **{key: value})
+    assert cli(["solve", "--domain", "square", "--resolutions", "4",
+                "--out", str(tmp_path), "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:{line}: {key}: must be finite and >= 0, got {float(value)}\n"
+    )
+
+
 @pytest.mark.parametrize("subcommand,resolutions", [("solve", "4"), ("converge", "4,8,16")])
 def test_out_of_range_tol_flag_names_the_flag(subcommand, resolutions, tmp_path, capsys):
     assert cli([subcommand, "--domain", "square", "--resolutions", resolutions,

@@ -111,12 +111,14 @@ def test_fewer_finite_eigenvalues_than_m_raises(solve):
 
 
 def _count_applies(monkeypatch):
-    """Record the vector of every fission-source operator application."""
+    """Record every column the fission-source operator is applied to: the
+    shape of its block, once per column, so that the count is of columns,
+    not of calls."""
     seen = []
     original = eigensolver._FissionSource.apply
 
     def spy(self, z):
-        seen.append(z.shape)
+        seen.extend([z.shape] * (z.shape[-1] if z.ndim == 2 else 1))
         return original(self, z)
 
     monkeypatch.setattr(eigensolver._FissionSource, "apply", spy)
@@ -127,9 +129,10 @@ def _count_applies(monkeypatch):
 def test_krylov_shortfall_raises_cheaply(solve, monkeypatch):
     # n = 2000 is far above the basis cap; fission on three fast DOFs
     # gives three finite eigenvalues, two of them an exact double. The
-    # basis breaks down, continues from fresh vectors until the operator
-    # maps one into it with a zero diagonal entry, and then fails at
-    # once, after a handful of applies, instead of running to the cap
+    # operator's range is three-dimensional, so both directions of the
+    # band deflate within a few columns; the invariant basis then holds
+    # every finite eigenvalue, and the solve fails at once instead of
+    # running to the cap
     n = 2000
     a11 = sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
     eye = sp.identity(n, format="csr")
@@ -150,7 +153,7 @@ def test_krylov_shortfall_raises_cheaply(solve, monkeypatch):
 
 def test_basis_cap_raises_without_restart(table1_deck, monkeypatch):
     # a tolerance no pair can certify: the basis grows to its cap of
-    # 10 m + 40 vectors, one apply each, and the solve fails there
+    # 10 m + 40 operator columns, two to a block, and the solve fails there
     mesh = generate_unit_square(8)
     system = assemble(mesh, build_dofmap(mesh, 2), table1_deck, 2)
     assert system.n > 50
@@ -158,6 +161,7 @@ def test_basis_cap_raises_without_restart(table1_deck, monkeypatch):
     with pytest.raises(SolverError, match="Arnoldi basis exhausted: 50 vectors without 1 "):
         solve_primal(system, SolverSettings(m=1, tol=1e-30))
     assert len(applies) == 50
+    assert set(applies) == {(system.n, 2)}
 
 
 def test_no_free_dof_raises():
@@ -331,14 +335,15 @@ def test_nonsymmetric_blocks_match_qz(n, seed):
 
 
 def test_arnoldi_iterates_the_fast_flux_operator(monkeypatch):
-    # Arnoldi runs on the n x n fission-source operator, one fast-group
-    # n-vector per application, primal and adjoint alike
+    # Arnoldi runs on the n x n fission-source operator, a block of two
+    # fast-group n-vectors per application, primal and adjoint alike
     system = _nonsymmetric_pencil(60, seed=60)
     applies = _count_applies(monkeypatch)
     solve_primal(system, SolverSettings(m=5))
     solve_adjoint(system, SolverSettings(m=5))
     assert len(applies) >= 2
-    assert set(applies) == {(system.n,)}
+    assert {rows for rows, _ in applies} == {system.n}
+    assert (system.n, 2) in applies
 
 
 def _spy_vectors(monkeypatch, column=None, times=None):
@@ -415,15 +420,15 @@ def _draw_deck(seed):
 def test_cube_seed4_certifies_with_one_basis(monkeypatch):
     # Cube k=1 N=6 with the seed-4 deck: the second copy of its double
     # failed certification in the first restarted ARPACK attempt, which
-    # cost 114 applies over two attempts; one growing basis certifies all
-    # five pairs at the first certification, with 48 applies
+    # cost 114 applies over two attempts; one growing basis from two start
+    # vectors certifies all five pairs at the first certification
     mesh = generate_unit_cube(6)
     system = assemble(mesh, build_dofmap(mesh, 1), _draw_deck(4), 1)
     applies = _count_applies(monkeypatch)
     certifications = _spy_vectors(monkeypatch)
     sols = solve_primal(system, SolverSettings(m=5))
     assert len(certifications) == 1
-    assert len(applies) <= 57  # half of the restarted solve's
+    assert len(applies) <= 57  # columns: half of the restarted solve's
     lams = [sol.lam.real for sol in sols]
     assert lams[1] == pytest.approx(lams[2], rel=1e-12)  # both copies
     assert lams == pytest.approx(
@@ -435,9 +440,10 @@ def test_cube_seed4_certifies_with_one_basis(monkeypatch):
 @pytest.mark.parametrize("domain, degree, m", [("cube", 1, 5), ("disk", 1, 3)])
 def test_breakdown_keeps_both_copies_of_a_double(domain, degree, m, solve,
                                                  table1_deck, monkeypatch):
-    # cube N=3 (n=8) and disk N=2 (n=9): the Krylov space of the start
+    # cube N=3 (n=8) and disk N=2 (n=9): the Krylov space of one start
     # vector is invariant after 6 steps and holds one copy of the exact
-    # double; the fresh vector after the breakdown finds the other
+    # double; the second start vector holds the other, so the basis takes
+    # no vector but the two starts and the operator's images
     mesh = GENERATORS[domain](3 if domain == "cube" else 2)
     system = assemble(mesh, build_dofmap(mesh, degree), table1_deck, degree)
     orthogonalized = []
@@ -450,7 +456,7 @@ def test_breakdown_keeps_both_copies_of_a_double(domain, degree, m, solve,
     applies = _count_applies(monkeypatch)
     monkeypatch.setattr(eigensolver, "_orthogonalize", spy)
     sols = solve(system, SolverSettings(m=m))
-    assert len(orthogonalized) > len(applies)  # a breakdown took a fresh vector
+    assert len(orthogonalized) == len(applies)  # no fresh vector
     A, B = system.A.toarray(), system.B.toarray()
     if solve is solve_adjoint:
         A, B = A.T, B.T
@@ -622,25 +628,17 @@ _QZ_CASES = [
 ]
 
 
-# Open defect: waiting for one pair beyond the m-th does not always give
-# the second copy of a double time to surface. On this case lambda_5 =
-# lambda_6 comes back once and lambda_7 takes the second place. Whether
-# the copy surfaces in time depends on rounding, so another BLAS may pass
-# these; a solver that mends the defect shows them as XPASS.
-_MISSED_COPY = {(("cube", 3, 2, "seed:2"), m, "solve_primal") for m in (6, 7)}
-
-
 # The cube's lambda_2 = lambda_3 is an exact double (as are the square's
 # and the disk's), so m = 2 splits it and m = 3 needs its second copy,
 # which a Krylov space from one vector gets only from rounding: a solver
-# that stops on the m wanted pairs alone returns lambda_4 there. N=2 k=1
-# has one free DOF, so one finite eigenvalue.
+# from one start vector returns lambda_4 there. On cube N=3 k=2 with the
+# seed-2 deck it returned lambda_7 for the second copy of lambda_5 =
+# lambda_6 at m = 6 and 7. N=2 k=1 has one free DOF, so one finite
+# eigenvalue.
 @pytest.mark.parametrize("solve", [solve_primal, solve_adjoint])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("case", _QZ_CASES, ids=_case_id)
-def test_first_m_pairs_match_dense_qz(case, m, solve, request):
-    if (case, m, solve.__name__) in _MISSED_COPY:
-        request.applymarker(pytest.mark.xfail(reason="second copy of a double missed"))
+def test_first_m_pairs_match_dense_qz(case, m, solve):
     system = _system(*case)
     want = _qz_finite_eigenvalues(case, solve is solve_adjoint)
     settings = SolverSettings(m=m)
@@ -680,7 +678,10 @@ def _closed_form_eigenvalues(case):
 
 
 # (domain, N, k, deck), single-region Dirichlet with 64 to 1225 free DOFs
-# per group; the cubes hold exact doubles among their first eight
+# per group; the cubes hold exact doubles among their first eight. On the
+# first two, a solver from one start vector returned lambda_7 for the
+# second copy of lambda_5 = lambda_6 at m = 6, primal and adjoint
+# respectively.
 _CLOSED_FORM_CASES = [
     ("cube", 5, 1, "seed:3"),
     ("cube", 8, 1, "seed:2"),
@@ -692,20 +693,10 @@ _CLOSED_FORM_CASES = [
 ]
 
 
-# The open defect of _MISSED_COPY: the second copy of lambda_5 = lambda_6
-# is missed and lambda_7 takes its place
-_MISSED_CLOSED_FORM = {
-    (("cube", 5, 1, "seed:3"), 6, "solve_primal"),
-    (("cube", 8, 1, "seed:2"), 6, "solve_adjoint"),
-}
-
-
 @pytest.mark.parametrize("solve", [solve_primal, solve_adjoint])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("case", _CLOSED_FORM_CASES, ids=_case_id)
-def test_first_m_pairs_match_closed_form(case, m, solve, request):
-    if (case, m, solve.__name__) in _MISSED_CLOSED_FORM:
-        request.applymarker(pytest.mark.xfail(reason="second copy of a double missed"))
+def test_first_m_pairs_match_closed_form(case, m, solve):
     sols = solve(_system(*case), SolverSettings(m=m))
     got = np.array([sol.lam for sol in sols])
     assert np.all(got.imag == 0)
