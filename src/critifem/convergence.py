@@ -165,7 +165,8 @@ def laplacian_modes(domain, count):
     """First `count` Dirichlet-Laplacian eigenvalues of the domain, sorted
     ascending with multiplicity; 1 <= count <= _MAX_MODES.
 
-    square: pi^2 (m^2 + n^2);  cube: pi^2 (l^2 + m^2 + n^2);
+    square and cube: pi^2 times the sum of squares of 2 or 3 positive
+    integers;
     disk (unit radius): squared Bessel zeros j_{n,k}^2, double for n >= 1,
     tabulated up to _MAX_MODES;
     lshape: tabulated (only the first five are available).
@@ -174,20 +175,12 @@ def laplacian_modes(domain, count):
         raise ValueError("count must be >= 1")
     if count > _MAX_MODES:
         raise ValueError(f"at most {_MAX_MODES} modes are listed, got {count}")
-    if domain == "square":
-        r = int(math.isqrt(2 * count)) + 2
+    if domain in ("square", "cube"):
+        dim = 2 if domain == "square" else 3
+        r = int(round((dim * count) ** (1 / dim))) + 2
         vals = [
-            math.pi**2 * (m * m + n * n)
-            for m in range(1, r + 1)
-            for n in range(1, r + 1)
-        ]
-    elif domain == "cube":
-        r = int(round((3 * count) ** (1 / 3))) + 2
-        vals = [
-            math.pi**2 * (l * l + m * m + n * n)
-            for l in range(1, r + 1)
-            for m in range(1, r + 1)
-            for n in range(1, r + 1)
+            math.pi**2 * sum(i * i for i in ns)
+            for ns in itertools.product(range(1, r + 1), repeat=dim)
         ]
     elif domain == "disk":
         return list(_DISK_UNIT_RADIUS[:count])
@@ -249,14 +242,15 @@ def fit_rate(h, lam):
     """Least-squares fit of the three-parameter refinement model.
 
     h, lam: matching sequences, at least three pairs, all finite, h
-    positive and distinct.  The rate is profiled out: for each candidate
+    positive and distinct.  The rate is profiled out (variable projection,
+    Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973): for each candidate
     rate the remaining two parameters are a linear solve.  The 1-D misfit
     is searched on a 65-point grid over rates 0.25 to 8, which is zoomed
     into the bracket around its best point until the bracket is narrower
-    than 1e-12, and the full three-parameter problem is then polished by
-    Gauss-Newton.  Data that is constant to machine precision
-    short-circuits to RateFit(lam[0], inf, 0.0, 0.0): already converged,
-    nothing to fit.
+    than 1e-12, the rate's floating-point floor; the fit is that rate
+    with the two linear parameters solved at it.  Data that is constant
+    to machine precision short-circuits to RateFit(lam[0], inf, 0.0, 0.0):
+    already converged, nothing to fit.
     """
     h = np.asarray(h, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -273,12 +267,10 @@ def fit_rate(h, lam):
     if np.ptp(lam) <= 1e-14 * max(1.0, float(np.max(np.abs(lam)))):
         return RateFit(float(lam[0]), math.inf, 0.0, 0.0)
 
-    lo, hi = _RATE_BOUNDS
     logh = np.log(h)
-
-    # A single fine grid is not enough: Gauss-Newton stalls when started
-    # from a coarse rate, so the bracket is zoomed to the 1e-12 scale.
-    a, b = lo, hi
+    # No single grid resolves the rate to its floating-point floor, and
+    # the fit stops at this search, so the bracket is zoomed to 1e-12.
+    a, b = _RATE_BOUNDS
     while True:
         rates = np.linspace(a, b, 65)
         i = int(np.argmin(_profile(np.exp(rates[:, None] * logh), lam)[2]))
@@ -287,28 +279,6 @@ def fit_rate(h, lam):
         a, b = rates[max(i - 1, 0)], rates[min(i + 1, 64)]
     rate = float(rates[i])
     extrap, scale, best = (float(v) for v in _profile(np.exp(rate * logh), lam))
-
-    # Gauss-Newton polish of (extrapolated, scale, rate); the grid
-    # search already lands close, so a handful of steps reaches the
-    # floating-point floor.  A step that leaves the bounds or fails to
-    # reduce the misfit is rejected and the loop stops.
-    theta = np.array([extrap, scale, rate])
-    for _ in range(30):
-        hp = np.exp(theta[2] * logh)
-        r = theta[0] + theta[1] * hp - lam
-        J = np.column_stack([np.ones_like(hp), hp, theta[1] * hp * logh])
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        cand = theta + step
-        if not lo <= cand[2] <= hi:
-            break
-        rr = cand[0] + cand[1] * np.exp(cand[2] * logh) - lam
-        ss = float(rr @ rr)
-        if ss >= best * (1 - 1e-15):
-            break
-        theta, best = cand, ss
-        if np.max(np.abs(step)) <= 1e-14 * max(1.0, np.max(np.abs(theta))):
-            break
-    extrap, scale, rate = (float(v) for v in theta)
     return RateFit(extrap, rate, scale, math.sqrt(best / h.size))
 
 

@@ -44,12 +44,13 @@ With the thermal half recovered exactly, the pencil residual of a pair
 is |lambda| ||T' z - mu z|| / ||T' z||, so the Arnoldi residual of a
 Ritz pair estimates the certified measure itself: |lambda|^2 ||E_k y||
 for a unit Ritz vector y of H_k, where E_k is the two rows below H_k
-(beta |y_k| at width 1). Every 2 steps the Ritz values are checked; once
-the estimate of each of the first m pairs by |lambda| is below 0.3 x the
-acceptance level, they are recovered by one multi-column solve with each
-block and certified. A pair that misses certification makes the basis
-grow; nothing restarts. A new direction that vanishes to rounding
-deflates, and the band narrows to width 1. Once both have deflated the
+(beta |y_k| at width 1). Once more than m vectors are applied, the Ritz
+values are checked after every block; once the estimate of each of the
+first m pairs by |lambda| is below 0.3 x the acceptance level, they are
+recovered by one multi-column solve with each block and certified. A
+pair that misses certification makes the basis grow; nothing restarts.
+A new direction that vanishes to rounding deflates, and the band
+narrows to width 1. Once both have deflated the
 basis spans an invariant subspace, which holds every finite eigenvalue
 of multiplicity up to two, and H_k is T' on it: the solve accepts or
 fails there. That also covers a basis that spans the space, and systems
@@ -104,10 +105,8 @@ __all__ = [
 # that.
 _ZERO_MU = 1e-7
 
-# The Ritz values are checked every _CHECK_EVERY steps; the wanted pairs
-# go to certification once their estimated pencil residual is below
-# _SAFETY x the acceptance level.
-_CHECK_EVERY = 2
+# The wanted pairs go to certification once their estimated pencil
+# residual is below _SAFETY x the acceptance level.
 _SAFETY = 0.3
 
 # A new direction shorter than this fraction of ||T'|| is rounding: it
@@ -386,7 +385,7 @@ def _arnoldi(system, source, m, accept):
         # subspace, which holds every finite eigenvalue of multiplicity up
         # to two; so does a basis that spans the space.
         whole = size == k
-        if not (whole or k == cap or (k > m and k % _CHECK_EVERY == 0)):
+        if not (whole or k == cap or k > m):
             continue
         mu, y = np.linalg.eig(hess[:k, :k])
         finite = np.flatnonzero(np.abs(mu) > _ZERO_MU * np.abs(mu).max())

@@ -690,6 +690,20 @@ def test_exit_code_three_fewer_pairs_than_num(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_absolute_certification_limit_on_nine_dofs(tmp_path, capsys):
+    # README: on the 9-DOF square mesh with the quarter-core deck the
+    # absolute certification passes one pair and misses a large second one
+    mesh = str(tmp_path / "square2.msh")
+    write_msh(generate_unit_square(2), mesh)
+    argv = ["benchmark", "iaea2d", "--mesh", mesh, "--out", str(tmp_path)]
+    assert cli(argv + ["--num", "1"]) == 0
+    capsys.readouterr()
+    assert cli(argv + ["--num", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "misses certification" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # solve/converge outputs
 

@@ -55,9 +55,9 @@ def test_fit_recovers_planted_model(rate):
 
 
 def test_fit_reaches_floor_on_planted_models():
-    # A coarse rate start lets Gauss-Newton stall far above the floor on
-    # a few percent of three-point sequences, so this sweep needs the
-    # search to resolve the rate to its final scale.
+    # The fit is the profiled linear solve at the searched rate, so the
+    # misfit reaches the floor only if the search resolves the rate to
+    # its floating-point scale; a zoom stopped early fails this sweep.
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(1000):
