@@ -64,7 +64,6 @@ import itertools
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -86,7 +85,7 @@ from .materials import (
     builtin_deck,
     ellipticity_check,
 )
-from .mesh import _atomic_write, generator, read_gmsh
+from .mesh import _atomic_write, _read_lines, generator, read_gmsh
 
 __all__ = [
     "ConfigError",
@@ -179,7 +178,7 @@ def parse_config(path, subcommand):
     sections = {}
     current = None
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = _read_lines(path, "utf-8", ConfigError)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e.strerror or e}") from e
     for ln, raw in enumerate(lines, 1):

@@ -26,9 +26,13 @@ facet entries reuse the slots of their owning cells. Matrices are scipy
 CSR throughout, with sorted, duplicate-free indices. Seven n x n matrices
 are stored: the five pencil blocks and the plain mass and stiffness. All
 seven hold the same two read-only index arrays (indices, indptr) and a
-data array of their own; the 2n x 2n A and B are built on request. In
-3-D the pattern and the DOF coordinates also give the geometric nested
-dissection order in which the solver factors the diagonal blocks.
+data array of their own; the 2n x 2n A and B are built on request.
+
+In 3-D the free DOFs are numbered in a geometric nested dissection order
+of the pattern and the DOF coordinates, the order in which the solver
+factors the diagonal blocks: the slots of the pattern move to their
+renumbered places by one argsort of the keys, and every matrix is
+assembled in that numbering. In 2-D the free DOFs stay ascending.
 """
 
 from __future__ import annotations
@@ -49,13 +53,14 @@ __all__ = ["BlockSystem", "assemble"]
 class BlockSystem:
     """Reduced pencil blocks plus boundary-condition bookkeeping.
 
-    n is the free scalar DOF count after Dirichlet elimination and n_raw
-    the unreduced count; free_dofs/constrained_dofs are index sets into
-    the raw scalar numbering. The pencil is held only as its five n x n
-    blocks (a11, a22, coupling, f1, f2); A and B are the 2n x 2n pencil in
-    the fast-then-thermal block ordering, built from them on each access
-    and never used by the solver. mass and stiffness are the plain scalar
-    matrices (coefficient 1) restricted to the free DOFs, used for norms.
+    free_dofs/constrained_dofs are index sets into the raw scalar
+    numbering; n, the free scalar DOF count after Dirichlet elimination,
+    and n_raw, the unreduced count, follow from them. The pencil is held
+    only as its five n x n blocks (a11, a22, coupling, f1, f2); A and B
+    are the 2n x 2n pencil in the fast-then-thermal block ordering, built
+    from them on each access and never used by the solver. mass and
+    stiffness are the plain scalar matrices (coefficient 1) restricted to
+    the free DOFs, used for norms.
     The seven stored matrices share one CSR pattern: their indices and
     indptr are the same two read-only arrays, so an in-place edit of one
     matrix's pattern raises instead of changing the other six.
@@ -68,14 +73,14 @@ class BlockSystem:
     solved system only as long as it is needed. dataclasses.replace gives
     a system without factors.
 
-    ordering is the order in which the solver factors both diagonal
-    blocks (they share one pattern), as the free-DOF index of each
-    position: a geometric nested dissection of the free DOFs in 3-D,
-    None in 2-D, where the factorization chooses a minimum degree order.
+    free_dofs gives the raw DOF of each free number, and the blocks are
+    in that numbering. In 3-D it is a geometric nested dissection of the
+    free DOFs and dissected is True, so the solver factors both diagonal
+    blocks (they share one pattern) in the order given. In 2-D free_dofs
+    is ascending, dissected is False, and the factorization chooses a
+    minimum degree order.
     """
 
-    n: int
-    n_raw: int
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     a11: sp.csr_matrix
@@ -85,9 +90,19 @@ class BlockSystem:
     f2: sp.csr_matrix
     free_dofs: np.ndarray
     constrained_dofs: np.ndarray
-    ordering: np.ndarray | None = None
+    dissected: bool = False
     # (lu11, lu22) left by the last solve for the next one; see above
     _factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def n(self):
+        """The free scalar DOF count."""
+        return len(self.free_dofs)
+
+    @property
+    def n_raw(self):
+        """The scalar DOF count before Dirichlet elimination."""
+        return len(self.free_dofs) + len(self.constrained_dofs)
 
     @property
     def A(self):
@@ -163,8 +178,9 @@ def _pair_keys(dofs, index, nf):
 _LEAF = 48
 
 
-def _nested_dissection(coords, indptr, indices):
-    """Geometric nested dissection order of a symmetric CSR pattern.
+def _nested_dissection(coords, rows, cols):
+    """Geometric nested dissection order of a symmetric pattern, given as
+    the row and column of each entry.
 
     Recursive coordinate bisection (George, SIAM J. Numer. Anal. 10, 1973;
     Gilbert, Miller & Teng, SIAM J. Sci. Comput. 19, 1998): a part of more
@@ -179,9 +195,8 @@ def _nested_dissection(coords, indptr, indices):
     Returns p, the old index of each new position.
     """
     n, dim = coords.shape
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    off = rows != indices
-    src, dst = rows[off], indices[off]  # both directions of every edge
+    off = rows != cols
+    src, dst = rows[off], cols[off]  # both directions of every edge
     nodes = np.arange(n)  # the nodes of parts that may still split
     part = np.zeros(n, dtype=np.int64)  # the part of each of them
     digits = []
@@ -279,6 +294,18 @@ def assemble(mesh, dofmap, deck, k):
         _pair_keys(dofmap.cell_dofs, index, nf), return_inverse=True
     )
     nnz = int(np.searchsorted(keys, nf * nf))
+    if mesh.dim == 3:
+        # renumber the free DOFs in nested-dissection order and move every
+        # slot to where its renumbered key sorts
+        rows, cols = np.divmod(keys[:nnz], nf)
+        p = _nested_dissection(_dof_coordinates(mesh, dofmap)[free], rows, cols)
+        index[free[p]] = np.arange(nf)
+        keys = index[free[rows]] * nf + index[free[cols]]
+        free = free[p]
+        order = np.argsort(keys)
+        moved = np.full(nnz + 1, nnz)  # the discard slot stays last
+        moved[order] = np.arange(nnz)
+        keys, cell_slot = keys[order], moved[cell_slot]
     # in the index dtype scipy would choose, so that every matrix takes
     # these two arrays as they are instead of a private downcast copy;
     # read-only, so that no block can rewrite the pattern of the others
@@ -326,27 +353,16 @@ def assemble(mesh, dofmap, deck, k):
         a11 += robin_term("alpha1")
         a22 += robin_term("alpha2")
 
-    a11, a22 = csr(a11), csr(a22)
-    coupling = csr(fill(cell_slot, mass_with(s12)))
-    f1 = csr(fill(cell_slot, mass_with(coef_per_cell("nu_sigma_f1"))))
-    f2 = csr(fill(cell_slot, mass_with(coef_per_cell("nu_sigma_f2"))))
-
-    ordering = None
-    if mesh.dim == 3:
-        coords = _dof_coordinates(mesh, dofmap)[free]
-        ordering = _nested_dissection(coords, indptr, indices)
     return BlockSystem(
-        n=nf,
-        n_raw=n,
         mass=csr(fill(cell_slot, mass_local)),
         stiffness=csr(fill(cell_slot, stiff_local)),
-        a11=a11,
-        a22=a22,
-        coupling=coupling,
-        f1=f1,
-        f2=f2,
+        a11=csr(a11),
+        a22=csr(a22),
+        coupling=csr(fill(cell_slot, mass_with(s12))),
+        f1=csr(fill(cell_slot, mass_with(coef_per_cell("nu_sigma_f1")))),
+        f2=csr(fill(cell_slot, mass_with(coef_per_cell("nu_sigma_f2")))),
         free_dofs=free,
         constrained_dofs=constrained,
-        ordering=ordering,
+        dissected=mesh.dim == 3,
     )
 

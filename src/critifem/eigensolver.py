@@ -22,12 +22,10 @@ eigenvectors and by consecutive solves on one system: the diagonal
 blocks are symmetric, so the factors serve primal and adjoint alike. A
 solve that factors leaves its factors on the system, and the next solve
 there takes them off, so a primal/adjoint pair factors once and a system
-holds at most one factorization. In 3-D both blocks are factored in the
-geometric nested-dissection order the system carries
-(BlockSystem.ordering) with natural column ordering, where minimum
-degree fills far more; in 2-D SuperLU's minimum degree ordering serves.
-The reordering stays inside the factor: Arnoldi, its start vectors and
-the eigenvectors keep the system's own numbering.
+holds at most one factorization. A 3-D system comes numbered in a
+geometric nested-dissection order (BlockSystem.dissected), and both
+blocks are factored in that order as given, where minimum degree fills
+far more; in 2-D SuperLU's minimum degree ordering serves.
 
 Arnoldi is one unrestarted band-2 (block) iteration on T' (Ruhe, Math.
 Comp. 33, 1979; Saad, Numerical Methods for Large Eigenvalue Problems,
@@ -155,7 +153,8 @@ class EigenSolution:
     pair is real, and phi1/phi2 are float arrays then); phi1/phi2 are
     the fast/thermal coefficient vectors over the raw scalar DOFs with
     zeros at Dirichlet-constrained entries, mass-normalized with the
-    first significant component rotated to the positive real axis.
+    first significant component of the raw [phi1; phi2] rotated to the
+    positive real axis.
     residual is ||A x - lam B x||_2 / ||B x||_2 on the reduced pencil.
     """
 
@@ -171,28 +170,11 @@ class EigenSolution:
         return 1.0 / self.lam.real if self.lam.imag == 0 else math.nan
 
 
-def _factor(block, ordering):
-    """Symmetric-mode SuperLU factor of an SPD block: in the given
-    ordering with natural columns, or by minimum degree when ordering is
-    None."""
-    options = dict(SymmetricMode=True)
-    if ordering is None:
-        return spla.splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A", options=options)
-    lu = spla.splu(block[ordering][:, ordering].tocsc(), permc_spec="NATURAL",
-                   options=options)
-    return _Reordered(lu, ordering)
-
-
-class _Reordered:
-    """A factor of block[p][:, p] that solves with the block itself."""
-
-    def __init__(self, lu, ordering):
-        self.lu = lu
-        self._ordering = ordering
-        self._inverse = np.argsort(ordering)
-
-    def solve(self, rhs):
-        return self.lu.solve(rhs[self._ordering])[self._inverse]
+def _factor(block, dissected):
+    """Symmetric-mode SuperLU factor of an SPD block: in the block's own
+    order when the system is dissected, else by minimum degree."""
+    order = "NATURAL" if dissected else "MMD_AT_PLUS_A"
+    return spla.splu(block.tocsc(), permc_spec=order, options=dict(SymmetricMode=True))
 
 
 class _FissionSource:
@@ -207,12 +189,11 @@ class _FissionSource:
 
     Both diagonal blocks are SPD, so _factor factors each by SuperLU in
     symmetric mode with diagonal pivots, which keeps the fill at about
-    half of a general column ordering. The order is the system's
-    geometric nested dissection in 3-D (natural column ordering of the
-    reordered block) and minimum degree on the block's own graph in 2-D.
-    The diagonal blocks are symmetric, so the same factors serve the
-    adjoint (a11^T = a11, a22^T = a22); the coupling and fission blocks
-    are not, and are transposed there.
+    half of a general column ordering. The order is the system's own
+    numbering, a geometric nested dissection, in 3-D and minimum degree
+    on the block's graph in 2-D. The diagonal blocks are symmetric, so the
+    same factors serve the adjoint (a11^T = a11, a22^T = a22); the
+    coupling and fission blocks are not, and are transposed there.
     """
 
     def __init__(self, system, factors, adjoint):
@@ -274,10 +255,12 @@ def _normalize(system, x):
     if nrm == 0:
         raise SolverError("eigenvector has zero mass norm")
     x = x / nrm
-    # rotate the first significant component onto the positive real axis
+    # rotate the first significant component of the raw [phi1; phi2] onto
+    # the positive real axis; the free DOFs need not be in raw order
     mags = np.abs(x)
-    idx = int(np.argmax(mags > 1e-8 * mags.max()))
-    pivot = x[idx]
+    raw = np.concatenate([system.free_dofs, system.n_raw + system.free_dofs])
+    significant = np.flatnonzero(mags > 1e-8 * mags.max())
+    pivot = x[significant[np.argmin(raw[significant])]]
     return x * (pivot.conjugate() / abs(pivot))
 
 
@@ -434,8 +417,7 @@ def _solve(system, settings, adjoint):
     object.__setattr__(system, "_factors", None)
     factored = factors is None
     if factored:
-        order = system.ordering
-        factors = (_factor(system.a11, order), _factor(system.a22, order))
+        factors = tuple(_factor(b, system.dissected) for b in (system.a11, system.a22))
     source = _FissionSource(system, factors, adjoint)
     lams, vecs, res = _arnoldi(system, source, m, 10.0 * settings.tol)
     if factored:

@@ -17,6 +17,7 @@ import itertools
 import os
 import secrets
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -40,11 +41,7 @@ class MeshFormatError(ValueError):
     """Raised for malformed or unsupported mesh files, with a line number."""
 
     def __init__(self, message, path=None, line=None):
-        loc = ""
-        if path is not None:
-            loc = f"{path}:"
-        if line is not None:
-            loc += f"{line}:"
+        loc = "".join(f"{part}:" for part in (path, line) if part is not None)
         super().__init__(f"{loc} {message}" if loc else message)
 
 
@@ -181,6 +178,9 @@ class Mesh:
             raise ValueError("region_tags length must match cell count")
         if cells.size and (cells.min() < 0 or cells.max() >= len(verts)):
             raise ValueError("cell vertex index out of range")
+        bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+        if len(bad):
+            raise ValueError(f"non-finite vertex {bad[0]}: {verts[bad[0]].tolist()}")
         unused = np.flatnonzero(np.bincount(cells.ravel(), minlength=len(verts)) == 0)
         if len(unused):
             raise ValueError(f"vertex {unused[0]} belongs to no cell")
@@ -472,6 +472,21 @@ def _load_rows(lines, dtype):
     return rows, ok
 
 
+def _read_lines(path, encoding, error):
+    """The lines of a text file. A byte that does not decode raises
+    error("<path>:<line>: <message>"), with the 1-based number of the line
+    that holds it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode(encoding).splitlines()
+    except UnicodeDecodeError as e:
+        # the byte is on the last line of the text before it, extended by
+        # one character so that a line break just before it counts
+        line = len((data[: e.start].decode(encoding) + ".").splitlines())
+        message = f"cannot decode byte 0x{data[e.start]:02x} as {encoding}"
+        raise error(f"{path}:{line}: {message}") from None
+
+
 def read_gmsh(path):
     """Read an MSH 2.2 ASCII file into a :class:`Mesh`.
 
@@ -484,8 +499,7 @@ def read_gmsh(path):
     Malformed sections and unsupported element types raise
     :class:`MeshFormatError` with the offending line number.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path, "ascii", MeshFormatError)
 
     def err(msg, ln):
         raise MeshFormatError(msg, path=str(path), line=ln)
@@ -598,7 +612,7 @@ def read_gmsh(path):
         err("file contains no triangles or tetrahedra", ln0 + 1)
     is_cell, is_facet = etype == cell_type, etype == facet_type
 
-    if dim == 2 and np.any(np.abs(xyz[:, 2]) > 1e-12):
+    if dim == 2 and not np.all(np.abs(xyz[:, 2]) <= 1e-12):  # nan is not zero
         raise MeshFormatError("2D mesh has nonzero z coordinates", path=str(path))
 
     # nodes in file order; those that no cell references are dropped

@@ -639,6 +639,54 @@ def test_non_finite_config_tol_exits_two(tol, tmp_path, capsys):
     assert not any(tmp_path.glob("*.vtk"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("make, field, message", [
+    (generate_unit_square, 1, "non-finite vertex 1:"),
+    (generate_unit_cube, 1, "non-finite vertex 1:"),
+    (generate_unit_square, 3, "2D mesh has nonzero z coordinates"),
+], ids=["2d", "3d", "2d-z"])
+def test_non_finite_vertex_exits_two(make, field, message, value, tmp_path, capsys):
+    path = tmp_path / "bad.msh"
+    write_msh(make(2), path)
+    lines = path.read_text().splitlines()
+    node = lines.index("$Nodes") + 3  # the line of the second node
+    fields = lines[node].split()
+    fields[field] = value
+    lines[node] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    code = cli(["solve", "--mesh", str(path), "--num", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_undecodable_mesh_names_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.msh"
+    write_msh(generate_unit_square(2), path)
+    lines = path.read_bytes().split(b"\n")
+    node = lines.index(b"$Nodes") + 2  # the line of the first node
+    lines[node] = lines[node].replace(b" ", " é".encode(), 1)
+    path.write_bytes(b"\n".join(lines))
+    code = cli(["solve", "--mesh", str(path), "--num", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path}:{node + 1}: cannot decode byte 0xc3 as ascii" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_undecodable_config_names_its_line(newline, tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_bytes(newline.join([b"[run]", b"# caf\xe9", b"domain = square", b""]))
+    code = cli(["solve", "--config", str(path), "--resolutions", "4",
+                "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path}:2: cannot decode byte 0xe9 as utf-8" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_three_no_fission(tmp_path, capsys):
     path = config_file(tmp_path, "\n".join([
         "[deck]",

@@ -30,7 +30,13 @@ from critifem.materials import (
     builtin_deck,
     ellipticity_check,
 )
-from critifem.mesh import GENERATORS, generate_unit_cube, generate_unit_square, read_gmsh
+from critifem.mesh import (
+    GENERATORS,
+    Mesh,
+    generate_unit_cube,
+    generate_unit_square,
+    read_gmsh,
+)
 
 
 def make_system(a11, a22, coupling, f1, f2):
@@ -42,8 +48,6 @@ def make_system(a11, a22, coupling, f1, f2):
         for name, mat in (("a22", a22), ("coupling", coupling), ("f1", f1), ("f2", f2))
     }
     return BlockSystem(
-        n=n,
-        n_raw=n,
         mass=sp.csr_matrix(np.eye(n)),
         stiffness=sp.csr_matrix((n, n)),
         a11=sp.csr_matrix(a11),
@@ -139,7 +143,6 @@ def test_krylov_shortfall_raises_cheaply(solve, monkeypatch):
     zero = sp.csr_matrix((n, n))
     f1 = sp.csr_matrix(([1.0, 1.0, 1.0], ([0, 700, 1400], [0, 700, 1400])), shape=(n, n))
     system = BlockSystem(
-        n=n, n_raw=n,
         mass=eye, stiffness=zero, a11=a11, a22=eye, coupling=zero, f1=f1, f2=zero,
         free_dofs=np.arange(n), constrained_dofs=np.array([], dtype=int),
     )
@@ -497,7 +500,7 @@ def test_genuinely_complex_pair_stays_complex_in_the_krylov_path():
     zero = sp.csr_matrix((n, n))
     eye = sp.identity(n, format="csr")
     system = BlockSystem(
-        n=n, n_raw=n, mass=eye, stiffness=zero, a11=a11, a22=eye, coupling=zero,
+        mass=eye, stiffness=zero, a11=a11, a22=eye, coupling=zero,
         f1=f1, f2=zero, free_dofs=np.arange(n), constrained_dofs=np.array([], dtype=int),
     )
     assert n > 10 * 4 + 40
@@ -529,7 +532,7 @@ def test_near_real_complex_pair_is_complex_for_every_consumer(solve):
     zero = sp.csr_matrix((n, n))
     eye = sp.identity(n, format="csr")
     system = BlockSystem(
-        n=n, n_raw=n, mass=eye, stiffness=zero, a11=a11, a22=eye, coupling=zero,
+        mass=eye, stiffness=zero, a11=a11, a22=eye, coupling=zero,
         f1=f1, f2=zero, free_dofs=np.arange(n), constrained_dofs=np.array([], dtype=int),
     )
     sols = solve(system, SolverSettings(m=3))
@@ -718,15 +721,55 @@ def _quarter_core_k1_system():
         return assemble(mesh, build_dofmap(mesh, 1), builtin_deck("iaea-2d"), 1)
 
 
+def _mirrored_cube(N):
+    """The unit cube mesh under x -> 1 - x in every axis: raw vertex 0 sits
+    at the corner (1, 1, 1), and the dissected numbering starts near the
+    opposite one."""
+    mesh = generate_unit_cube(N)
+    return Mesh(3, 1.0 - mesh.vertices, mesh.cells, mesh.region_tags)
+
+
+@pytest.mark.parametrize("solve", [solve_primal, solve_adjoint])
+@pytest.mark.parametrize("domain, N, k, deck", [
+    ("square", 8, 2, "paper-table1"),
+    ("disk", 6, 1, "paper-table1"),
+    ("cube", 6, 1, "paper-table1"),
+    ("cube", 4, 1, "robin:0.5"),
+    ("mirrored-cube", 6, 1, "paper-table1"),
+    ("mirrored-cube", 4, 2, "paper-table1"),
+])
+def test_phase_pivot_is_first_significant_raw_component(domain, N, k, deck, solve):
+    # the phase is fixed in the raw [phi1; phi2] numbering, whatever order
+    # the free DOFs are numbered in; only a simple eigenvalue fixes its
+    # vector up to that phase, and the last one returned may not be simple
+    if domain == "mirrored-cube":
+        mesh = _mirrored_cube(N)
+        system = assemble(mesh, build_dofmap(mesh, k), _deck(deck), k)
+    else:
+        system = _system(domain, N, k, deck)
+    sols = solve(system, SolverSettings(m=8))
+    lams = np.array([sol.lam for sol in sols])
+    checked = 0
+    for i, sol in enumerate(sols[:-1]):
+        if np.sum(np.abs(lams - lams[i]) <= 1e-8 * abs(lams[i])) > 1:
+            continue
+        x = np.concatenate([sol.phi1, sol.phi2])
+        mags = np.abs(x)
+        pivot = x[np.argmax(mags > 1e-8 * mags.max())]
+        assert pivot.imag == 0 and pivot.real > 0, (i, pivot)
+        checked += 1
+    assert checked >= 2
+
+
 def test_primal_adjoint_pair_factors_once(table1_deck, monkeypatch):
     system = _square_k2_system(table1_deck)
     assert system.n > 10 * 3 + 40  # the basis cap is below n
     blocks = []
     original = eigensolver._factor
 
-    def spy(block, ordering):
+    def spy(block, dissected):
         blocks.append(block)
-        return original(block, ordering)
+        return original(block, dissected)
 
     monkeypatch.setattr(eigensolver, "_factor", spy)
     settings = SolverSettings(m=3)
@@ -746,11 +789,13 @@ def test_primal_adjoint_pair_factors_once(table1_deck, monkeypatch):
 
 
 def test_cube_ordering_fills_no_more_than_minimum_degree():
-    # L + U entries of both blocks, cube N=12 k=1: about 0.35 M against 0.40 M
+    # L + U entries of both blocks, cube N=12 k=1, in the assembled
+    # (dissected) order against minimum degree: about 0.35 M against 0.41 M
     system = _system("cube", 12, 1)
+    assert system.dissected
     blocks = (system.a11, system.a22)
-    dissected = [eigensolver._factor(b, system.ordering).lu for b in blocks]
-    minimum_degree = [eigensolver._factor(b, None) for b in blocks]
+    dissected = [eigensolver._factor(b, True) for b in blocks]
+    minimum_degree = [eigensolver._factor(b, False) for b in blocks]
     assert sum(lu.L.nnz + lu.U.nnz for lu in dissected) <= sum(
         lu.L.nnz + lu.U.nnz for lu in minimum_degree)
 
@@ -763,9 +808,9 @@ def test_replaced_system_factors_afresh(table1_deck, monkeypatch):
     calls = []
     original = eigensolver._factor
 
-    def spy(block, ordering):
+    def spy(block, dissected):
         calls.append(block)
-        return original(block, ordering)
+        return original(block, dissected)
 
     monkeypatch.setattr(eigensolver, "_factor", spy)
     doubled = dataclasses.replace(system, a11=2.0 * system.a11)
