@@ -38,11 +38,7 @@ __all__ = [
 
 
 class MeshFormatError(ValueError):
-    """Raised for malformed or unsupported mesh files, with a line number."""
-
-    def __init__(self, message, path=None, line=None):
-        loc = "".join(f"{part}:" for part in (path, line) if part is not None)
-        super().__init__(f"{loc} {message}" if loc else message)
+    """Raised for malformed or unsupported mesh files, as "<path>:<line>: <message>"."""
 
 
 def _all_facets(cells):
@@ -328,15 +324,11 @@ def generate_lshape(N):
     half = N // 2
     keep = np.ones((N, N), dtype=bool)
     keep[half:, half:] = False
-    cells = _grid_triangles(N)[keep].reshape(-1, 3)
-
-    # drop unused grid vertices and renumber
-    used = np.unique(cells)
-    remap = -np.ones((N + 1) * (N + 1), dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    verts = _grid_vertices(N)[used]
-    cells = remap[cells]
-    return Mesh(2, verts, cells, np.ones(len(cells), dtype=np.int64))
+    # drop unused grid vertices and renumber; the inverse's shape varies
+    # between numpy versions
+    used, cells = np.unique(_grid_triangles(N)[keep], return_inverse=True)
+    cells = cells.reshape(-1, 3)
+    return Mesh(2, _grid_vertices(N)[used], cells, np.ones(len(cells), dtype=np.int64))
 
 
 # vertex offsets visited on the path from a cube's origin corner to the
@@ -384,35 +376,23 @@ def generate_disk(N):
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    verts = [(0.0, 0.0)]
-    ring_start = [None]  # index of first vertex of ring j
+    verts, cells = [np.zeros((1, 2))], []
+    inner = np.zeros(1, dtype=np.int64)  # ring 0: the centre
+    sector = np.arange(8)[:, None]
     for j in range(1, N + 1):
-        ring_start.append(len(verts))
         r = j / N
         m = 8 * j
         ang = 2.0 * np.pi * np.arange(m) / m
-        verts.extend(zip(r * np.cos(ang), r * np.sin(ang)))
-    verts = np.array(verts)
-
-    def ring_vid(j, t):
-        if j == 0:
-            return 0
-        return ring_start[j] + (t % (8 * j))
-
-    tris = []
-    for j in range(1, N + 1):
-        for s in range(8):
-            outer = [ring_vid(j, s * j + t) for t in range(j + 1)]
-            inner = [ring_vid(j - 1, s * (j - 1) + t) for t in range(j)]
-            if j == 1:
-                inner = [0]
-                tris.append((outer[0], outer[1], 0))
-                continue
-            for t in range(j):
-                tris.append((outer[t], outer[t + 1], inner[t]))
-            for t in range(j - 1):
-                tris.append((outer[t + 1], inner[t + 1], inner[t]))
-    cells = np.array(tris, dtype=np.int64)
+        verts.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
+        # ring j's vertex ids, the first repeated at the end; sector s spans
+        # its positions s j .. (s+1) j and s (j-1) .. (s+1) (j-1) of ring j-1
+        outer = 1 + 4 * j * (j - 1) + np.arange(m + 1) % m
+        o, i = sector * j + np.arange(j), sector * (j - 1) + np.arange(j)
+        fan = np.stack([outer[o], outer[o + 1], inner[i]], axis=-1)
+        back = np.stack([outer[o[:, 1:]], inner[i[:, 1:]], inner[i[:, :-1]]], axis=-1)
+        cells.append(np.concatenate([fan, back], axis=1).reshape(-1, 3))
+        inner = outer
+    verts, cells = np.concatenate(verts), np.concatenate(cells)
     return Mesh(2, verts, cells, np.ones(len(cells), dtype=np.int64))
 
 
@@ -502,7 +482,7 @@ def read_gmsh(path):
     lines = _read_lines(path, "ascii", MeshFormatError)
 
     def err(msg, ln):
-        raise MeshFormatError(msg, path=str(path), line=ln)
+        raise MeshFormatError(f"{path}:{ln}: {msg}")
 
     sections = {}
     i = 0
@@ -521,45 +501,44 @@ def read_gmsh(path):
         sections[name] = (i + 1, lines[i + 1 : j])
         i = j + 1
 
-    if "$MeshFormat" not in sections:
-        raise MeshFormatError("missing $MeshFormat section", path=str(path), line=1)
-    ln0, body = sections["$MeshFormat"]
+    def section(name):
+        """The header's line number and the body of a section that must exist."""
+        if name not in sections:
+            err(f"missing {name} section", 1)
+        return sections[name]
+
+    def counted(name, what):
+        """The header's line number and the lines that the count line counts."""
+        ln0, body = section(name)
+        try:
+            count = int(body[0])
+        except (IndexError, ValueError):
+            err(f"bad {what} count", ln0 + 1)
+        if len(body) - 1 != count:
+            err(f"expected {count} {what} lines, found {len(body) - 1}", ln0 + 1)
+        return ln0, body[1:]
+
+    ln0, body = section("$MeshFormat")
     if not body or body[0].split()[:2] != ["2.2", "0"]:
         err("unsupported mesh format, need '2.2 0 8'", ln0 + 1)
 
-    if "$Nodes" not in sections:
-        raise MeshFormatError("missing $Nodes section", path=str(path), line=1)
-    ln0, body = sections["$Nodes"]
-    try:
-        nnodes = int(body[0])
-    except (IndexError, ValueError):
-        err("bad node count", ln0 + 1)
-    if len(body) - 1 != nnodes:
-        err(f"expected {nnodes} node lines, found {len(body) - 1}", ln0 + 1)
-    nodes, ok = _load_rows(body[1:], _MSH_NODE_ROW)
+    node_ln0, nlines = counted("$Nodes", "node")
+    nodes, ok = _load_rows(nlines, _MSH_NODE_ROW)
     if not ok.all():
         r = int(np.argmin(ok))
-        err(f"bad node line {body[1 + r]!r}", ln0 + 2 + r)
+        err(f"bad node line {nlines[r]!r}", node_ln0 + 2 + r)
     ids, xyz = nodes["id"], nodes["xyz"]
     order = np.argsort(ids)
     sorted_ids = ids[order]
     if np.any(sorted_ids[1:] == sorted_ids[:-1]):
-        err("duplicate node id", ln0 + 1)
+        err("duplicate node id", node_ln0 + 1)
 
-    if "$Elements" not in sections:
-        raise MeshFormatError("missing $Elements section", path=str(path), line=1)
-    ln0, body = sections["$Elements"]
-    try:
-        nelem = int(body[0])
-    except (IndexError, ValueError):
-        err("bad element count", ln0 + 1)
-    if len(body) - 1 != nelem:
-        err(f"expected {nelem} element lines, found {len(body) - 1}", ln0 + 1)
+    ln0, elines = counted("$Elements", "element")
+    nelem = len(elines)
 
     # every field is an integer: id, type, tag count, tags, node ids. Lines
     # are parsed in groups of equal field count; the node ids, the last nv
     # fields, are stored left-aligned in conn.
-    elines = body[1:]
     nfields = np.fromiter(map(len, map(str.split, elines)), np.int64, count=nelem)
     head = np.zeros((nelem, 3), dtype=np.int64)  # id, type, tag count
     parsed = np.zeros(nelem, dtype=bool)
@@ -585,7 +564,7 @@ def read_gmsh(path):
     bad = ~parsed | (ntags < 0)
     miscount = nfields != 3 + ntags + nv
     pos = np.searchsorted(sorted_ids, conn)
-    found = pos < nnodes
+    found = pos < len(ids)
     found[found] = sorted_ids[pos[found]] == conn[found]
     missing = ~found & (np.arange(4) < nv[:, None])
     failed = bad | (nv == 0) | miscount | missing.any(axis=1)
@@ -612,13 +591,19 @@ def read_gmsh(path):
         err("file contains no triangles or tetrahedra", ln0 + 1)
     is_cell, is_facet = etype == cell_type, etype == facet_type
 
-    if dim == 2 and not np.all(np.abs(xyz[:, 2]) <= 1e-12):  # nan is not zero
-        raise MeshFormatError("2D mesh has nonzero z coordinates", path=str(path))
+    # every node line is checked, used or not; a nan z is not zero
+    flat = np.abs(xyz[:, 2]) <= 1e-12
+    if dim == 2 and not flat.all():
+        err("2D mesh has nonzero z coordinates", node_ln0 + 2 + int(np.argmin(flat)))
+    finite = np.isfinite(xyz[:, :dim]).all(axis=1)
+    if not finite.all():
+        r = int(np.argmin(finite))
+        err(f"non-finite coordinate on node {ids[r]}", node_ln0 + 2 + r)
 
     # nodes in file order; those that no cell references are dropped
     cell_nodes = order[pos[is_cell, : dim + 1]]
     facet_nodes = order[pos[is_facet, :dim]]
-    used = np.zeros(nnodes, dtype=bool)
+    used = np.zeros(len(ids), dtype=bool)
     used[cell_nodes] = True
     stray = ~used[facet_nodes]
     if stray.any():

@@ -641,8 +641,8 @@ def test_non_finite_config_tol_exits_two(tol, tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("make, field, message", [
-    (generate_unit_square, 1, "non-finite vertex 1:"),
-    (generate_unit_cube, 1, "non-finite vertex 1:"),
+    (generate_unit_square, 1, "non-finite coordinate on node 2"),
+    (generate_unit_cube, 1, "non-finite coordinate on node 2"),
     (generate_unit_square, 3, "2D mesh has nonzero z coordinates"),
 ], ids=["2d", "3d", "2d-z"])
 def test_non_finite_vertex_exits_two(make, field, message, value, tmp_path, capsys):
@@ -657,7 +657,7 @@ def test_non_finite_vertex_exits_two(make, field, message, value, tmp_path, caps
     code = cli(["solve", "--mesh", str(path), "--num", "1", "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert message in err
+    assert f"{path}:{node + 1}: {message}" in err
     assert "Traceback" not in err
 
 

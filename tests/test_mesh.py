@@ -157,6 +157,32 @@ def loop_cube(N):
     return np.array(verts), np.array(tets, dtype=np.int64)
 
 
+def loop_disk(N):
+    """Reference concentric-ring disk, one ring, sector and triangle at a time."""
+    verts = [(0.0, 0.0)]
+    ring_start = [None]  # index of the first vertex of ring j
+    for j in range(1, N + 1):
+        ring_start.append(len(verts))
+        r = j / N
+        m = 8 * j
+        ang = 2.0 * np.pi * np.arange(m) / m
+        verts.extend(zip(r * np.cos(ang), r * np.sin(ang)))
+
+    def vid(j, t):
+        return 0 if j == 0 else ring_start[j] + t % (8 * j)
+
+    tris = []
+    for j in range(1, N + 1):
+        for s in range(8):
+            for t in range(j):
+                tris.append((vid(j, s * j + t), vid(j, s * j + t + 1),
+                             vid(j - 1, s * (j - 1) + t)))
+            for t in range(j - 1):
+                tris.append((vid(j, s * j + t + 1), vid(j - 1, s * (j - 1) + t + 1),
+                             vid(j - 1, s * (j - 1) + t)))
+    return np.array(verts), np.array(tris, dtype=np.int64)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_structured_generators_match_loop_reference(N):
     xs = np.linspace(0.0, 1.0, N + 1)
@@ -177,6 +203,15 @@ def test_structured_generators_match_loop_reference(N):
         lshape = generate_lshape(N)
         assert np.array_equal(lshape.vertices, grid[np.unique(tris)])
         assert np.array_equal(lshape.vertices[lshape.cells], grid[tris])
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 20])
+def test_disk_matches_loop_reference(N):
+    verts, tris = loop_disk(N)
+    disk = generate_disk(N)
+    ref = Mesh(2, verts, tris, np.ones(len(tris), dtype=np.int64))
+    assert np.array_equal(disk.vertices, ref.vertices)
+    assert np.array_equal(disk.cells, ref.cells)
 
 
 def test_boundary_cells_own_their_facets():
@@ -435,6 +470,14 @@ def test_roundtrip_multiregion(tmp_path):
     assert back.num_vertices == 4
 
 
+# two triangles on four nodes; node line k (k = 1..4) is file line k + 5
+TWO_TRIANGLES = [
+    "$MeshFormat", "2.2 0 8", "$EndMeshFormat",
+    "$Nodes", "4", "1 0 0 0", "2 1 0 0", "3 1 1 0", "4 0 1 0", "$EndNodes",
+    "$Elements", "2", "1 2 2 1 1 1 2 3", "2 2 2 1 1 1 3 4", "$EndElements",
+]
+
+
 def test_read_drops_nodes_no_cell_uses(tmp_path):
     text = "\n".join([
         "$MeshFormat", "2.2 0 8", "$EndMeshFormat",
@@ -521,17 +564,43 @@ def test_read_error_carries_line_number(tmp_path):
     (13, "2 2 2 1 1 1 3 four"),  # connectivity entry
 ])
 def test_read_non_numeric_field_reports_its_line(tmp_path, line, bad):
-    lines = [
-        "$MeshFormat", "2.2 0 8", "$EndMeshFormat",
-        "$Nodes", "4", "1 0 0 0", "2 1 0 0", "3 1 1 0", "4 0 1 0", "$EndNodes",
-        "$Elements", "2", "1 2 2 1 1 1 2 3", "2 2 2 1 1 1 3 4", "$EndElements",
-    ]
+    lines = list(TWO_TRIANGLES)
     lines[line] = bad
     path = tmp_path / "typo.msh"
     path.write_text("\n".join(lines) + "\n")
     where = rf"typo\.msh:{line + 1}: bad (node|element) line "
     with pytest.raises(MeshFormatError, match=where):
         read_gmsh(path)
+
+
+def edited(start, stop, *new):
+    """An edit of a file's lines: lines[start:stop] replaced by new."""
+    return lambda lines: lines[:start] + list(new) + lines[stop:]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (edited(0, 3), "1: missing $MeshFormat section"),
+    (edited(3, 10), "1: missing $Nodes section"),
+    (edited(10, 15), "1: missing $Elements section"),
+    (edited(4, 5, "four"), "5: bad node count"),
+    (edited(4, 5, "5"), "5: expected 5 node lines, found 4"),
+    (edited(11, 12, "2.0"), "12: bad element count"),
+    (edited(11, 12, "1"), "12: expected 1 element lines, found 2"),
+    (edited(7, 8, "3 1 1 0.5"), "8: 2D mesh has nonzero z coordinates"),
+    (edited(7, 8, "3 1 1 nan"), "8: 2D mesh has nonzero z coordinates"),
+    (edited(7, 8, "3 1 1 inf"), "8: 2D mesh has nonzero z coordinates"),
+    (edited(6, 7, "2 nan 0 0"), "7: non-finite coordinate on node 2"),
+    # node 9 is used by no cell and checked all the same
+    (edited(4, 6, "5", "1 0 0 0", "9 inf 0 0"), "7: non-finite coordinate on node 9"),
+], ids=["no-format", "no-nodes", "no-elements", "node-count", "node-lines",
+        "element-count", "element-lines", "z-0.5", "z-nan", "z-inf", "x-nan",
+        "unused-x-inf"])
+def test_read_message_names_path_and_line(tmp_path, edit, message):
+    path = tmp_path / "cut.msh"
+    path.write_text("\n".join(edit(list(TWO_TRIANGLES))) + "\n")
+    with pytest.raises(MeshFormatError) as info:
+        read_gmsh(path)
+    assert str(info.value) == f"{path}:{message}"
 
 
 def test_read_unclosed_section(tmp_path):
@@ -567,11 +636,7 @@ def test_packaged_quarter_core_matches_its_generator(tmp_path):
     (13, "2 2 -1 3 4"),  # negative tag count
 ])
 def test_read_bad_element_header_reports_its_line(tmp_path, line, bad):
-    lines = [
-        "$MeshFormat", "2.2 0 8", "$EndMeshFormat",
-        "$Nodes", "4", "1 0 0 0", "2 1 0 0", "3 1 1 0", "4 0 1 0", "$EndNodes",
-        "$Elements", "2", "1 2 2 1 1 1 2 3", "2 2 2 1 1 1 3 4", "$EndElements",
-    ]
+    lines = list(TWO_TRIANGLES)
     lines[line] = bad
     path = tmp_path / "typo.msh"
     path.write_text("\n".join(lines) + "\n")
