@@ -302,6 +302,7 @@ def build_config(ns):
             deck = builtin_deck(deck_label)
         if "bc" in opts:
             deck = {tag: (gc, opts["bc"]) for tag, (gc, _bc) in deck.items()}
+            deck_label += f" bc={given['bc'][0]}"
 
     tol = {"tol": opts["tol"]} if "tol" in opts else {}
     try:
@@ -442,6 +443,8 @@ def _load_mesh(cfg):
     if (cfg.mesh_path is None) == (cfg.domain is None):
         raise ConfigError("give exactly one of --mesh and --domain")
     if cfg.mesh_path is not None:
+        if cfg.resolutions:
+            raise ConfigError("--resolutions goes with --domain only, not with --mesh")
         return read_gmsh(cfg.mesh_path)
     if len(cfg.resolutions) != 1:
         raise ConfigError(

@@ -188,54 +188,33 @@ def _nested_dissection(coords, rows, cols):
     separator is the right-half nodes with a neighbour in the left half.
     No edge joins the left half to the rest of the right half, so
     eliminating in post-order (left part, right part, separator) creates
-    no fill between the two halves. The recursion runs level by level on
-    arrays: each level records one digit per node, 0 left, 1 right, 2
-    separator (also for every node placed at an earlier level), and one
-    lexicographic sort of the digits gives the order, ties by index.
-    Returns p, the old index of each new position.
+    no fill between the two halves. A leaf, and a part whose nodes all sit
+    at one point, keeps ascending order, as does each separator. Each call
+    receives only the edges inside its part, so one level of the recursion
+    costs O(edges). Returns p, the old index of each new position.
     """
-    n, dim = coords.shape
-    off = rows != cols
-    src, dst = rows[off], cols[off]  # both directions of every edge
-    nodes = np.arange(n)  # the nodes of parts that may still split
-    part = np.zeros(n, dtype=np.int64)  # the part of each of them
-    digits = []
-    while True:
-        sizes = np.bincount(part[nodes])
-        split = sizes > _LEAF
-        nodes = nodes[split[part[nodes]]]
-        if len(nodes) == 0:
-            break
-        p = (np.cumsum(split) - 1)[part[nodes]]  # parts that split, renumbered
-        parts = int(split.sum())
+    # 0 left, 1 right, 2 separator; each call writes its own part's nodes
+    side = np.zeros(len(coords), dtype=np.int8)
+
+    def dissect(nodes, src, dst):
         x = coords[nodes]
-        lo = np.full((parts, dim), np.inf)
-        hi = np.full((parts, dim), -np.inf)
-        np.minimum.at(lo, p, x)
-        np.maximum.at(hi, p, x)
-        axis = np.argmax(hi - lo, axis=1)
-        x = x[np.arange(len(nodes)), axis[p]]
-        size = sizes[split]
-        median = x[np.lexsort((x, p))[np.cumsum(size) - size + size // 2]]
+        if len(nodes) <= _LEAF or (x == x[0]).all():
+            return nodes
+        x = x[:, np.argmax(x.max(axis=0) - x.min(axis=0))]
+        median = np.partition(x, len(x) // 2)[len(x) // 2]
         # split below the median; when it is the minimum, at and below it
-        at_min = median == lo[np.arange(parts), axis]
-        right = (x > median[p]) | ((x == median[p]) & ~at_min[p])
-        child = np.full(n, -1, dtype=np.int64)
-        child[nodes] = 2 * p + right
-        # a right-half node with a neighbour in the left half of its part
-        cut = (child[src] % 2 == 1) & (child[dst] == child[src] - 1)
-        separator = np.zeros(n, dtype=bool)
-        separator[src[cut]] = True
-        digit = np.full(n, 2, dtype=np.int8)
-        digit[nodes] = right
-        digit[separator] = 2
-        digits.append(digit)
-        nodes = nodes[~separator[nodes]]
-        part[nodes] = child[nodes]
-        keep = (child[src] >= 0) & (child[src] == child[dst])
-        keep &= ~separator[src] & ~separator[dst]
-        src, dst = src[keep], dst[keep]
-    return np.lexsort(digits[::-1]) if digits else np.arange(n)
+        side[nodes] = x > median if median == x.min() else x >= median
+        side[src[(side[src] == 1) & (side[dst] == 0)]] = 2  # the separator
+        on, s, d = side[nodes], side[src], side[dst]
+        left, right = [(s == h) & (d == h) for h in (0, 1)]
+        return np.concatenate([
+            dissect(nodes[on == 0], src[left], dst[left]),
+            dissect(nodes[on == 1], src[right], dst[right]),
+            nodes[on == 2],
+        ])
+
+    off = rows != cols  # both directions of every edge
+    return dissect(np.arange(len(coords)), rows[off], cols[off])
 
 
 def _facet_measure(mesh):

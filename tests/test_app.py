@@ -369,6 +369,24 @@ def test_exit_code_two(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("by_config", [False, True])
+def test_mesh_with_resolutions_exits_two(by_config, tmp_path, capsys):
+    # resolutions size a generated mesh; with a mesh file they are refused,
+    # not ignored, whether given as a flag or as a config key
+    mesh = str(tmp_path / "square.msh")
+    write_msh(generate_unit_square(2), mesh)
+    argv = ["solve", "--mesh", mesh, "--num", "1", "--out", str(tmp_path)]
+    if by_config:
+        argv += ["--config", config_file(tmp_path, "[run]\nresolutions = 99\n")]
+    else:
+        argv += ["--resolutions", "99"]
+    assert cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --resolutions goes with --domain only, not with --mesh\n"
+    assert not any(tmp_path.glob("*.vtk"))
+
+
 def test_error_texts_name_the_checking_layer(tmp_path, capsys):
     cases = [
         (["solve", "--domain", "square", "--resolutions", "4", "--degree", "4"],
@@ -841,6 +859,22 @@ def test_converge_writes_deterministic_csv(tmp_path, capsys):
     assert cli(argv + ["--out", str(tmp_path / "b")]) == 0
     assert filecmp.cmp(csv_a, tmp_path / "b" / "square_k1_study.csv",
                        shallow=False)
+
+
+def test_converge_label_names_the_bc_override(tmp_path, capsys):
+    # a --bc run is not the deck's own study, and its label says so; a run
+    # without --bc keeps the bare deck name
+    argv = ["converge", "--domain", "square", "--resolutions", "2,3,4", "--num", "1",
+            "--out", str(tmp_path)]
+    csv_path = tmp_path / "square_k1_study.csv"
+    for extra, label in [(["--bc", "robin:0.5"], "deck=paper-table1 bc=robin:0.5"),
+                         ([], "deck=paper-table1")]:
+        assert cli(argv + extra) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == f"domain=square degree=1 {label}"
+        assert csv_path.read_text().splitlines()[0] == (
+            f"# convergence study: domain=square degree=1 {label}"
+        )
 
 
 def test_oracle_prints_references(capsys):

@@ -2,12 +2,17 @@
 oracle for the bilinear forms, block pattern, and boundary handling."""
 
 import hashlib
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import critifem
 from critifem.app import packaged_mesh_path
 from critifem.assembly import assemble
 from critifem.fem_space import _dof_coordinates, build_dofmap, build_reference, quadrature
@@ -478,10 +483,19 @@ def _recursive_dissection(coords, indptr, indices, nodes):
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "robin"])
-@pytest.mark.parametrize("k, N", [(1, 6), (2, 4), (3, 3)])
-def test_cube_ordering_dissects_the_free_dofs(k, N, bc):
+@pytest.mark.parametrize("k, N, jitter", [
+    (1, 6, 0.0), (2, 4, 0.0), (3, 3, 0.0), (1, 12, 0.0),
+    (2, 6, 1e-2),  # every vertex moved: no two DOFs share a coordinate
+], ids=["1-6", "2-4", "3-3", "1-12", "2-6-jittered"])
+def test_cube_ordering_dissects_the_free_dofs(k, N, jitter, bc):
     # Robin boundary DOFs are free, so they are ordered too
     mesh = generate_unit_cube(N)
+    if jitter:
+        moved = mesh.vertices + np.random.default_rng(3).uniform(
+            -jitter, jitter, mesh.vertices.shape)
+        mesh = Mesh(3, moved, mesh.cells, mesh.region_tags)
+        # no cell was turned inside out, so none was reoriented
+        np.testing.assert_array_equal(mesh.cells, generate_unit_cube(N).cells)
     dofmap = build_dofmap(mesh, k)
     bcs = {"dirichlet": BoundaryCondition.dirichlet(), "robin": ROBIN0}
     system = assemble(mesh, dofmap, {1: (GC, bcs[bc])}, k)
@@ -496,6 +510,24 @@ def test_cube_ordering_dissects_the_free_dofs(k, N, bc):
     coords = _dof_coordinates(mesh, dofmap)[free]
     want = _recursive_dissection(coords, a.indptr, a.indices, np.arange(system.n))
     np.testing.assert_array_equal(system.free_dofs, free[want])
+
+
+def test_part_at_one_point_is_a_leaf():
+    # 60 nodes at one point have no median that splits them, so the part
+    # ends as a leaf; a child process, capped at 1 GiB of address space,
+    # turns a dissection that never ends into a failed test instead of a
+    # hung suite
+    code = ("import numpy as np; from critifem.assembly import _nested_dissection; "
+            "none = np.zeros(0, dtype=np.int64); "
+            "print(_nested_dissection(np.zeros((60, 3)), none, none).tolist())")
+    src = os.path.dirname(os.path.dirname(critifem.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{list(range(60))}\n"
 
 
 @pytest.mark.filterwarnings("ignore:sigma_a1 = 0")
