@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fem_space import _dof_coordinates, build_reference, quadrature
+from .fem_space import _dof_coordinates, quadrature, tabulate
 from .materials import validate_for_solve
 from .mesh import _jacobians
 
@@ -152,9 +152,8 @@ def _element_tables(dim, k):
     mass table is that of the boundary facets, scaled by the facet
     measure.
     """
-    ref = build_reference(dim, k)
     quad = quadrature(dim, 2 * k)
-    vals, grads = ref.tabulate(quad.points_ref)
+    vals, grads = tabulate(dim, k, quad.points_ref)
     w = quad.weights
     mass_ref = np.einsum("q,iq,jq->ij", w, vals, vals)
     stiff_ref = np.einsum("q,iqd,jqf->dfij", w, grads, grads)

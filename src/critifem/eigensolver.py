@@ -27,17 +27,19 @@ geometric nested-dissection order (BlockSystem.dissected), and both
 blocks are factored in that order as given, where minimum degree fills
 far more; in 2-D SuperLU's minimum degree ordering serves.
 
-Arnoldi is one unrestarted band-2 (block) iteration on T' (Ruhe, Math.
+Arnoldi is one unrestarted band (block) iteration on T' (Ruhe, Math.
 Comp. 33, 1979; Saad, Numerical Methods for Large Eigenvalue Problems,
-2011). It starts from two fixed orthonormal vectors, a cosine and a
-seeded random one, because a Krylov space grown from one vector holds
+2011). It starts from min(m, 2) fixed orthonormal vectors, a cosine and
+a seeded random one, because a Krylov space grown from one vector holds
 one copy of an exact double eigenvalue, and the square, disk and cube
-spectra all have them. Step k applies T' to basis vector k - 1 and
-orthogonalizes the image, by classical Gram-Schmidt run twice, against
-the k + 1 vectors so far; T' takes two basis vectors at a time as one
-block, so each factor does one two-column solve. At most
-min(n, 10 m + 40) vectors are applied. After k steps the Rayleigh
-quotient is the leading k x k block H_k of the band Hessenberg matrix.
+spectra all have them; at m = 1 one copy is all that is wanted, and the
+cosine alone starts a band-1 iteration. Step k applies T' to basis
+vector k - 1 and orthogonalizes the image, by classical Gram-Schmidt run
+twice, against the vectors so far; T' takes as many basis vectors at a
+time as the band is wide, as one block, so each factor does one solve
+per block. At most min(n, 10 m + 40) vectors are applied. After k steps
+the Rayleigh quotient is the leading k x k block H_k of the band
+Hessenberg matrix.
 With the thermal half recovered exactly, the pencil residual of a pair
 is |lambda| ||T' z - mu z|| / ||T' z||, so the Arnoldi residual of a
 Ritz pair estimates the certified measure itself: |lambda|^2 ||E_k y||
@@ -48,11 +50,11 @@ first m pairs by |lambda| is below 0.3 x the acceptance level, they are
 recovered by one multi-column solve with each block and certified. A
 pair that misses certification makes the basis grow; nothing restarts.
 A new direction that vanishes to rounding deflates, and the band
-narrows to width 1. Once both have deflated the
-basis spans an invariant subspace, which holds every finite eigenvalue
-of multiplicity up to two, and H_k is T' on it: the solve accepts or
-fails there. That also covers a basis that spans the space, and systems
-too small for a Krylov method to save anything.
+narrows by one. Once every direction has deflated the basis spans an
+invariant subspace, which holds min(m, 2) copies of every finite
+eigenvalue of multiplicity up to two, and H_k is T' on it: the solve
+accepts or fails there. That also covers a basis that spans the space,
+and systems too small for a Krylov method to save anything.
 
 Conjugate Ritz pairs come back as genuinely complex eigenvalues, which
 the physical problems never produce but the solver must be able to
@@ -73,8 +75,9 @@ The contract is all or nothing: a solve returns exactly m certified
 pairs or raises SolverError, also when the pencil has fewer than m
 finite eigenvalues (no fission production, no free DOF, or fewer than m
 fast DOFs with fission). Once the basis is invariant it holds every
-finite eigenvalue of multiplicity up to two, so a shortfall then fails
-at once. Reaching the basis cap without m certified pairs fails too.
+finite eigenvalue as often as the first m pairs can need it, up to
+twice, so a shortfall then fails at once. Reaching the basis cap without
+m certified pairs fails too.
 """
 
 from __future__ import annotations
@@ -337,23 +340,24 @@ def _ritz_pairs(mu, y, first):
 
 
 def _arnoldi(system, source, m, accept):
-    """Unrestarted band-2 Arnoldi on T' until the first m pairs by |lambda|
+    """Unrestarted band Arnoldi on T' until the first m pairs by |lambda|
     certify; returns their eigenvalues, vectors [x1; x2] and residuals."""
     n = system.n
     cap = min(n, 10 * m + 40)  # operator columns at most
     basis = np.empty((cap + 2, n))  # orthonormal rows, touched as they fill
     hess = np.zeros((cap + 2, cap))
-    # two fixed, generic start vectors: one for each copy of an exact double
+    # two fixed, generic start vectors: one for each copy of an exact
+    # double; one when m = 1, where one copy is all that is wanted
     start = [np.cos(0.7 * np.arange(n) + 0.3),
-             np.random.default_rng(1).standard_normal(n)]
+             np.random.default_rng(1).standard_normal(n)][:m]
     start = np.linalg.qr(np.transpose(start))[0].T  # one vector when n = 1
     size = len(start)  # basis vectors so far
     basis[:size] = start
     norm = 0.0  # largest ||T' v|| so far, a lower bound of ||T'||
     k = 0  # basis vectors applied so far
     while k < cap:
-        # T' on the next two basis vectors as one block: one after a
-        # direction has deflated, or for the last column at an odd cap
+        # T' on the next two basis vectors as one block: one at m = 1,
+        # after a direction has deflated, or for the last column at an odd cap
         width = min(size - k, 2, cap - k)
         for w in np.array(source.apply(basis[k:k + width].T).T):
             norm = max(norm, np.linalg.norm(w))
@@ -364,9 +368,9 @@ def _arnoldi(system, source, m, accept):
                 basis[size] = w / beta
                 size += 1
             k += 1
-        # With both directions deflated the basis spans an invariant
-        # subspace, which holds every finite eigenvalue of multiplicity up
-        # to two; so does a basis that spans the space.
+        # With every direction deflated the basis spans an invariant
+        # subspace, which holds min(m, 2) copies of every finite eigenvalue
+        # of multiplicity up to two; so does a basis that spans the space.
         whole = size == k
         if not (whole or k == cap or k > m):
             continue
@@ -432,14 +436,14 @@ def solve_primal(system, settings=SolverSettings()):
     Returns exactly settings.m pairs, each certified to 10 * settings.tol.
     Strict: every Ritz pair up to and including the m-th smallest |lambda|
     must certify; a rejected pair in that range makes the Arnoldi basis
-    grow, never a skip to a higher mode. Arnoldi starts from two fixed
-    vectors, so both copies of an exact double are in the basis from the
-    first step, and it estimates each Ritz residual from the two band rows
-    below the Rayleigh quotient: an eigenvalue of multiplicity up to two
-    comes back with every copy. Raises SolverError when the system has no
-    free DOF, when B = 0 (empty spectrum), when the pencil has fewer than
-    m finite eigenvalues, when a wanted pair misses certification in an
-    invariant basis, or when the basis reaches its cap of
+    grow, never a skip to a higher mode. Arnoldi starts from min(m, 2)
+    fixed vectors, so at m >= 2 both copies of an exact double are in the
+    basis from the first step, and it estimates each Ritz residual from
+    the band rows below the Rayleigh quotient: an eigenvalue of
+    multiplicity up to two comes back with every copy. Raises SolverError
+    when the system has no free DOF, when B = 0 (empty spectrum), when the
+    pencil has fewer than m finite eigenvalues, when a wanted pair misses
+    certification in an invariant basis, or when the basis reaches its cap of
     min(n, 10 m + 40) applied vectors first.
     """
     return _solve(system, settings, adjoint=False)

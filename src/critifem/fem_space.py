@@ -1,12 +1,14 @@
-"""Lagrange reference elements, simplex quadrature and global DOF maps.
+"""Lagrange reference bases, simplex quadrature and global DOF maps.
 
 Continuous scalar Lagrange spaces of degree k in {1,2,3} on triangles and
 tetrahedra. One code path serves segments, triangles and tetrahedra
 alike, so the element of the boundary facets is the same construction
 one dimension lower. The node lattice is one loop over the entities of
-the simplex. Basis functions are represented by their coefficients over
-the monomial basis (obtained from the inverse node Vandermonde matrix),
-which is well conditioned for the low degrees supported here.
+the simplex. The basis is Silvester's closed form (Int. J. Eng. Sci. 7,
+1969): the function of the node with integer barycentric coordinates a
+is prod_i P_{a_i}(lambda_i), P_m(t) = prod_{j<m} (k t - j) / (j + 1),
+which is 1 at that node and 0 at every other, and its gradient follows
+by the product rule; no Vandermonde matrix is formed or inverted.
 
 Quadrature uses conical-product Gauss-Jacobi rules whose 1-D factors
 come from the Golub-Welsch eigenproblem: all weights are positive at
@@ -36,33 +38,12 @@ import numpy as np
 from .mesh import _group_rows
 
 __all__ = [
-    "ReferenceElement",
     "QuadratureRule",
     "DofMap",
-    "build_reference",
+    "tabulate",
     "quadrature",
     "build_dofmap",
 ]
-
-
-def _monomial_powers(dim, degree):
-    """All exponent tuples with total degree <= degree, graded lexicographic."""
-    pows = [
-        p
-        for p in itertools.product(range(degree + 1), repeat=dim)
-        if sum(p) <= degree
-    ]
-    pows.sort(key=lambda p: (sum(p), p))
-    return np.array(pows, dtype=np.int64)
-
-
-def _eval_monomials(pts, powers):
-    """(npts, nmonomials) table of pts**powers per monomial, 0**0 = 1."""
-    P = np.ones((pts.shape[0], powers.shape[0]))
-    for d in range(powers.shape[1]):
-        p = powers[:, d]
-        P *= np.where(p == 0, 1.0, pts[:, d : d + 1] ** p)
-    return P
 
 
 def _lattice_nodes(dim, degree):
@@ -90,61 +71,33 @@ def _lattice_nodes(dim, degree):
     return np.array(nodes, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class ReferenceElement:
-    """Degree-k Lagrange element on the reference simplex.
+def tabulate(dim, k, points):
+    """Values and gradients of the degree-k Lagrange basis at reference
+    points, dim in {1,2,3}, k in {1,2,3}.
 
-    nodes_lattice holds integer barycentric coordinates (summing to k);
-    nodes_ref the corresponding reference coordinates. coeffs[m, i] is the
-    coefficient of monomial m in basis function i.
-    """
-
-    dim: int
-    degree: int
-    nodes_lattice: np.ndarray
-    nodes_ref: np.ndarray
-    powers: np.ndarray
-    coeffs: np.ndarray
-
-    @property
-    def num_nodes(self):
-        return self.nodes_ref.shape[0]
-
-    def tabulate(self, points):
-        """Values and gradients of every basis function at reference points.
-
-        Returns (vals, grads) with shapes (num_nodes, npts) and
-        (num_nodes, npts, dim).
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        vals = (_eval_monomials(pts, self.powers) @ self.coeffs).T
-        npts = pts.shape[0]
-        grads = np.zeros((self.num_nodes, npts, self.dim))
-        for d in range(self.dim):
-            dpow = self.powers.copy()
-            fac = dpow[:, d].astype(np.float64)
-            dpow[:, d] = np.maximum(dpow[:, d] - 1, 0)
-            P = _eval_monomials(pts, dpow)
-            grads[:, :, d] = ((P * fac) @ self.coeffs).T
-        return vals, grads
-
-
-def build_reference(dim, k):
-    """Reference Lagrange element, dim in {1,2,3}, k in {1,2,3}.
-
-    Segments serve as the facet element of triangles, triangles as that
-    of tetrahedra.
+    Returns (vals, grads) with shapes (nodes, npts) and (nodes, npts,
+    dim), the nodes in _lattice_nodes order. Segments serve as the facet
+    element of triangles, triangles as that of tetrahedra.
     """
     if dim not in (1, 2, 3) or k not in (1, 2, 3):
         raise ValueError(f"unsupported reference element (dim={dim}, k={k})")
-    lattice = _lattice_nodes(dim, k)
-    nodes_ref = lattice[:, 1:].astype(np.float64) / k
-    powers = _monomial_powers(dim, k)
-    if powers.shape[0] != lattice.shape[0]:
-        raise AssertionError("monomial count mismatch")
-    # Vandermonde in the monomial basis, inverted for nodal coefficients
-    coeffs = np.linalg.inv(_eval_monomials(nodes_ref, powers))
-    return ReferenceElement(dim, k, lattice, nodes_ref, powers, coeffs)
+    x = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    # lambda_0 = 1 - x_{dim-1} - ... - x_0, subtracted in that order
+    lam = np.column_stack([functools.reduce(np.subtract, x.T[::-1], 1.0), x])
+    # P[m] = prod_{j<m} (k lam - j) / (j + 1) and its derivative dP[m]
+    P = np.ones((k + 1,) + lam.shape)
+    dP = np.zeros_like(P)
+    for j in range(k):
+        f = (k * lam - j) / (j + 1)
+        dP[j + 1] = dP[j] * f + P[j] * (k / (j + 1))
+        P[j + 1] = P[j] * f
+    # factor i of node a is P[a_i](lambda_i): (nodes, dim + 1, npts)
+    lattice, axes = _lattice_nodes(dim, k), np.arange(dim + 1)
+    F, dF = P[lattice, :, axes], dP[lattice, :, axes]
+    # d phi / d lambda_i, the product with factor i differentiated
+    dlam = np.stack([np.where(axes[:, None] == i, dF, F).prod(axis=1) for i in axes], -1)
+    # lambda_{d+1} = x_d and lambda_0 = 1 - sum(x)
+    return F.prod(axis=1), dlam[..., 1:] - dlam[..., :1]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ and boundary tags.
 
 All generators return a validated :class:`Mesh`: cells are oriented to
 positive signed volume, conformity is checked (every interior facet is
-shared by exactly two cells) and the boundary facet list is recomputed
-from the cells so it is exactly the set of one-cell facets.
+shared by exactly two cells), the cells must form one connected part,
+and the boundary facet list is recomputed from the cells so it is
+exactly the set of one-cell facets.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Mesh",
@@ -149,6 +152,8 @@ class Mesh:
     owning cell of each of them (aligned with boundary_facets).
     Every vertex belongs to a cell; a vertex that no cell uses raises
     ValueError. The DOF map relies on it: vertex DOF = vertex id.
+    The cells form one part connected through shared vertices; a mesh of
+    several parts raises ValueError with their number.
     """
 
     dim: int
@@ -180,6 +185,15 @@ class Mesh:
         unused = np.flatnonzero(np.bincount(cells.ravel(), minlength=len(verts)) == 0)
         if len(unused):
             raise ValueError(f"vertex {unused[0]} belongs to no cell")
+        # one part only: the solver's Krylov space holds at most two copies
+        # of an eigenvalue, and congruent disjoint parts repeat theirs; regions
+        # whose interface nodes are duplicated would decouple as well
+        root = np.repeat(cells[:, 0], dim)
+        edges = (np.ones(len(root)), (root, cells[:, 1:].ravel()))
+        graph = sp.csr_matrix(edges, shape=(len(verts),) * 2)
+        parts = connected_components(graph, directed=False, return_labels=False)
+        if parts > 1:
+            raise ValueError(f"the cells form {parts} connected parts; a mesh must be one")
 
         # orient: swap the last two vertices of any negatively oriented cell
         vol = _signed_volumes(verts, cells)

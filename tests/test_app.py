@@ -693,6 +693,40 @@ def test_undecodable_mesh_names_its_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def disjoint_copies(mesh, count):
+    """count copies of mesh, each shifted by 2 in x from the last, with the
+    attributes write_msh reads; Mesh itself refuses such a mesh."""
+    nv = mesh.num_vertices
+    shift = 2.0 * np.eye(mesh.dim)[0]
+    return types.SimpleNamespace(
+        dim=mesh.dim, num_vertices=count * nv, num_cells=count * mesh.num_cells,
+        vertices=np.vstack([mesh.vertices + i * shift for i in range(count)]),
+        cells=np.vstack([mesh.cells + i * nv for i in range(count)]),
+        region_tags=np.tile(mesh.region_tags, count),
+        boundary_facets=np.vstack([mesh.boundary_facets + i * nv for i in range(count)]),
+        boundary_tags=np.tile(mesh.boundary_tags, count),
+    )
+
+
+@pytest.mark.parametrize("make, count, degree, num", [
+    # congruent parts repeat each eigenvalue once per part, and the solver
+    # holds at most two copies: these two returned a wrong spectrum with exit 0
+    (lambda: generate_unit_square(8), 3, 2, 6),
+    (lambda: generate_unit_cube(4), 3, 1, 8),
+    (lambda: generate_unit_square(2), 2, 1, 1),
+], ids=["three-squares", "three-cubes", "two-squares"])
+def test_mesh_of_several_parts_exits_two(make, count, degree, num, tmp_path, capsys):
+    path = tmp_path / "parts.msh"
+    write_msh(disjoint_copies(make(), count), path)
+    code = cli(["solve", "--mesh", str(path), "--degree", str(degree),
+                "--num", str(num), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"the cells form {count} connected parts" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["parts.msh"]
+
+
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
 def test_undecodable_config_names_its_line(newline, tmp_path, capsys):
     path = tmp_path / "run.ini"

@@ -154,17 +154,19 @@ def test_krylov_shortfall_raises_cheaply(solve, monkeypatch):
     assert len(solve(system, SolverSettings(m=3))) == 3
 
 
-def test_basis_cap_raises_without_restart(table1_deck, monkeypatch):
+@pytest.mark.parametrize("m", [1, 2])
+def test_basis_cap_raises_without_restart(m, table1_deck, monkeypatch):
     # a tolerance no pair can certify: the basis grows to its cap of
-    # 10 m + 40 operator columns, two to a block, and the solve fails there
+    # 10 m + 40 operator columns, min(m, 2) to a block, and the solve fails there
     mesh = generate_unit_square(8)
     system = assemble(mesh, build_dofmap(mesh, 2), table1_deck, 2)
-    assert system.n > 50
+    cap = 10 * m + 40
+    assert system.n > cap
     applies = _count_applies(monkeypatch)
-    with pytest.raises(SolverError, match="Arnoldi basis exhausted: 50 vectors without 1 "):
-        solve_primal(system, SolverSettings(m=1, tol=1e-30))
-    assert len(applies) == 50
-    assert set(applies) == {(system.n, 2)}
+    with pytest.raises(SolverError, match=f"Arnoldi basis exhausted: {cap} vectors without {m} "):
+        solve_primal(system, SolverSettings(m=m, tol=1e-30))
+    assert len(applies) == cap
+    assert set(applies) == {(system.n, m)}
 
 
 def test_no_free_dof_raises():

@@ -1,5 +1,6 @@
 """Reference elements, quadrature exactness, and DOF map counting."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 from critifem.app import packaged_mesh_path
 from critifem.fem_space import (
     _gauss_jacobi01,
+    _lattice_nodes,
     _node_rows,
     build_dofmap,
-    build_reference,
     quadrature,
+    tabulate,
 )
 from critifem.mesh import (
     generate_disk,
@@ -43,39 +45,37 @@ def simplex_monomial_integral(powers):
     (3, 1, 4), (3, 2, 10), (3, 3, 20),
 ])
 def test_node_counts(dim, k, count):
-    assert build_reference(dim, k).num_nodes == count
+    assert len(_lattice_nodes(dim, k)) == count
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_lagrange_delta_property(dim, k):
-    ref = build_reference(dim, k)
-    vals, _ = ref.tabulate(ref.nodes_ref)
-    assert np.max(np.abs(vals - np.eye(ref.num_nodes))) < 1e-13
+    lattice = _lattice_nodes(dim, k)
+    vals, _ = tabulate(dim, k, lattice[:, 1:] / k)
+    assert np.max(np.abs(vals - np.eye(len(lattice)))) < 1e-13
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_partition_of_unity(dim, k):
-    ref = build_reference(dim, k)
     quad = quadrature(dim, 2 * k)
-    vals, _ = ref.tabulate(quad.points_ref)
+    vals, _ = tabulate(dim, k, quad.points_ref)
     assert np.max(np.abs(vals.sum(axis=0) - 1.0)) < 1e-13
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gradients_match_finite_differences(dim, k):
-    ref = build_reference(dim, k)
     rng = np.random.default_rng(5)
     pts = rng.dirichlet(np.ones(dim + 1), size=7)[:, 1:]  # interior points
-    _, grads = ref.tabulate(pts)
+    _, grads = tabulate(dim, k, pts)
     eps = 1e-6
     for d in range(dim):
         shift = np.zeros(dim)
         shift[d] = eps
-        vp, _ = ref.tabulate(pts + shift)
-        vm, _ = ref.tabulate(pts - shift)
+        vp, _ = tabulate(dim, k, pts + shift)
+        vm, _ = tabulate(dim, k, pts - shift)
         fd = (vp - vm) / (2 * eps)
         scale = max(1.0, float(np.max(np.abs(grads[:, :, d]))))
         assert np.max(np.abs(fd - grads[:, :, d])) / scale < 1e-6
@@ -87,20 +87,17 @@ def test_interpolation_reproduces_polynomials(k, seed):
     # random polynomial of total degree <= k, interpolated at the nodes,
     # must evaluate exactly everywhere
     dim = 2
-    ref = build_reference(dim, k)
+    powers = np.array([p for p in itertools.product(range(k + 1), repeat=dim)
+                       if sum(p) <= k])
     rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(ref.powers.shape[0])
+    coeff = rng.standard_normal(len(powers))
 
     def poly(pts):
-        P = np.ones((pts.shape[0], ref.powers.shape[0]))
-        for d in range(dim):
-            p = ref.powers[:, d]
-            P *= np.where(p == 0, 1.0, pts[:, d:d + 1] ** p)
-        return P @ coeff
+        return np.prod(pts[:, None, :] ** powers, axis=-1) @ coeff
 
-    nodal = poly(ref.nodes_ref)
+    nodal = poly(_lattice_nodes(dim, k)[:, 1:] / k)
     pts = rng.dirichlet(np.ones(dim + 1), size=11)[:, 1:]
-    vals, _ = ref.tabulate(pts)
+    vals, _ = tabulate(dim, k, pts)
     interp = nodal @ vals
     assert np.max(np.abs(interp - poly(pts))) < 1e-12
 
@@ -108,7 +105,7 @@ def test_interpolation_reproduces_polynomials(k, seed):
 def test_unsupported_reference_rejected():
     for dim, k in ((0, 1), (4, 1), (2, 0), (2, 4), (3, 5)):
         with pytest.raises(ValueError):
-            build_reference(dim, k)
+            tabulate(dim, k, np.zeros((1, max(dim, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +260,8 @@ def tuple_key_numbering(mesh, k):
     def key(vertex_ids, lat):
         return tuple(sorted((int(v), int(w)) for v, w in zip(vertex_ids, lat) if w))
 
-    lattice = build_reference(mesh.dim, k).nodes_lattice
-    facet_lattice = build_reference(mesh.dim - 1, k).nodes_lattice
+    lattice = _lattice_nodes(mesh.dim, k)
+    facet_lattice = _lattice_nodes(mesh.dim - 1, k)
     cell_keys = [[key(cell, lat) for lat in lattice] for cell in mesh.cells]
     ordered = sorted({kk for ck in cell_keys for kk in ck},
                      key=lambda kk: (len(kk), [p[0] for p in kk], [p[1] for p in kk]))
@@ -296,8 +293,8 @@ def all_rows_dofmap(mesh, k):
     """The numbering before vertex DOFs were read off the cells: one
     identity row per (cell, node) and per (boundary facet, facet node),
     vertex nodes included, all numbered by one np.unique(axis=0)."""
-    lattice = build_reference(mesh.dim, k).nodes_lattice
-    facet_lattice = build_reference(mesh.dim - 1, k).nodes_lattice
+    lattice = _lattice_nodes(mesh.dim, k)
+    facet_lattice = _lattice_nodes(mesh.dim - 1, k)
     width = mesh.dim + 1
     cell_rows = _node_rows(mesh.cells, lattice, width)
     facet_rows = _node_rows(mesh.boundary_facets, facet_lattice, width)

@@ -316,6 +316,18 @@ def test_vertex_in_no_cell_rejected():
         Mesh(2, verts, np.array([[0, 1, 3]]), np.array([1]))
 
 
+def test_mesh_of_several_parts_rejected():
+    # a square of two regions whose interface nodes are duplicated: the
+    # regions share no vertex, so the cells form two parts
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                      [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="the cells form 2 connected parts"):
+        Mesh(2, verts, np.array([[0, 1, 2], [4, 3, 5]]), np.array([1, 2]))
+    # two triangles that share one vertex are one part
+    bowtie = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    assert Mesh(2, bowtie, np.array([[0, 1, 2], [0, 3, 4]]), np.array([1, 1])).num_cells == 2
+
+
 def test_noncontiguous_region_tags_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     cells = np.array([[0, 1, 2], [1, 3, 2]])
