@@ -16,6 +16,11 @@ source is tested against the fast test function.
 
 Dirichlet conditions are eliminated symmetrically (rows and columns
 dropped), which keeps both diagonal blocks symmetric positive definite.
+The free DOFs must form one part connected through the pattern, as the
+cells of a Mesh must through their facets: a neck whose nodes all lie on
+the Dirichlet boundary cuts them apart, and assemble raises ValueError
+with the number of parts. A system with no free DOF has no part and is
+left to the eigensolver.
 
 Every scalar block shares one CSR pattern: the sorted (row, col) pairs of
 the free DOFs of each cell, built once with np.unique. Each local entry
@@ -41,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .fem_space import _dof_coordinates, quadrature, tabulate
 from .materials import validate_for_solve
@@ -233,7 +239,8 @@ def assemble(mesh, dofmap, deck, k):
 
     deck maps every region tag to a (GroupConstants, BoundaryCondition)
     pair; a boundary facet takes the BC of the region of its adjacent
-    cell. Facets sharing a boundary tag must agree on the BC kind.
+    cell. Facets sharing a boundary tag must agree on the BC kind, and the
+    free DOFs must form one connected part of the pattern.
     """
     if dofmap.degree != k or dofmap.dim != mesh.dim:
         raise ValueError("dofmap does not match mesh/degree")
@@ -297,6 +304,12 @@ def assemble(mesh, dofmap, deck, k):
 
     def csr(data):
         return sp.csr_matrix((data, indices, indptr), shape=(nf, nf))
+
+    # one part, as in Mesh: a neck whose nodes are all Dirichlet nodes cuts
+    # the free DOFs apart, and congruent parts repeat their eigenvalues
+    parts = connected_components(csr(np.ones(nnz)), directed=False, return_labels=False)
+    if parts > 1:
+        raise ValueError(f"the free DOFs form {parts} connected parts; a system must be one")
 
     mass_ref, stiff_ref = _element_tables(mesh.dim, k)
     det, G = _gradient_metric(mesh)

@@ -7,9 +7,9 @@ and boundary tags.
 
 All generators return a validated :class:`Mesh`: cells are oriented to
 positive signed volume, conformity is checked (every interior facet is
-shared by exactly two cells), the cells must form one connected part,
-and the boundary facet list is recomputed from the cells so it is
-exactly the set of one-cell facets.
+shared by exactly two cells), the cells must form one part joined
+through shared facets, and the boundary facet list is recomputed from
+the cells so it is exactly the set of one-cell facets.
 """
 
 from __future__ import annotations
@@ -45,41 +45,19 @@ class MeshFormatError(ValueError):
 
 
 def _all_facets(cells):
-    """Every (d-1)-facet of every cell, vertex-sorted, stacked by dropped column."""
-    nloc = cells.shape[1]
-    parts = []
-    for drop in range(nloc):
-        keep = [i for i in range(nloc) if i != drop]
-        parts.append(cells[:, keep])
-    fac = np.vstack(parts)
-    fac = np.sort(fac, axis=1)
-    return fac
+    """Every (d-1)-facet of every cell, vertex-sorted, in blocks of num_cells.
 
-
-def _packed_keys(rows):
-    """Sort keys for the rows of a 2-D int64 array, most significant first.
-
-    Each column is shifted by its minimum, and consecutive columns are
-    packed mixed-radix into one int64 key while the product of their spans
-    (max - min + 1, in Python ints) stays below 2**62. Comparing the keys
-    in order compares the rows lexicographically. A column whose span
-    alone reaches 2**62 becomes a key of its own, unshifted.
+    Each cell's vertices are sorted once; block j holds every cell with
+    its j-th sorted vertex dropped, so the facets come out sorted and row
+    r of the stack is a facet of cell r % num_cells.
     """
-    lo, hi = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
-    keys = []
-    radix = 1 << 62  # forces a new key at the first column
-    for j, (a, b) in enumerate(zip(lo, hi)):
-        span = b - a + 1
-        if span >= 1 << 62:
-            keys.append(rows[:, j])
-            radix = 1 << 62
-        elif radix * span < 1 << 62:
-            keys[-1] = keys[-1] * span + (rows[:, j] - a)
-            radix *= span
-        else:
-            keys.append(rows[:, j] - a)
-            radix = span
-    return keys
+    srt = np.sort(cells, axis=1)
+    return np.vstack([np.delete(srt, j, axis=1) for j in range(cells.shape[1])])
+
+
+def _rank(values):
+    """The rank of each value among the distinct values, which keeps their order."""
+    return np.unique(values, return_inverse=True)[1]
 
 
 def _group_rows(rows):
@@ -89,22 +67,28 @@ def _group_rows(rows):
     return_index=True, return_inverse=True, return_counts=True) does:
     group g is the g-th distinct row in ascending lexicographic order,
     rows[first[g]] is its first occurrence and counts[g] its multiplicity.
-    The rows are packed into as few int64 keys as their column spans
-    allow (_packed_keys; one key for every mesh facet and DOF node table
-    built here) and ordered by one stable np.lexsort over those keys.
+    The columns are folded into one int64 key, most significant first,
+    each shifted by its minimum: key * span + (column - min). A column
+    whose range reaches the row count is first replaced by its _rank, and
+    so is the key when its size times the next span would reach 2**62;
+    both stay below the row count, so the fold never overflows. Every mesh
+    facet and DOF node table built here folds without a rank. One
+    np.unique of the key groups the rows; its return_index sorts stably,
+    so first is the first occurrence.
     """
-    if len(rows) == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    keys = np.array(_packed_keys(rows))
-    order = np.lexsort(keys[::-1])  # stable, first key most significant
-    srt = keys[:, order]
-    starts = np.ones(len(rows), dtype=bool)
-    np.any(srt[:, 1:] != srt[:, :-1], axis=0, out=starts[1:])
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[order] = np.cumsum(starts) - 1
-    starts = np.flatnonzero(starts)
-    return inverse, order[starts], np.diff(starts, append=len(rows))
+    n = len(rows)
+    key, size = np.zeros(n, dtype=np.int64), 1  # every key lies in [0, size)
+    for col in rows.T:
+        lo, hi = (int(col.min()), int(col.max())) if n else (0, -1)  # -1: no value
+        if hi - lo >= n:
+            col, lo, hi = _rank(col), 0, n - 1
+        if size * (hi - lo + 1) >= 1 << 62:
+            key, size = _rank(key), n
+        key, size = key * (hi - lo + 1) + (col - lo), size * (hi - lo + 1)
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    return inverse, first, counts
 
 
 def _jacobians(vertices, cells):
@@ -152,8 +136,9 @@ class Mesh:
     owning cell of each of them (aligned with boundary_facets).
     Every vertex belongs to a cell; a vertex that no cell uses raises
     ValueError. The DOF map relies on it: vertex DOF = vertex id.
-    The cells form one part connected through shared vertices; a mesh of
-    several parts raises ValueError with their number.
+    The cells form one part joined through shared facets; a mesh of
+    several parts raises ValueError with their number. Cells that meet
+    only at a vertex (or, in 3-D, along an edge) are separate parts.
     """
 
     dim: int
@@ -185,16 +170,6 @@ class Mesh:
         unused = np.flatnonzero(np.bincount(cells.ravel(), minlength=len(verts)) == 0)
         if len(unused):
             raise ValueError(f"vertex {unused[0]} belongs to no cell")
-        # one part only: the solver's Krylov space holds at most two copies
-        # of an eigenvalue, and congruent disjoint parts repeat theirs; regions
-        # whose interface nodes are duplicated would decouple as well
-        root = np.repeat(cells[:, 0], dim)
-        edges = (np.ones(len(root)), (root, cells[:, 1:].ravel()))
-        graph = sp.csr_matrix(edges, shape=(len(verts),) * 2)
-        parts = connected_components(graph, directed=False, return_labels=False)
-        if parts > 1:
-            raise ValueError(f"the cells form {parts} connected parts; a mesh must be one")
-
         # orient: swap the last two vertices of any negatively oriented cell
         vol = _signed_volumes(verts, cells)
         flip = vol < 0
@@ -217,13 +192,24 @@ class Mesh:
 
         # conformity + true boundary: facets shared by exactly one cell
         fac = _all_facets(cells)
-        _, first, counts = _group_rows(fac)
+        group, first, counts = _group_rows(fac)
         if np.any(counts > 2):
             raise ValueError("non-conforming mesh: a facet is shared by >2 cells")
-        first = first[counts == 1]
-        bfac = fac[first]
-        # _all_facets stacks one block of num_cells facets per dropped column
-        bcells = first % len(cells)
+        # one part through shared facets: the solver's Krylov space holds at
+        # most two copies of an eigenvalue, and congruent parts repeat theirs.
+        # A shared vertex (2-D) or edge (3-D) does not couple the parts, as a
+        # point or a line has zero H1 capacity. Graph row c joins cell c to
+        # the owner of each of its facets, the cell of the facet's first row;
+        # column c of the (dim + 1, nc) blocks of fac lists cell c's facets.
+        nc = len(cells)
+        owner = first % nc
+        mates = owner[group].reshape(dim + 1, nc).T.ravel()
+        indptr = np.arange(nc + 1) * (dim + 1)
+        graph = sp.csr_matrix((np.ones(len(fac)), mates, indptr), shape=(nc, nc))
+        parts = connected_components(graph, directed=False, return_labels=False)
+        if parts > 1:
+            raise ValueError(f"the cells form {parts} connected parts; a mesh must be one")
+        bfac, bcells = fac[first[counts == 1]], owner[counts == 1]
 
         if self.boundary_facets is None:
             btags = np.ones(len(bfac), dtype=np.int64)
@@ -491,7 +477,8 @@ def read_gmsh(path):
     the other nodes are dropped, and a boundary element on one of them
     is an error.
     Malformed sections and unsupported element types raise
-    :class:`MeshFormatError` with the offending line number.
+    :class:`MeshFormatError` with the offending line number; a mesh that
+    :class:`Mesh` refuses raises it with the $Elements count line.
     """
     lines = _read_lines(path, "ascii", MeshFormatError)
 
@@ -628,15 +615,17 @@ def read_gmsh(path):
             ln0 + 2 + int(np.flatnonzero(is_facet)[r]),
         )
     index = np.cumsum(used) - 1
-    has_facets = bool(is_facet.any())
-    return Mesh(
-        dim,
-        xyz[used, :dim],
-        index[cell_nodes],
-        tags[is_cell],
-        boundary_facets=index[facet_nodes] if has_facets else None,
-        boundary_tags=tags[is_facet] if has_facets else None,
-    )
+    try:  # with no boundary element, every boundary facet takes tag 1
+        return Mesh(
+            dim,
+            xyz[used, :dim],
+            index[cell_nodes],
+            tags[is_cell],
+            boundary_facets=index[facet_nodes],
+            boundary_tags=tags[is_facet],
+        )
+    except ValueError as e:  # Mesh refuses the elements as a whole
+        raise MeshFormatError(f"{path}:{ln0 + 1}: {e}") from None
 
 
 def _atomic_write(path, lines):

@@ -34,6 +34,7 @@ from critifem.app import (
 from critifem.fem_space import build_dofmap
 from critifem.mesh import (
     Mesh,
+    generate_disk,
     generate_unit_cube,
     generate_unit_square,
     read_gmsh,
@@ -725,6 +726,102 @@ def test_mesh_of_several_parts_exits_two(make, count, degree, num, tmp_path, cap
     assert f"the cells form {count} connected parts" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["parts.msh"]
+
+
+def merged_cells(dim, vertices, cells):
+    """The attributes write_msh reads for these cells, with coincident
+    vertices merged and no listed boundary facet, so that read_gmsh tags
+    the whole boundary 1; Mesh may refuse the cells."""
+    _, first, inverse = np.unique(vertices.round(12), axis=0, return_index=True,
+                                  return_inverse=True)
+    cells = inverse.reshape(-1)[cells]
+    return types.SimpleNamespace(
+        dim=dim, num_vertices=len(first), num_cells=len(cells),
+        vertices=vertices[first], cells=cells,
+        region_tags=np.ones(len(cells), dtype=np.int64),
+        boundary_facets=np.zeros((0, dim), dtype=np.int64),
+        boundary_tags=np.zeros(0, dtype=np.int64),
+    )
+
+
+def corner_copies(mesh, count):
+    """count copies of a unit square or cube, copy i shifted by i along
+    every axis: consecutive copies share one corner vertex."""
+    nv = mesh.num_vertices
+    return merged_cells(mesh.dim, np.vstack([mesh.vertices + i for i in range(count)]),
+                        np.vstack([mesh.cells + i * nv for i in range(count)]))
+
+
+def disk_chain(count, N=6):
+    """count copies of generate_disk(N), centres 2.5 apart on the x axis,
+    each joined to the next by two triangles on the outer ring vertices at
+    angles 0 and 2 pi / (8 N) of one disk and pi and pi - 2 pi / (8 N) of
+    the next: every neck node lies on the boundary."""
+    disk = generate_disk(N)
+    nv, ring = disk.num_vertices, 1 + 4 * N * (N - 1) + np.arange(8 * N)
+    cells = [disk.cells + i * nv for i in range(count)]
+    for i in range(count - 1):
+        a0, a1 = ring[[0, 1]] + i * nv
+        b0, b1 = ring[[4 * N, 4 * N - 1]] + (i + 1) * nv
+        cells.append(np.array([[a0, b0, b1], [a0, b1, a1]]))
+    vertices = np.vstack([disk.vertices + [2.5 * i, 0.0] for i in range(count)])
+    return merged_cells(2, vertices, np.vstack(cells))
+
+
+@pytest.mark.parametrize("make, degree, num, bc, message", [
+    # each returned a wrong spectrum with exit 0 when parts were counted
+    # through shared vertices: a pinch or a Dirichlet neck does not couple
+    # the lobes, and the solver holds at most two copies of an eigenvalue
+    (lambda: corner_copies(generate_unit_square(8), 3), 2, 6, "dirichlet",
+     "the cells form 3 connected parts"),
+    (lambda: corner_copies(generate_unit_square(8), 3), 2, 6, "robin:0.5",
+     "the cells form 3 connected parts"),
+    (lambda: corner_copies(generate_unit_cube(4), 3), 1, 8, "dirichlet",
+     "the cells form 3 connected parts"),
+    (lambda: corner_copies(generate_unit_cube(4), 3), 1, 8, "robin:0.5",
+     "the cells form 3 connected parts"),
+    (lambda: disk_chain(3), 1, 8, "dirichlet", "the free DOFs form 3 connected parts"),
+], ids=["corner-squares", "corner-squares-robin", "corner-cubes", "corner-cubes-robin",
+        "disk-chain"])
+def test_pinch_or_dirichlet_neck_exits_two(make, degree, num, bc, message, tmp_path,
+                                           capsys):
+    path = tmp_path / "pinched.msh"
+    write_msh(make(), path)
+    code = cli(["solve", "--mesh", str(path), "--degree", str(degree), "--num", str(num),
+                "--bc", bc, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pinched.msh"]
+
+
+def test_disk_chain_under_robin_solves(tmp_path, capsys):
+    # the neck nodes are free under Robin conditions, so the disks couple
+    path = tmp_path / "chain.msh"
+    write_msh(disk_chain(3), path)
+    code = cli(["solve", "--mesh", str(path), "--num", "2", "--bc", "robin:0.5",
+                "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vertices, cells, message", [
+    ([[0, 0], [1, 0], [0, 1], [1, 1], [-1, 1]], [[0, 1, 2], [0, 1, 3], [0, 1, 4]],
+     "non-conforming mesh: a facet is shared by >2 cells"),
+    ([[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1]], [[0, 1, 2], [0, 3, 4]],
+     "the cells form 2 connected parts"),
+], ids=["three-on-one-edge", "bowtie"])
+def test_mesh_refused_by_mesh_names_file_and_line(vertices, cells, message, tmp_path,
+                                                  capsys):
+    path = tmp_path / "refused.msh"
+    write_msh(merged_cells(2, np.array(vertices, dtype=float), np.array(cells)), path)
+    # the line of the element count, as "duplicate element id" names it
+    line = path.read_text().splitlines().index("$Elements") + 2
+    code = cli(["solve", "--mesh", str(path), "--num", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path}:{line}: {message}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])

@@ -9,16 +9,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from critifem import mesh as mesh_module
+from critifem.fem_space import build_dofmap
 from critifem.mesh import (
     Mesh,
     MeshFormatError,
     _group_rows,
-    _packed_keys,
     cell_volumes,
     generate_disk,
     generate_lshape,
@@ -323,9 +323,11 @@ def test_mesh_of_several_parts_rejected():
                       [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="the cells form 2 connected parts"):
         Mesh(2, verts, np.array([[0, 1, 2], [4, 3, 5]]), np.array([1, 2]))
-    # two triangles that share one vertex are one part
+    # two triangles that share only one vertex are two parts: a point has
+    # zero H1 capacity, so the vertex does not couple them
     bowtie = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    assert Mesh(2, bowtie, np.array([[0, 1, 2], [0, 3, 4]]), np.array([1, 1])).num_cells == 2
+    with pytest.raises(ValueError, match="the cells form 2 connected parts"):
+        Mesh(2, bowtie, np.array([[0, 1, 2], [0, 3, 4]]), np.array([1, 1]))
 
 
 def test_noncontiguous_region_tags_rejected():
@@ -419,6 +421,8 @@ def row_tables(draw):
     hnp.arrays(np.int64, st.tuples(st.integers(1, 60), st.integers(1, 7)),
                elements=st.integers(-1, 3)),
 ))
+@example(np.array([[a, b] for a in range(5) for b in (0, 2**61)], dtype=np.int64))
+@example(np.array([[INT64.min, 1, 2], [INT64.max, 0, 2]], dtype=np.int64))
 @settings(max_examples=200, deadline=None)
 def test_group_rows_matches_unique(rows):
     inverse, first, counts = _group_rows(rows)
@@ -436,18 +440,15 @@ def test_group_rows_single_row():
     assert inverse.tolist() == [0] and first.tolist() == [0] and counts.tolist() == [1]
 
 
-def test_packed_keys_split_where_spans_overflow():
-    # spans 2**31 * 2**31 reach 2**62: a second key starts
-    rows = np.array([[0, 0, 5], [2**31 - 1, 2**31 - 1, 5]], dtype=np.int64)
-    assert len(_packed_keys(rows)) == 2
-    assert len(_packed_keys(rows[:, 1:])) == 1
-    # a column spanning all of int64 is a key of its own, kept as it is
-    wide = np.array([[INT64.min, 1, 2], [INT64.max, 0, 2]], dtype=np.int64)
-    keys = _packed_keys(wide)
-    assert len(keys) == 2 and np.array_equal(keys[0], wide[:, 0])
-    # the facet table of a mesh packs into one key
-    cells = generate_unit_cube(4).cells
-    assert len(_packed_keys(np.sort(cells[:, 1:], axis=1))) == 1
+def test_mesh_tables_fold_into_one_key(monkeypatch):
+    # the facet and DOF node tables of the generators fold without a rank
+    def no_rank(values):
+        raise AssertionError("ranked a column or the key")
+
+    monkeypatch.setattr(mesh_module, "_rank", no_rank)
+    generate_unit_cube(4)
+    build_dofmap(generate_disk(8), 3)
+    build_dofmap(generate_unit_square(8), 2)
 
 
 def test_mesh_arrays_immutable():
