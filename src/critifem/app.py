@@ -518,7 +518,9 @@ def _cmd_benchmark(cfg):
 def _cmd_oracle(cfg):
     if len(cfg.deck) != 1:
         raise ConfigError("oracle needs a homogeneous (single-region) deck")
-    (gc, _bc), = cfg.deck.values()
+    (gc, bc), = cfg.deck.values()
+    if bc.kind != "dirichlet":
+        raise ConfigError(f"oracle needs a Dirichlet deck, not bc = {bc.kind}")
     mus = laplacian_modes(cfg.domain or "square", cfg.settings.m)
     lams = [analytic_eigenvalue(mu, gc) for mu in mus]  # raises before any output
     print("  #              mu          lambda")

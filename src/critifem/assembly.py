@@ -74,10 +74,15 @@ class BlockSystem:
     A solve that has to factor the diagonal blocks leaves its factors on
     the system, and the next solve on the same system (the other half of
     a primal/adjoint pair) takes them off again instead of factoring, so a
-    pair factors once and a system holds at most one factorization. The
-    factors left by a single solve live as long as the system: hold a
-    solved system only as long as it is needed. dataclasses.replace gives
-    a system without factors.
+    pair factors once and a system holds at most one factorization. With
+    them it leaves its eigenvalues, its orientation and references to the
+    phi1 arrays it returned, no copy; a next solve of the other
+    orientation that wants at most as many pairs returns those eigenvalues
+    and fast halves, with its own thermal halves, when every such pair
+    certifies, and releases the factors before finishing them. What a
+    single solve leaves lives as long as the system: hold a solved system
+    only as long as it is needed. dataclasses.replace gives a system
+    without it.
 
     free_dofs gives the raw DOF of each free number, and the blocks are
     in that numbering. In 3-D it is a geometric nested dissection of the
@@ -97,7 +102,8 @@ class BlockSystem:
     free_dofs: np.ndarray
     constrained_dofs: np.ndarray
     dissected: bool = False
-    # (lu11, lu22) left by the last solve for the next one; see above
+    # ((lu11, lu22), adjoint, eigenvalues, phi1 arrays) left by the last
+    # solve for the next one; see above
     _factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property

@@ -22,7 +22,17 @@ eigenvectors and by consecutive solves on one system: the diagonal
 blocks are symmetric, so the factors serve primal and adjoint alike. A
 solve that factors leaves its factors on the system, and the next solve
 there takes them off, so a primal/adjoint pair factors once and a system
-holds at most one factorization. A 3-D system comes numbered in a
+holds at most one factorization. With the factors it leaves its
+eigenvalues, its orientation and its returned phi1 arrays, as references.
+A next solve of the other orientation that wants at most as many pairs
+first tries those: the fast halves as given and its own thermal halves,
+by one m-column solve with a22, certified as every pair is. When all of
+them certify it returns them and runs no Arnoldi; the transposed pencil
+has the same eigenvalues, so they are its first m as well. They certify
+when A and A^T give one fission-source operator: with F2 = alpha C (one
+region, or nu Sigma_f2 / Sigma_12 equal in every region) T'* = T', the
+adjoint fast flux is the primal one and y2 = alpha lambda x2. Otherwise
+Arnoldi runs as it would without them. A 3-D system comes numbered in a
 geometric nested-dissection order (BlockSystem.dissected), and both
 blocks are factored in that order as given, where minimum degree fills
 far more; in 2-D SuperLU's minimum degree ordering serves.
@@ -221,7 +231,12 @@ class _FissionSource:
         """Pencil eigenvectors [x1; x2] (columns) of the fission sources z
         (columns) with eigenvalues lams, by one multi-column solve with
         each block."""
-        x1 = _solve_columns(self._lu11, z)
+        return self.thermal(lams, _solve_columns(self._lu11, z))
+
+    def thermal(self, lams, x1):
+        """[x1; x2] with the thermal halves x2 of the fast halves x1
+        (columns) with eigenvalues lams, by one multi-column solve with
+        a22."""
         x2 = _solve_columns(self._lu22, self._down @ x1)
         return np.vstack([x1, x2 * lams if self.adjoint else x2])
 
@@ -404,6 +419,28 @@ def _arnoldi(system, source, m, accept):
     )
 
 
+def _pairs(system, m, accept, adjoint):
+    """Eigenvalues, vectors [x1; x2] and residuals of the first m pairs,
+    and the factors when this solve made them; factors taken from a
+    previous solve are released on return."""
+    left = system._factors
+    object.__setattr__(system, "_factors", None)
+    if left is None:
+        factors = tuple(_factor(b, system.dissected) for b in (system.a11, system.a22))
+        return _arnoldi(system, _FissionSource(system, factors, adjoint), m, accept), factors
+    factors, other, lams, fast = left
+    source = _FissionSource(system, factors, adjoint)
+    if other != adjoint and len(lams) >= m:
+        # the other orientation's eigenvalues and fast halves, with the
+        # thermal halves of this one, if every pair certifies here
+        lams = lams[:m]
+        vecs = source.thermal(lams, np.column_stack([system.restrict(f) for f in fast[:m]]))
+        res = _pencil_residual(system, lams, vecs, adjoint)
+        if np.all(res <= accept):
+            return (lams, vecs, res), None
+    return _arnoldi(system, source, m, accept), None
+
+
 def _solve(system, settings, adjoint):
     m = settings.m
     if system.n == 0:
@@ -416,18 +453,14 @@ def _solve(system, settings, adjoint):
             f"solver certified only 0 of {m} pairs: empty spectrum, the deck "
             "has no fission production"
         )
-    # take the factors a previous solve left on this system, or factor
-    factors = system._factors
-    object.__setattr__(system, "_factors", None)
-    factored = factors is None
-    if factored:
-        factors = tuple(_factor(b, system.dissected) for b in (system.a11, system.a22))
-    source = _FissionSource(system, factors, adjoint)
-    lams, vecs, res = _arnoldi(system, source, m, 10.0 * settings.tol)
-    if factored:
-        # for the next solve on this system, the other of a pair
-        object.__setattr__(system, "_factors", factors)
-    return [_solution(system, lams[i], vecs[:, i], res[i], adjoint) for i in range(m)]
+    (lams, vecs, res), factors = _pairs(system, m, 10.0 * settings.tol, adjoint)
+    sols = [_solution(system, lams[i], vecs[:, i], res[i], adjoint) for i in range(m)]
+    if factors is not None:
+        # for the next solve on this system, the other of a pair: references,
+        # no copy of a vector
+        left = (factors, adjoint, lams, [sol.phi1 for sol in sols])
+        object.__setattr__(system, "_factors", left)
+    return sols
 
 
 def solve_primal(system, settings=SolverSettings()):
@@ -451,5 +484,13 @@ def solve_primal(system, settings=SolverSettings()):
 
 def solve_adjoint(system, settings=SolverSettings()):
     """First m eigenpairs of the transposed pencil (left eigenvectors),
-    under the same contract as solve_primal."""
+    under the same contract as solve_primal.
+
+    Right after solve_primal on the same system, asking for at most as
+    many pairs, it returns the primal eigenvalues and fast halves with
+    adjoint thermal halves when every such pair certifies, which they do
+    when nu Sigma_f2 / Sigma_12 is equal in every region; otherwise
+    Arnoldi runs. solve_primal after solve_adjoint does the same the
+    other way.
+    """
     return _solve(system, settings, adjoint=True)

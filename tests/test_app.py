@@ -432,6 +432,18 @@ def test_oracle_without_fission_exits_two_before_printing(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_oracle_refuses_a_robin_deck(tmp_path, capsys):
+    # the closed form holds under Dirichlet conditions only: under Robin
+    # the oracle printed the Dirichlet lambda_1 = 66.57477019, where
+    # converge on the same deck goes to about 7.02
+    path = deck_file(tmp_path, bc="robin:0.5")
+    assert cli(["oracle", "--config", path, "--modes", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "oracle needs a Dirichlet deck, not bc = robin" in captured.err
+    assert cli(["oracle", "--config", deck_file(tmp_path, bc="dirichlet")]) == 0
+
+
 def _limit_address_space():
     import resource
 

@@ -3,6 +3,7 @@ biorthogonality, certification, and determinism."""
 
 import dataclasses
 import functools
+import itertools
 import math
 import warnings
 
@@ -33,6 +34,7 @@ from critifem.materials import (
 from critifem.mesh import (
     GENERATORS,
     Mesh,
+    generate_disk,
     generate_unit_cube,
     generate_unit_square,
     read_gmsh,
@@ -585,12 +587,32 @@ def _deck(name):
     return builtin_deck(name)
 
 
+def _octant_cube(N):
+    """generate_unit_cube(N) reflected into the eight octants of [-1, 1]^3,
+    with the shared vertices merged: a connected mesh with full cubic
+    symmetry, so its spectrum has exact triples."""
+    mesh = generate_unit_cube(N)
+    signs = itertools.product((1.0, -1.0), repeat=3)
+    vertices = np.concatenate([mesh.vertices * s for s in signs])
+    cells = np.concatenate([mesh.cells + i * len(mesh.vertices) for i in range(8)])
+    _, first, merged = np.unique(np.rint(vertices * N).astype(np.int64), axis=0,
+                                 return_index=True, return_inverse=True)
+    return Mesh(3, vertices[first], merged.ravel()[cells], np.tile(mesh.region_tags, 8))
+
+
 @functools.cache
-def _system(domain, N, k, deck="paper-table1"):
+def _assembled(domain, N, k, deck="paper-table1"):
     if domain == "nonsymmetric":  # hand-built: n = N, blocks drawn from the seed
         return _nonsymmetric_pencil(N, int(deck[len("seed:"):]))
-    mesh = GENERATORS[domain](N)
+    mesh = _octant_cube(N) if domain == "octants" else GENERATORS[domain](N)
     return assemble(mesh, build_dofmap(mesh, k), _deck(deck), k)
+
+
+def _system(*case):
+    """The assembled system of a case, as a copy that holds nothing a
+    solve in another test left on it: an adjoint case runs its own
+    Arnoldi, not the pairs of the primal case before it."""
+    return dataclasses.replace(_assembled(*case))
 
 
 @functools.cache
@@ -686,7 +708,9 @@ def _closed_form_eigenvalues(case):
 # per group; the cubes hold exact doubles among their first eight. On the
 # first two, a solver from one start vector returned lambda_7 for the
 # second copy of lambda_5 = lambda_6 at m = 6, primal and adjoint
-# respectively.
+# respectively. The octant cubes hold exact triples, lambda_2 = lambda_3 =
+# lambda_4 and lambda_5 = lambda_6 = lambda_7: two start vectors hold two
+# copies of each, and the third comes from rounding.
 _CLOSED_FORM_CASES = [
     ("cube", 5, 1, "seed:3"),
     ("cube", 8, 1, "seed:2"),
@@ -695,6 +719,9 @@ _CLOSED_FORM_CASES = [
     ("square", 16, 2, "seed:1"),
     ("square", 12, 3, "seed:5"),
     ("disk", 8, 2, "seed:4"),
+    ("octants", 3, 1, "paper-table1"),
+    ("octants", 4, 1, "paper-table1"),
+    ("octants", 2, 2, "paper-table1"),
 ]
 
 
@@ -763,6 +790,19 @@ def test_phase_pivot_is_first_significant_raw_component(domain, N, k, deck, solv
     assert checked >= 2
 
 
+def _spy_arnoldi(monkeypatch):
+    """Record the orientation of every Arnoldi run (True: adjoint)."""
+    runs = []
+    original = eigensolver._arnoldi
+
+    def spy(system, source, m, accept):
+        runs.append(source.adjoint)
+        return original(system, source, m, accept)
+
+    monkeypatch.setattr(eigensolver, "_arnoldi", spy)
+    return runs
+
+
 def test_primal_adjoint_pair_factors_once(table1_deck, monkeypatch):
     system = _square_k2_system(table1_deck)
     assert system.n > 10 * 3 + 40  # the basis cap is below n
@@ -774,6 +814,7 @@ def test_primal_adjoint_pair_factors_once(table1_deck, monkeypatch):
         return original(block, dissected)
 
     monkeypatch.setattr(eigensolver, "_factor", spy)
+    runs = _spy_arnoldi(monkeypatch)
     settings = SolverSettings(m=3)
     primal = solve_primal(system, settings)
     assert len(blocks) == 2 and blocks[0] is system.a11 and blocks[1] is system.a22
@@ -781,13 +822,157 @@ def test_primal_adjoint_pair_factors_once(table1_deck, monkeypatch):
     adjoint = solve_adjoint(system, settings)
     assert len(blocks) == 2  # the adjoint took the primal's factors
     assert system._factors is None  # ... and took them off
-    # the shared factors give what factoring afresh gives
-    fresh = solve_adjoint(dataclasses.replace(system), settings)
-    assert len(blocks) == 4
+    # one region: the adjoint took the primal's pairs too, with no Arnoldi
+    assert runs == [False]
+    assert [s.lam for s in adjoint] == [s.lam for s in primal]
+    # nu_sigma_f2 / sigma_12 is 6.75 in the quarter core's fuel and 0 in
+    # its reflector: its adjoint runs Arnoldi on the shared factors, which
+    # give what factoring afresh gives
+    core = _quarter_core_k1_system()
+    solve_primal(core, settings)
+    adjoint = solve_adjoint(core, settings)
+    assert len(blocks) == 4 and runs == [False, False, True]
+    fresh = solve_adjoint(dataclasses.replace(core), settings)
+    assert len(blocks) == 6
     for x, y in zip(adjoint, fresh):
         assert x.lam == y.lam
         assert np.array_equal(x.phi1, y.phi1)
-    assert [s.lam for s in primal] == pytest.approx([s.lam for s in adjoint], rel=1e-8)
+
+
+def _two_region_disk(nu_sigma_f2):
+    """Disk N=6, k=2: the paper-table1 constants outside radius 0.5 and
+    other ones inside, with sigma_12 = 0.15 and this nu_sigma_f2; 0.15
+    keeps paper-table1's ratio nu_sigma_f2 / sigma_12 = 1."""
+    mesh = generate_disk(6)
+    centres = mesh.vertices[mesh.cells].mean(axis=1)
+    mesh = Mesh(2, mesh.vertices, mesh.cells,
+                np.where(np.hypot(*centres.T) < 0.5, 2, 1))
+    gc, bc = builtin_deck("paper-table1")[1]
+    inner = dataclasses.replace(gc, D1=1.3, D2=0.4, sigma_a2=0.12, nu_sigma_f1=0.25,
+                                sigma_12=0.15, nu_sigma_f2=nu_sigma_f2)
+    return assemble(mesh, build_dofmap(mesh, 2), {1: (gc, bc), 2: (inner, bc)}, 2)
+
+
+def _pair_system(case):
+    """A new system for a primal/adjoint pair, built for each test: the
+    hand-off between its solves is what these tests check."""
+    if case == "table1-square":
+        return _square_k2_system(builtin_deck("paper-table1"))
+    if case == "robin-square":
+        return _square_k2_system(_deck("robin:0.5"))
+    if case == "proportional-disk":
+        return _two_region_disk(0.15)
+    if case == "nonproportional-disk":
+        return _two_region_disk(0.12)
+    if case == "quarter-core":
+        return _quarter_core_k1_system()
+    return _nonsymmetric_pencil(60, seed=60)
+
+
+def _biorthogonality(system, primal, adjoint):
+    """max |y_i^T B x_j| over pairs of distinct eigenvalues, relative to
+    the largest |y_i^T B x_i|."""
+    def block(sols):
+        return np.column_stack([np.concatenate([system.restrict(s.phi1),
+                                                system.restrict(s.phi2)]) for s in sols])
+
+    coupling = np.abs(block(adjoint).T @ (system.B @ block(primal)))
+    lams = np.array([s.lam for s in primal])
+    distinct = np.abs(lams[:, None] - lams[None, :]) > 1e-9 * np.abs(lams)
+    return np.max(coupling[distinct]) / np.max(np.diag(coupling))
+
+
+@pytest.mark.parametrize("m1, m2", [(5, 5), (6, 3)])
+@pytest.mark.parametrize("primal_first", [True, False], ids=["primal-first", "adjoint-first"])
+@pytest.mark.parametrize("case", ["table1-square", "robin-square", "proportional-disk"])
+def test_other_orientation_reuses_certified_pairs(case, primal_first, m1, m2,
+                                                  monkeypatch):
+    # A and A^T give one fission-source operator here (one region, or one
+    # nu_sigma_f2 / sigma_12 ratio in every region): the second solve of
+    # the pair returns the first one's eigenvalues and fast halves with its
+    # own thermal halves, and runs no Arnoldi
+    system = _pair_system(case)
+    first, second = ((solve_primal, solve_adjoint) if primal_first
+                     else (solve_adjoint, solve_primal))
+    runs = _spy_arnoldi(monkeypatch)
+    done = first(system, SolverSettings(m=m1))[:m2]
+    reused = second(system, SolverSettings(m=m2))
+    assert runs == [not primal_first]
+    assert [s.lam for s in reused] == [s.lam for s in done]
+    for sol in reused:
+        assert sol.adjoint == primal_first
+        assert sol.residual <= 1e-9 and residual(system, sol) <= 1e-9
+    primal, adjoint = (done, reused) if primal_first else (reused, done)
+    assert _biorthogonality(system, primal, adjoint) <= 1e-8
+    # every copy of a double is kept: the vectors are independent
+    singular = np.linalg.svd(np.column_stack([s.phi1 for s in reused]), compute_uv=False)
+    assert singular[-1] > 0.1 * singular[0]
+
+
+@pytest.mark.parametrize("case", ["quarter-core", "nonproportional-disk", "nonsymmetric"])
+def test_uncertified_reuse_runs_arnoldi_as_before(case, monkeypatch):
+    # A and A^T give different fission-source operators: the pairs built
+    # from the primal's fast halves miss certification, and the adjoint
+    # runs Arnoldi on the shared factors, bit for bit as a fresh solve
+    system = _pair_system(case)
+    settings = SolverSettings(m=3)
+    solve_primal(system, settings)
+    events = []
+    thermal = eigensolver._FissionSource.thermal
+    arnoldi = eigensolver._arnoldi
+
+    def thermal_spy(self, lams, x1):
+        events.append("thermal")
+        return thermal(self, lams, x1)
+
+    def arnoldi_spy(*args):
+        events.append("arnoldi")
+        return arnoldi(*args)
+
+    monkeypatch.setattr(eigensolver._FissionSource, "thermal", thermal_spy)
+    monkeypatch.setattr(eigensolver, "_arnoldi", arnoldi_spy)
+    adjoint = solve_adjoint(system, settings)
+    assert events[:2] == ["thermal", "arnoldi"]  # tried, rejected, then Arnoldi
+    fresh = solve_adjoint(dataclasses.replace(system), settings)
+    for x, y in zip(adjoint, fresh, strict=True):
+        assert x.lam == y.lam and x.residual == y.residual
+        assert np.array_equal(x.phi1, y.phi1) and np.array_equal(x.phi2, y.phi2)
+
+
+@pytest.mark.parametrize("second, m", [(solve_adjoint, 5), (solve_primal, 3)],
+                         ids=["larger-m", "same-orientation"])
+def test_reuse_needs_the_other_orientation_and_no_more_pairs(second, m, table1_deck,
+                                                             monkeypatch):
+    # after a primal solve with m = 3, an adjoint solve with m = 5 or a
+    # second primal solve runs Arnoldi on the shared factors
+    system = _square_k2_system(table1_deck)
+    solve_primal(system, SolverSettings(m=3))
+    runs = _spy_arnoldi(monkeypatch)
+    got = second(system, SolverSettings(m=m))
+    assert runs == [second is solve_adjoint]
+    fresh = second(dataclasses.replace(system), SolverSettings(m=m))
+    for x, y in zip(got, fresh, strict=True):
+        assert x.lam == y.lam and np.array_equal(x.phi1, y.phi1)
+
+
+def test_reused_adjoint_keeps_every_copy_of_a_triple(monkeypatch):
+    # octant cube k=1 N=3: lambda_2 = lambda_3 = lambda_4 exactly, and the
+    # adjoint takes all three copies from the primal
+    case = ("octants", 3, 1, "paper-table1")
+    system = _system(*case)
+    runs = _spy_arnoldi(monkeypatch)
+    settings = SolverSettings(m=8)
+    primal = solve_primal(system, settings)
+    adjoint = solve_adjoint(system, settings)
+    assert runs == [False]
+    want = _closed_form_eigenvalues(case)[:8]
+    assert want[1] == pytest.approx(want[3], rel=1e-12)
+    for sols in (primal, adjoint):
+        np.testing.assert_allclose([s.lam.real for s in sols], want, rtol=1e-8)
+        assert all(residual(system, s) <= 1e-9 for s in sols)
+        triple = np.column_stack([s.phi1 for s in sols[1:4]])
+        singular = np.linalg.svd(triple, compute_uv=False)
+        assert singular[-1] > 0.1 * singular[0]
 
 
 def test_cube_ordering_fills_no_more_than_minimum_degree():
