@@ -48,8 +48,9 @@ under [solver], every other option under [run]. Subcommands that take
 `bc` values are `dirichlet` or `robin:<alpha>` (optionally
 `robin:<alpha1>,<alpha2>`), with finite alphas >= 0. A named deck
 (`deck = ...` under [run] or `--deck`) and inline [deck] sections are
-mutually exclusive. Any other section or key is rejected with its line
-number.
+mutually exclusive. Two sections of one region ([deck] and [deck.1], or
+[deck.1] and [deck.01]) are refused. Any other section or key is
+rejected with its line number.
 
 Outputs are deterministic: identical configuration produces
 byte-identical CSV and VTK files (full-precision repr formatting, no
@@ -176,6 +177,7 @@ def parse_config(path, subcommand):
     accepting only the options (and deck sections) the subcommand takes."""
     takes = _SUBCOMMANDS[subcommand][1]
     sections = {}
+    regions = set()  # the deck regions of the sections so far
     current = None
     try:
         lines = _read_lines(path, "utf-8", ConfigError)
@@ -200,6 +202,11 @@ def parse_config(path, subcommand):
                 )
             if name in sections:
                 raise ConfigError(f"{path}:{ln}: duplicate section [{name}]")
+            if base == "deck":  # [deck] is region 1, and [deck.01] is [deck.1]
+                region = int(tag) if dot else 1
+                if region in regions:
+                    raise ConfigError(f"{path}:{ln}: duplicate deck region {region}")
+                regions.add(region)
             current = sections.setdefault(name, {})
             continue
         if "=" not in line:

@@ -239,18 +239,12 @@ class Mesh:
             tag_of[listed] = gtags
             btags = tag_of[true]
 
-        verts.flags.writeable = False
-        cells.flags.writeable = False
-        rtags.flags.writeable = False
-        bfac.flags.writeable = False
-        btags.flags.writeable = False
-        bcells.flags.writeable = False
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "region_tags", rtags)
-        object.__setattr__(self, "boundary_facets", bfac)
-        object.__setattr__(self, "boundary_tags", btags)
-        object.__setattr__(self, "boundary_cells", bcells)
+        for name, value in [
+            ("vertices", verts), ("cells", cells), ("region_tags", rtags),
+            ("boundary_facets", bfac), ("boundary_tags", btags), ("boundary_cells", bcells),
+        ]:
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def num_vertices(self):
@@ -422,34 +416,28 @@ def generator(domain):
 
 _MSH_NODES_PER_TYPE = {1: 2, 2: 3, 4: 4}
 _MSH_NODE_ROW = np.dtype([("id", np.int64), ("xyz", np.float64, (3,))])
+# the sections read; any other section is skipped, and may repeat
+_MSH_SECTIONS = ("$MeshFormat", "$Nodes", "$Elements")
 
 
-def _load_rows(lines, dtype):
-    """Parse each text line as one record of the structured ``dtype``.
+def _loadtxt(lines, dtype):
+    """One np.loadtxt of the lines as rows of dtype, blank lines skipped;
+    None if a line does not parse."""
+    if not any(map(str.strip, lines)):  # np.loadtxt warns on no data
+        return np.zeros(0, dtype)
+    try:
+        return np.loadtxt(lines, dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
 
-    Returns the records and a mask of the lines that parsed. A line parses
-    when it has exactly as many whitespace-separated fields as ``dtype``
-    and each one converts. All lines go to one ``np.loadtxt`` call; only
-    if that rejects the block is each line parsed alone, so that the
-    caller can name the first bad one.
-    """
-    if lines:
-        try:
-            rows = np.loadtxt(lines, dtype, comments=None, ndmin=1)
-        except ValueError:
-            rows = None
-        if rows is not None and len(rows) == len(lines):  # blank lines are skipped
-            return rows, np.ones(len(lines), dtype=bool)
-    rows = np.zeros(len(lines), dtype)
-    ok = np.zeros(len(lines), dtype=bool)
+
+def _first_bad_line(lines, dtype):
+    """The index of the first line that is blank or does not parse alone
+    as a row of dtype; len(lines) if there is none."""
     for k, line in enumerate(lines):
-        if line.strip():
-            try:
-                rows[k : k + 1] = np.loadtxt([line], dtype, comments=None, ndmin=1)
-            except ValueError:
-                continue
-            ok[k] = True
-    return rows, ok
+        if not line.strip() or _loadtxt([line], dtype) is None:
+            return k
+    return len(lines)
 
 
 def _read_lines(path, encoding, error):
@@ -485,18 +473,22 @@ def read_gmsh(path):
     def err(msg, ln):
         raise MeshFormatError(f"{path}:{ln}: {msg}")
 
+    # headers and end markers are matched with their surrounding blanks stripped
+    marks = list(map(str.strip, lines))
     sections = {}
     i = 0
     while i < len(lines):
-        name = lines[i].strip()
+        name = marks[i]
         if not name:
             i += 1
             continue
         if not name.startswith("$") or name.startswith("$End"):
             err(f"expected section header, got {name!r}", i + 1)
+        if name in sections and name in _MSH_SECTIONS:
+            err(f"repeated section {name}", i + 1)
         end = f"$End{name[1:]}"
         try:
-            j = lines.index(end, i + 1)
+            j = marks.index(end, i + 1)
         except ValueError:
             err(f"section {name} not closed by {end}", i + 1)
         sections[name] = (i + 1, lines[i + 1 : j])
@@ -524,9 +516,9 @@ def read_gmsh(path):
         err("unsupported mesh format, need '2.2 0 8'", ln0 + 1)
 
     node_ln0, nlines = counted("$Nodes", "node")
-    nodes, ok = _load_rows(nlines, _MSH_NODE_ROW)
-    if not ok.all():
-        r = int(np.argmin(ok))
+    nodes = _loadtxt(nlines, _MSH_NODE_ROW)
+    if nodes is None or len(nodes) < len(nlines):
+        r = _first_bad_line(nlines, _MSH_NODE_ROW)
         err(f"bad node line {nlines[r]!r}", node_ln0 + 2 + r)
     ids, xyz = nodes["id"], nodes["xyz"]
     order = np.argsort(ids)
@@ -537,32 +529,31 @@ def read_gmsh(path):
     ln0, elines = counted("$Elements", "element")
     nelem = len(elines)
 
-    # every field is an integer: id, type, tag count, tags, node ids. Lines
-    # are parsed in groups of equal field count; the node ids, the last nv
-    # fields, are stored left-aligned in conn.
+    # every field is an integer: id, type, tag count, tags, node ids. All
+    # lines are parsed as one row of fields, line r's from start[r] on, and
+    # each column below is gathered from it. If a line does not parse, only
+    # the lines before it are, so that their faults come first; it and the
+    # lines after it count as lines of no field, which are bad. Four fields
+    # of padding keep every gather in range; a gather that leaves its line
+    # serves only a line that the checks below refuse.
     nfields = np.fromiter(map(len, map(str.split, elines)), np.int64, count=nelem)
-    head = np.zeros((nelem, 3), dtype=np.int64)  # id, type, tag count
-    parsed = np.zeros(nelem, dtype=bool)
-    tags = np.ones(nelem, dtype=np.int64)
+    pad = ["0 0 0 0"]
+    fields = _loadtxt([" ".join(elines + pad)], np.int64)
+    if fields is None:
+        ok = _first_bad_line(elines, np.int64)
+        fields, nfields[ok:] = _loadtxt([" ".join(elines[:ok] + pad)], np.int64), 0
+    start = np.cumsum(nfields) - nfields
+    eid, etype, ntags, tag = (fields[start + k] for k in range(4))
+    tags = np.where(ntags >= 1, tag, 1)
     nv = np.zeros(nelem, dtype=np.int64)  # 0 marks an unsupported type
-    conn = np.zeros((nelem, 4), dtype=np.int64)
-    for width in np.unique(nfields[nfields >= 3]).tolist():
-        (rows,) = np.nonzero(nfields == width)
-        table, parsed[rows] = _load_rows(
-            [elines[r] for r in rows], np.dtype([("f", np.int64, (width,))])
-        )
-        table = table["f"]
-        head[rows] = table[:, :3]
-        if width > 3:
-            tags[rows] = np.where(table[:, 2] >= 1, table[:, 3], 1)
-        for etype, n in _MSH_NODES_PER_TYPE.items():
-            match = table[:, 1] == etype
-            nv[rows[match]] = n
-            if n <= width - 3:
-                conn[rows[match], :n] = table[match, width - n :]
+    for t, n in _MSH_NODES_PER_TYPE.items():
+        nv[etype == t] = n
+    # the node ids, the last nv fields, fill conn from the left; the columns
+    # past nv repeat the last one, which np.searchsorted finds fastest
+    first = start + nfields - nv
+    conn = fields[first[:, None] + np.minimum(np.arange(4), nv[:, None] - 1)]
 
-    etype, ntags = head[:, 1], head[:, 2]
-    bad = ~parsed | (ntags < 0)
+    bad = (nfields < 3) | (ntags < 0)
     miscount = nfields != 3 + ntags + nv
     pos = np.searchsorted(sorted_ids, conn)
     found = pos < len(ids)
@@ -579,7 +570,7 @@ def read_gmsh(path):
         if miscount[r]:
             err("element line has wrong field count", ln)
         err(f"element references unknown node {conn[r][missing[r]][0]}", ln)
-    if len(np.unique(head[:, 0])) != nelem:
+    if len(np.unique(eid)) != nelem:
         err("duplicate element id", ln0 + 1)
 
     if np.any(etype == 4):

@@ -320,6 +320,15 @@ def test_inline_deck_names_first_missing_constant(tmp_path, hashseed):
     assert "is missing D2\n" in done.stderr
 
 
+@pytest.mark.parametrize("first,second", [("deck", "deck.1"), ("deck.1", "deck.01")])
+def test_two_deck_sections_of_one_region_refused(tmp_path, capsys, first, second):
+    body = "".join(f"{key} = {value}\n" for key, value in TABLE1_DECK.items())
+    path = config_file(tmp_path, f"[{first}]\n{body}[{second}]\n"
+                       + body.replace("D1 = 1.0", "D1 = 2.0"))
+    assert cli(["oracle", "--config", path, "--modes", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {path}:9: duplicate deck region 1\n"
+
+
 def test_named_and_inline_deck_conflict(tmp_path):
     body = ("D1 = 1.0\nD2 = 0.5\nsigma_a1 = 0.2\nsigma_a2 = 0.1\n"
             "sigma_12 = 0.1\nnu_sigma_f1 = 0.3\nnu_sigma_f2 = 0.1\n")

@@ -416,6 +416,14 @@ def row_tables(draw):
     return table
 
 
+def ranked_key_rows():
+    """2048 + 200 rows of 6 columns in 0..2047, the first 200 rows repeated:
+    no column spans the row count, but five spans of 2048 times a sixth
+    reach 2**62, so the key is ranked once."""
+    rows = np.random.default_rng(11).integers(0, 2048, (2048, 6), dtype=np.int64)
+    return np.concatenate([rows, rows[:200]])
+
+
 @given(st.one_of(
     row_tables(),
     hnp.arrays(np.int64, st.tuples(st.integers(1, 60), st.integers(1, 7)),
@@ -423,6 +431,7 @@ def row_tables(draw):
 ))
 @example(np.array([[a, b] for a in range(5) for b in (0, 2**61)], dtype=np.int64))
 @example(np.array([[INT64.min, 1, 2], [INT64.max, 0, 2]], dtype=np.int64))
+@example(ranked_key_rows())
 @settings(max_examples=200, deadline=None)
 def test_group_rows_matches_unique(rows):
     inverse, first, counts = _group_rows(rows)
@@ -605,15 +614,39 @@ def edited(start, stop, *new):
     (edited(6, 7, "2 nan 0 0"), "7: non-finite coordinate on node 2"),
     # node 9 is used by no cell and checked all the same
     (edited(4, 6, "5", "1 0 0 0", "9 inf 0 0"), "7: non-finite coordinate on node 9"),
+    # the second of two $Elements sections, one triangle each
+    (edited(11, 14, "1", "1 2 2 1 1 1 2 3", "$EndElements", "$Elements", "1",
+            "2 2 2 1 1 1 3 4"), "15: repeated section $Elements"),
+    (edited(6, 7, "1 1 0 0"), "5: duplicate node id"),
+    (edited(11, 14, "2", "1 4 0 1 2 3 4", "2 1 0 1 2"),
+     "12: line elements are unsupported in a tetrahedral mesh"),
+    (edited(11, 14, "1", "1 1 0 1 2"), "12: file contains no triangles or tetrahedra"),
+    (edited(1, 2, "4.1 0 8"), "2: unsupported mesh format, need '2.2 0 8'"),
+    (edited(3, 3, "Nodes"), "4: expected section header, got 'Nodes'"),
 ], ids=["no-format", "no-nodes", "no-elements", "node-count", "node-lines",
         "element-count", "element-lines", "z-0.5", "z-nan", "z-inf", "x-nan",
-        "unused-x-inf"])
+        "unused-x-inf", "repeated-section", "duplicate-node", "lines-and-tets",
+        "no-cells", "format", "no-header"])
 def test_read_message_names_path_and_line(tmp_path, edit, message):
     path = tmp_path / "cut.msh"
     path.write_text("\n".join(edit(list(TWO_TRIANGLES))) + "\n")
     with pytest.raises(MeshFormatError) as info:
         read_gmsh(path)
     assert str(info.value) == f"{path}:{message}"
+
+
+def test_read_accepts_blank_padded_markers(tmp_path):
+    # headers and end markers may carry blanks; a skipped section may repeat
+    padded = [f" {line}\t" if line.startswith("$") else line for line in TWO_TRIANGLES]
+    notes = ["$NodeData", "note", "$EndNodeData "]
+    path = tmp_path / "padded.msh"
+    path.write_text("\n".join(padded + notes + notes) + "\n")
+    plain = tmp_path / "plain.msh"
+    plain.write_text("\n".join(TWO_TRIANGLES) + "\n")
+    mesh, ref = read_gmsh(path), read_gmsh(plain)
+    assert np.array_equal(mesh.vertices, ref.vertices)
+    assert np.array_equal(mesh.cells, ref.cells)
+    assert mesh.num_cells == 2
 
 
 def test_read_unclosed_section(tmp_path):
