@@ -4,8 +4,9 @@ The asset is a structured triangulation of the stepped quarter-core
 layout used by the two-group benchmark deck: a 9x9 block map whose first
 row and column are half-width (they sit on the core center lines), with
 each block split into s x s squares and each square into two triangles.
-Region tags follow the block map below; every boundary facet keeps the
-default tag 1 since the deck applies one boundary condition everywhere.
+Region tags follow the block map below. The mesh carries no boundary
+tags: each boundary facet takes the boundary condition of its cell's
+region in the deck, and write_msh writes the boundary lines with tag 1.
 
 Two calibration choices are baked into the asset and recorded here and
 in the companion note:

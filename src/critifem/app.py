@@ -191,7 +191,7 @@ def parse_config(path, subcommand):
             name = line[1:-1].strip()
             base, dot, tag = name.partition(".")
             if base == "deck" and "deck" in takes:
-                if dot and (not tag.isdigit() or int(tag) < 1):
+                if dot and (not tag.isdecimal() or int(tag) < 1):
                     raise ConfigError(
                         f"{path}:{ln}: deck section tag must be a positive "
                         f"integer, got [{name}]"

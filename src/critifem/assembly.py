@@ -245,8 +245,7 @@ def assemble(mesh, dofmap, deck, k):
 
     deck maps every region tag to a (GroupConstants, BoundaryCondition)
     pair; a boundary facet takes the BC of the region of its adjacent
-    cell. Facets sharing a boundary tag must agree on the BC kind, and the
-    free DOFs must form one connected part of the pattern.
+    cell. The free DOFs must form one connected part of the pattern.
     """
     if dofmap.degree != k or dofmap.dim != mesh.dim:
         raise ValueError("dofmap does not match mesh/degree")
@@ -267,10 +266,6 @@ def assemble(mesh, dofmap, deck, k):
     # boundary handling: each facet takes the BC of its owning cell's region
     facet_region = mesh.region_tags[mesh.boundary_cells]
     robin = per_region(lambda entry: entry[1].kind == "robin", facet_region)
-    for t in mesh.boundary_ids():
-        on_tag = robin[mesh.boundary_tags == t]
-        if on_tag.any() and not on_tag.all():
-            raise ValueError(f"boundary tag {t} mixes BC kinds (dirichlet and robin)")
 
     n = dofmap.n
     constrained = np.unique(dofmap.facet_dofs[~robin])

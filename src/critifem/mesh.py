@@ -3,13 +3,13 @@
 Structured generators for the unit square, the L-shaped domain, the unit
 cube and the unit disk, plus a reader and writer for a small subset of
 the MSH 2.2 ASCII format used to ship the reactor geometry with region
-and boundary tags.
+tags.
 
 All generators return a validated :class:`Mesh`: cells are oriented to
 positive signed volume, conformity is checked (every interior facet is
 shared by exactly two cells), the cells must form one part joined
-through shared facets, and the boundary facet list is recomputed from
-the cells so it is exactly the set of one-cell facets.
+through shared facets, and the boundary facets are computed from the
+cells as exactly the set of one-cell facets.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _signed_volumes(vertices, cells):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable simplicial mesh with per-cell region tags and tagged boundary.
+    """Immutable simplicial mesh with per-cell region tags.
 
     Parameters
     ----------
@@ -124,16 +124,12 @@ class Mesh:
         Simplices; reoriented to positive signed volume on construction.
     region_tags : (nc,) int array
         Material region per cell; tags must form a contiguous set {1..R}.
-    boundary_facets : (nb, dim) int array or None
-        Tagged boundary facets. If None the true boundary of the cell
-        complex is extracted and tagged 1. If given, every listed facet
-        must actually lie on the boundary; boundary facets not listed
-        default to tag 1.
-    boundary_tags : (nb,) int array or None
 
-    Validation replaces boundary_facets by the one-cell facets of the
-    cell complex, each vertex-sorted, and sets boundary_cells, the
-    owning cell of each of them (aligned with boundary_facets).
+    Validation sets boundary_facets, the one-cell facets of the cell
+    complex, each vertex-sorted, and boundary_cells, the owning cell of
+    each of them (aligned with boundary_facets). The mesh carries no
+    boundary tags: a boundary facet takes the condition of its cell's
+    region.
     Every vertex belongs to a cell; a vertex that no cell uses raises
     ValueError. The DOF map relies on it: vertex DOF = vertex id.
     The cells form one part joined through shared facets; a mesh of
@@ -145,8 +141,7 @@ class Mesh:
     vertices: np.ndarray
     cells: np.ndarray
     region_tags: np.ndarray
-    boundary_facets: np.ndarray | None = None
-    boundary_tags: np.ndarray | None = None
+    boundary_facets: np.ndarray = field(init=False, repr=False)
     boundary_cells: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -211,37 +206,9 @@ class Mesh:
             raise ValueError(f"the cells form {parts} connected parts; a mesh must be one")
         bfac, bcells = fac[first[counts == 1]], owner[counts == 1]
 
-        if self.boundary_facets is None:
-            btags = np.ones(len(bfac), dtype=np.int64)
-        else:
-            given = np.asarray(self.boundary_facets, dtype=np.int64)
-            if given.ndim != 2 or given.shape[1] != dim:
-                raise ValueError(
-                    f"boundary_facets must be (nb, {dim}), got {given.shape}"
-                )
-            given = np.sort(given, axis=1)
-            gtags = np.asarray(self.boundary_tags, dtype=np.int64)
-            if gtags.shape != (len(given),):
-                raise ValueError("boundary_tags length must match boundary_facets")
-            # listed facets first, then the true boundary, whose rows are distinct
-            group, _, counts = _group_rows(np.concatenate([given, bfac]))
-            listed, true = group[: len(given)], group[len(given) :]
-            if np.any(np.bincount(listed, minlength=len(counts)) > 1):
-                raise ValueError("duplicate boundary facet listed")
-            outside = np.flatnonzero(~np.isin(listed, true))
-            if len(outside):
-                raise ValueError(
-                    "listed facet with 0-based vertex indices "
-                    f"{tuple(given[outside[0]].tolist())} is not a boundary "
-                    "facet of the cell complex"
-                )
-            tag_of = np.ones(len(counts), dtype=np.int64)
-            tag_of[listed] = gtags
-            btags = tag_of[true]
-
         for name, value in [
             ("vertices", verts), ("cells", cells), ("region_tags", rtags),
-            ("boundary_facets", bfac), ("boundary_tags", btags), ("boundary_cells", bcells),
+            ("boundary_facets", bfac), ("boundary_cells", bcells),
         ]:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -253,13 +220,6 @@ class Mesh:
     @property
     def num_cells(self):
         return self.cells.shape[0]
-
-    def region_ids(self):
-        """Sorted array of distinct region tags."""
-        return np.unique(self.region_tags)
-
-    def boundary_ids(self):
-        return np.unique(self.boundary_tags)
 
 
 def cell_volumes(mesh):
@@ -298,7 +258,7 @@ def generate_unit_square(N):
 
     (N+1)^2 vertices and 2 N^2 triangles; every grid square is split along
     the diagonal from its south-west to its north-east corner. Single
-    region tag 1, all boundary facets tagged 1.
+    region tag 1.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -458,12 +418,13 @@ def _read_lines(path, encoding, error):
 def read_gmsh(path):
     """Read an MSH 2.2 ASCII file into a :class:`Mesh`.
 
-    Cells take their region tag and boundary facets their boundary tag
-    from the first (physical) element tag; elements with no tags default
-    to tag 1. The mesh dimension is 3 when tetrahedra are present, else 2.
-    Vertices are the nodes that some cell references, in file order;
-    the other nodes are dropped, and a boundary element on one of them
-    is an error.
+    Cells take their region tag from the first (physical) element tag;
+    a cell with no tags defaults to region 1. The mesh dimension is 3
+    when tetrahedra are present, else 2. Boundary elements (lines in 2-D,
+    triangles in 3-D) pass the element-line checks and are then ignored:
+    the boundary is the one-cell facets of the cells. Vertices are the
+    nodes that some cell references, in file order; the other nodes are
+    dropped.
     Malformed sections and unsupported element types raise
     :class:`MeshFormatError` with the offending line number; a mesh that
     :class:`Mesh` refuses raises it with the $Elements count line.
@@ -574,14 +535,14 @@ def read_gmsh(path):
         err("duplicate element id", ln0 + 1)
 
     if np.any(etype == 4):
-        dim, facet_type, cell_type = 3, 2, 4
+        dim, cell_type = 3, 4
         if np.any(etype == 1):
             err("line elements are unsupported in a tetrahedral mesh", ln0 + 1)
     elif np.any(etype == 2):
-        dim, facet_type, cell_type = 2, 1, 2
+        dim, cell_type = 2, 2
     else:
         err("file contains no triangles or tetrahedra", ln0 + 1)
-    is_cell, is_facet = etype == cell_type, etype == facet_type
+    is_cell = etype == cell_type
 
     # every node line is checked, used or not; a nan z is not zero
     flat = np.abs(xyz[:, 2]) <= 1e-12
@@ -594,27 +555,11 @@ def read_gmsh(path):
 
     # nodes in file order; those that no cell references are dropped
     cell_nodes = order[pos[is_cell, : dim + 1]]
-    facet_nodes = order[pos[is_facet, :dim]]
     used = np.zeros(len(ids), dtype=bool)
     used[cell_nodes] = True
-    stray = ~used[facet_nodes]
-    if stray.any():
-        r = int(np.argmax(stray.any(axis=1)))
-        err(
-            f"boundary element references node {ids[facet_nodes[r][stray[r]][0]]}, "
-            "which no cell uses",
-            ln0 + 2 + int(np.flatnonzero(is_facet)[r]),
-        )
     index = np.cumsum(used) - 1
-    try:  # with no boundary element, every boundary facet takes tag 1
-        return Mesh(
-            dim,
-            xyz[used, :dim],
-            index[cell_nodes],
-            tags[is_cell],
-            boundary_facets=index[facet_nodes],
-            boundary_tags=tags[is_facet],
-        )
+    try:
+        return Mesh(dim, xyz[used, :dim], index[cell_nodes], tags[is_cell])
     except ValueError as e:  # Mesh refuses the elements as a whole
         raise MeshFormatError(f"{path}:{ln0 + 1}: {e}") from None
 
@@ -648,7 +593,8 @@ def write_msh(mesh, path):
     """Write the MSH 2.2 ASCII subset read by :func:`read_gmsh`.
 
     Coordinates use repr-exact formatting so a write/read round trip
-    reproduces them bit for bit.
+    reproduces them bit for bit. The boundary facets are written as
+    boundary elements with tag 1, which the reader ignores.
     """
     nv, nb, nc = mesh.num_vertices, len(mesh.boundary_facets), mesh.num_cells
     xyz = mesh.vertices.T.tolist()
@@ -666,7 +612,7 @@ def write_msh(mesh, path):
         ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(nv)],
         map("{} {!r} {!r} {!r}".format, range(1, nv + 1), *xyz),
         ["$EndNodes", "$Elements", str(nb + nc)],
-        elements(1, 1 if mesh.dim == 2 else 2, mesh.boundary_facets, mesh.boundary_tags),
+        elements(1, 1 if mesh.dim == 2 else 2, mesh.boundary_facets, np.ones(nb, np.int64)),
         elements(nb + 1, 2 if mesh.dim == 2 else 4, mesh.cells, mesh.region_tags),
         ["$EndElements"],
     ))

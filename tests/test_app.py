@@ -17,6 +17,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import critifem
 from critifem import app
@@ -31,7 +32,9 @@ from critifem.app import (
     run_iaea2d,
     write_vtk,
 )
+from critifem.assembly import assemble
 from critifem.fem_space import build_dofmap
+from critifem.materials import BoundaryCondition, GroupConstants
 from critifem.mesh import (
     Mesh,
     generate_disk,
@@ -113,6 +116,8 @@ def test_parse_config_sections_and_lines(tmp_path):
     ("[run]\ndegree\n", r":2: expected `key = value`"),
     ("[deck.x]\n", r"deck section tag"),
     ("[deck.0]\n", r"deck section tag"),
+    ("[deck.\u00b2]\n", r"^\S+:1: deck section tag must be a positive integer, "
+                         "got \\[deck.\u00b2\\]$"),
     ("[run]\n[run]\n", r":2: duplicate section"),
     ("[solver]\ndomain = square\n", r"unknown key 'domain'"),
     ("[solver]\ninner = lu\n", r":2: unknown key 'inner'"),
@@ -726,7 +731,6 @@ def disjoint_copies(mesh, count):
         cells=np.vstack([mesh.cells + i * nv for i in range(count)]),
         region_tags=np.tile(mesh.region_tags, count),
         boundary_facets=np.vstack([mesh.boundary_facets + i * nv for i in range(count)]),
-        boundary_tags=np.tile(mesh.boundary_tags, count),
     )
 
 
@@ -751,8 +755,7 @@ def test_mesh_of_several_parts_exits_two(make, count, degree, num, tmp_path, cap
 
 def merged_cells(dim, vertices, cells):
     """The attributes write_msh reads for these cells, with coincident
-    vertices merged and no listed boundary facet, so that read_gmsh tags
-    the whole boundary 1; Mesh may refuse the cells."""
+    vertices merged and no boundary element; Mesh may refuse the cells."""
     _, first, inverse = np.unique(vertices.round(12), axis=0, return_index=True,
                                   return_inverse=True)
     cells = inverse.reshape(-1)[cells]
@@ -761,7 +764,6 @@ def merged_cells(dim, vertices, cells):
         vertices=vertices[first], cells=cells,
         region_tags=np.ones(len(cells), dtype=np.int64),
         boundary_facets=np.zeros((0, dim), dtype=np.int64),
-        boundary_tags=np.zeros(0, dtype=np.int64),
     )
 
 
@@ -964,6 +966,33 @@ def test_solve_from_mesh_file(tmp_path):
     assert cli(["solve", "--mesh", str(mesh_path), "--num", "1",
                 "--out", str(tmp_path)]) == 0
     assert (tmp_path / "patch_k1_modes.vtk").exists()
+
+
+def test_dirichlet_and_robin_regions_on_one_boundary_solve(tmp_path, capsys):
+    # each boundary facet takes its cell's region's BC, so an untagged file
+    # may hold a Dirichlet region next to a Robin one
+    base = generate_unit_square(8)
+    left = base.vertices[base.cells].mean(axis=1)[:, 0] < 0.5
+    mesh = Mesh(2, base.vertices, base.cells, np.where(left, 1, 2))
+    mesh_path = tmp_path / "split.msh"
+    write_msh(mesh, mesh_path)
+    body = "".join(f"{key} = {value}\n" for key, value in TABLE1_DECK.items())
+    path = config_file(tmp_path, f"[run]\nmesh = {mesh_path}\nout = {tmp_path}\n"
+                       f"[deck]\n{body}bc = dirichlet\n[deck.2]\n{body}bc = robin:0.3,0.8\n")
+    assert cli(["solve", "--config", path]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    got = [float(row[1]) for row in rows if row[0].isdecimal()]
+    assert len(got) == 5
+
+    table1 = GroupConstants(**TABLE1_DECK)
+    deck = {1: (table1, BoundaryCondition.dirichlet()),
+            2: (table1, BoundaryCondition.robin(0.3, 0.8))}
+    system = assemble(mesh, build_dofmap(mesh, 1), deck, 1)
+    alpha, beta = scipy.linalg.eigvals(system.A.toarray(), system.B.toarray(),
+                                       homogeneous_eigvals=True)
+    finite = np.abs(beta) > 1e-8 * np.max(np.abs(beta))
+    want = np.sort((alpha[finite] / beta[finite]).real)[:5]
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
 def vtk_points_and_field(path, name):

@@ -336,13 +336,11 @@ def coo_reference_system(mesh, dofmap, deck, k):
 
 def two_region_square():
     """Square N=4, left half Dirichlet (region 1), right half Robin (region 2);
-    boundary facets tagged by region, so Robin facets meet constrained DOFs."""
+    each facet takes its cell's region's BC, so Robin facets meet
+    constrained DOFs."""
     base = generate_unit_square(4)
     right = base.vertices[base.cells].mean(axis=1)[:, 0] > 0.5
-    regions = np.where(right, 2, 1)
-    mesh = Mesh(2, base.vertices, base.cells, regions,
-                boundary_facets=base.boundary_facets,
-                boundary_tags=regions[base.boundary_cells])
+    mesh = Mesh(2, base.vertices, base.cells, np.where(right, 2, 1))
     gc2 = GroupConstants(D1=1.3, D2=0.4, sigma_a1=0.1, sigma_a2=0.2, sigma_12=0.05,
                          nu_sigma_f1=0.2, nu_sigma_f2=0.4)
     deck = {1: (GC, BoundaryCondition.dirichlet()),
@@ -442,14 +440,23 @@ def test_missing_region_rejected():
         assemble(mesh, dofmap, {2: (GC, ROBIN0)}, 1)
 
 
-def test_mixed_bc_kinds_on_one_tag_rejected():
+def test_mixed_bc_kinds_on_one_boundary_assemble():
+    # cell (0, 1, 2) is Dirichlet, so its nodes are constrained; node 3 lies
+    # only on the Robin facets (1, 3) and (2, 3) of cell (1, 3, 2)
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     cells = np.array([[0, 1, 2], [1, 3, 2]])
     mesh = Mesh(2, verts, cells, np.array([1, 2]))
     dofmap = build_dofmap(mesh, 1)
-    deck = {1: (GC, BoundaryCondition.dirichlet()), 2: (GC, ROBIN0)}
-    with pytest.raises(ValueError, match="mixes BC kinds"):
-        assemble(mesh, dofmap, deck, 1)
+    natural, robin = (
+        assemble(mesh, dofmap, {1: (GC, BoundaryCondition.dirichlet()), 2: (GC, bc)}, 1)
+        for bc in (ROBIN0, BoundaryCondition.robin(0.3, 0.8))
+    )
+    for system in (natural, robin):
+        assert system.constrained_dofs.tolist() == [0, 1, 2]
+        assert system.free_dofs.tolist() == [3]
+    # the P1 facet mass puts a third of each unit length on node 3, twice
+    assert robin.a11[0, 0] - natural.a11[0, 0] == pytest.approx(0.3 * 2 / 3)
+    assert robin.a22[0, 0] - natural.a22[0, 0] == pytest.approx(0.8 * 2 / 3)
 
 
 def test_dofmap_mismatch_rejected():

@@ -5,7 +5,6 @@ import importlib.util
 import itertools
 import math
 import pathlib
-import re
 
 import numpy as np
 import pytest
@@ -281,8 +280,7 @@ def test_mesh_size_equals_the_pair_loop(domain, n):
 
 def test_region_and_boundary_defaults():
     mesh = generate_unit_square(3)
-    assert mesh.region_ids().tolist() == [1]
-    assert mesh.boundary_ids().tolist() == [1]
+    assert np.unique(mesh.region_tags).tolist() == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -353,44 +351,6 @@ def test_nonconforming_tetrahedra_rejected():
     cells = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
     with pytest.raises(ValueError, match=r"a facet is shared by >2 cells"):
         Mesh(3, verts, cells, np.array([1, 1, 1]))
-
-
-@pytest.mark.parametrize("facets,tags", [
-    ([[0, 1], [0, 1]], [1, 1]),
-    ([[0, 1], [1, 0]], [2, 3]),  # vertex order does not make a facet distinct
-    ([[0, 2], [1, 2], [2, 0]], [1, 1, 1]),
-])
-def test_duplicate_boundary_facet_rejected(facets, tags):
-    with pytest.raises(ValueError, match="duplicate boundary facet listed"):
-        Mesh(2, TRI, np.array([[0, 1, 2]]), np.array([1]),
-             boundary_facets=np.array(facets), boundary_tags=np.array(tags))
-
-
-def test_boundary_facets_of_wrong_width_rejected():
-    with pytest.raises(ValueError, match=r"boundary_facets must be \(nb, 2\)"):
-        Mesh(2, TRI, np.array([[0, 1, 2]]), np.array([1]),
-             boundary_facets=np.array([[0, 1, 2]]), boundary_tags=np.array([1]))
-
-
-def test_interior_facet_listed_as_boundary_rejected():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    cells = np.array([[0, 1, 2], [1, 3, 2]])
-    message = ("listed facet with 0-based vertex indices (1, 2) is not a "
-               "boundary facet of the cell complex")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Mesh(2, verts, cells, np.array([1, 1]),
-             boundary_facets=np.array([[1, 2]]), boundary_tags=np.array([1]))
-
-
-def test_boundary_tags_applied_and_defaulted():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    cells = np.array([[0, 1, 2]])
-    mesh = Mesh(2, verts, cells, np.array([1]),
-                boundary_facets=np.array([[0, 1]]), boundary_tags=np.array([7]))
-    tags = {tuple(f): int(t) for f, t in zip(mesh.boundary_facets, mesh.boundary_tags)}
-    assert tags[(0, 1)] == 7
-    assert tags[(0, 2)] == 1  # unlisted boundary facets default to tag 1
-    assert tags[(1, 2)] == 1
 
 
 INT64 = np.iinfo(np.int64)
@@ -478,7 +438,6 @@ def test_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.cells, mesh.cells)
         assert np.array_equal(back.region_tags, mesh.region_tags)
-        assert np.array_equal(back.boundary_tags, mesh.boundary_tags)
 
 
 def test_roundtrip_multiregion(tmp_path):
@@ -518,12 +477,15 @@ def test_read_drops_nodes_no_cell_uses(tmp_path):
     # the used nodes 4, 1, 2, 3 keep their file order
     assert mesh.vertices.tolist() == [[1.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     assert mesh.cells.tolist() == [[1, 2, 3], [2, 0, 3]]
-    tags = {tuple(f): int(t) for f, t in zip(mesh.boundary_facets, mesh.boundary_tags)}
-    assert tags[(1, 2)] == 5
-    path.write_text(text.replace("1 1 2 5 5 1 2", "1 1 2 5 5 1 9"))
-    with pytest.raises(MeshFormatError, match=r":15: boundary element references "
-                       r"node 9, which no cell uses"):
-        read_gmsh(path)
+    # a boundary element is ignored, even on a node that no cell uses
+    stray = text.replace("1 1 2 5 5 1 2", "1 1 2 5 5 1 9")
+    bare = text.replace("$Elements\n3\n1 1 2 5 5 1 2\n", "$Elements\n2\n")
+    for variant in (stray, bare):
+        assert variant != text
+        path.write_text(variant)
+        back = read_gmsh(path)
+        for name in ("vertices", "cells", "region_tags", "boundary_facets"):
+            assert np.array_equal(getattr(back, name), getattr(mesh, name))
 
 
 def test_read_two_triangle_file(tmp_path):
@@ -661,7 +623,7 @@ def test_packaged_quarter_core_asset():
     with importlib.resources.as_file(ref) as path:
         mesh = read_gmsh(path)
     assert mesh.dim == 2
-    assert mesh.region_ids().tolist() == [1, 2, 3, 4, 5]
+    assert np.unique(mesh.region_tags).tolist() == [1, 2, 3, 4, 5]
     assert mesh.num_cells > 1000
 
 
@@ -758,18 +720,17 @@ def loop_read_gmsh(path):
         by_type[etype][0].append([id2idx[p] for p in rest[ntags:]])
         by_type[etype][1].append(rest[0] if ntags >= 1 else 1)
 
+    # boundary elements are read and checked like the cells, then ignored
     if by_type[4][0]:
-        dim, (cells, rtags), (bfac, btags) = 3, by_type[4], by_type[2]
+        dim, (cells, rtags) = 3, by_type[4]
         assert not by_type[1][0]
     else:
-        dim, (cells, rtags), (bfac, btags) = 2, by_type[2], by_type[1]
+        dim, (cells, rtags) = 2, by_type[2]
     return Mesh(
         dim,
         xyz[:, :dim],
         np.array(cells, dtype=np.int64),
         np.array(rtags, dtype=np.int64),
-        boundary_facets=np.array(bfac, dtype=np.int64) if bfac else None,
-        boundary_tags=np.array(btags, dtype=np.int64) if bfac else None,
     )
 
 
@@ -835,7 +796,6 @@ def test_reader_matches_line_by_line_reference(tmp_path):
     for path in msh_files(tmp_path):
         mesh, ref = read_gmsh(path), loop_read_gmsh(path)
         assert mesh.dim == ref.dim
-        for name in ("vertices", "cells", "region_tags", "boundary_facets",
-                     "boundary_tags"):
+        for name in ("vertices", "cells", "region_tags", "boundary_facets"):
             got, want = getattr(mesh, name), getattr(ref, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), (path, name)
