@@ -16,7 +16,7 @@ benchmark iaea2d  mesh, degree, num, out, tol
 oracle            domain, num (spelled --modes as a flag), deck
 check-ellipticity deck
 
-This module parses, dispatches, prints and writes. It converts values
+This module parses, dispatches, writes and prints. It converts values
 and checks what only it knows (flag syntax, --num >= 1, --mesh versus
 --domain); each other input is checked once, by the layer that uses it:
 the domain name and resolutions by the mesh generators, the degree by
@@ -32,6 +32,11 @@ Arnoldi basis reaches its cap, a wanted pair misses certification with
 every eigenvalue in the basis, an empty spectrum, fewer finite
 eigenvalues than --num, or no free DOF left after the Dirichlet
 conditions).
+
+Report: each subcommand computes its result, writes its files, and
+returns its report lines; cli prints them to stdout in one write, only
+then, so exits 2 and 3 print no report. A closed stdout (a reader that
+has gone) drops the report and exits 0, with every file written.
 
 Config files
 ------------
@@ -477,18 +482,17 @@ def _cmd_solve(cfg):
     mesh = _load_mesh(cfg)
     dofmap = build_dofmap(mesh, cfg.degree)
     solutions = solve_primal(assemble(mesh, dofmap, cfg.deck, cfg.degree), cfg.settings)
-    print("\n".join(_spectrum_lines(solutions)))
     os.makedirs(cfg.out_dir, exist_ok=True)
     stem = cfg.domain if cfg.domain else os.path.splitext(
         os.path.basename(cfg.mesh_path)
     )[0]
     base = os.path.join(cfg.out_dir, f"{stem}_k{cfg.degree}_modes")
     write_vtk(mesh, solutions, base + ".vtk")
-    print(f"wrote {base}.vtk")
+    lines = [*_spectrum_lines(solutions), f"wrote {base}.vtk"]
     if cfg.degree >= 2:
         _write_coefficient_csv(solutions, dofmap.n, base + "_coefficients.csv")
-        print(f"wrote {base}_coefficients.csv")
-    return 0
+        lines.append(f"wrote {base}_coefficients.csv")
+    return lines
 
 
 def _cmd_converge(cfg):
@@ -498,28 +502,25 @@ def _cmd_converge(cfg):
         cfg.domain, cfg.degree, cfg.resolutions, deck=cfg.deck,
         deck_label=cfg.deck_label, m=cfg.settings.m, tol=cfg.settings.tol,
     )
-    print(format_table(study))
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"{cfg.domain}_k{cfg.degree}_study.csv")
     write_csv(study, path)
-    print(f"wrote {path}")
-    return 0
+    return [format_table(study), f"wrote {path}"]
 
 
 def _cmd_benchmark(cfg):
     result = run_iaea2d(
         mesh_path=cfg.mesh_path, degree=cfg.degree, settings=cfg.settings
     )
-    dominant = result.solutions[0]
-    print(f"k_eff = {dominant.k_eff:.6f}   (lambda = {dominant.lam.real:.6f}, "
-          f"residual = {dominant.residual:.2e})")
-    print(f"boundary/max flux: fast {result.boundary_peak_fraction[0]:.4f}, "
-          f"thermal {result.boundary_peak_fraction[1]:.4f}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"iaea2d_k{cfg.degree}.vtk")
     write_vtk(result.mesh, result.solutions, path)
-    print(f"wrote {path}")
-    return 0
+    dominant = result.solutions[0]
+    fast, thermal = result.boundary_peak_fraction
+    return [f"k_eff = {dominant.k_eff:.6f}   (lambda = {dominant.lam.real:.6f}, "
+            f"residual = {dominant.residual:.2e})",
+            f"boundary/max flux: fast {fast:.4f}, thermal {thermal:.4f}",
+            f"wrote {path}"]
 
 
 def _cmd_oracle(cfg):
@@ -529,19 +530,19 @@ def _cmd_oracle(cfg):
     if bc.kind != "dirichlet":
         raise ConfigError(f"oracle needs a Dirichlet deck, not bc = {bc.kind}")
     mus = laplacian_modes(cfg.domain or "square", cfg.settings.m)
-    lams = [analytic_eigenvalue(mu, gc) for mu in mus]  # raises before any output
-    print("  #              mu          lambda")
-    for j, (mu, lam) in enumerate(zip(mus, lams), 1):
-        print(f"{j:3d}   {mu:13.6f}   {lam:13.8f}")
-    return 0
+    return ["  #              mu          lambda"] + [
+        f"{j:3d}   {mu:13.6f}   {analytic_eigenvalue(mu, gc):13.8f}"
+        for j, mu in enumerate(mus, 1)
+    ]
 
 
 def _cmd_check_ellipticity(cfg):
+    lines = []
     for tag, (gc, _bc) in sorted(cfg.deck.items()):
         report = ellipticity_check(gc, region=tag)
         verdict = "elliptic" if report.elliptic else "NOT elliptic"
-        print(f"region {tag}: margin = {report.margin:+.6g} -> {verdict}")
-    return 0
+        lines.append(f"region {tag}: margin = {report.margin:+.6g} -> {verdict}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +574,19 @@ _COMMANDS = {
 
 
 def cli(argv=None):
-    """Run one subcommand; returns the process exit code."""
+    """Run one subcommand and print its report, which it returns once
+    every file is written; returns the process exit code."""
     try:
         ns = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _COMMANDS[ns.subcommand](build_config(ns))
+        print("\n".join(_COMMANDS[ns.subcommand](build_config(ns))), flush=True)
+    except BrokenPipeError:
+        # stdout's reader is gone, after every file was written: drop the
+        # report, and point fd 1 at devnull so the flush at exit cannot fail
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     except (OSError, ValueError) as e:  # ConfigError and MeshFormatError too
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -589,6 +596,7 @@ def cli(argv=None):
     except SolverError as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 3
+    return 0
 
 
 def main():

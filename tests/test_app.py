@@ -924,6 +924,45 @@ def test_absolute_certification_limit_on_nine_dofs(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+REPORTING_RUNS = [
+    (["solve", "--domain", "square", "--resolutions", "8", "--degree", "2", "--num", "3"],
+     ["square_k2_modes.vtk", "square_k2_modes_coefficients.csv"]),
+    (["converge", "--domain", "square", "--resolutions", "4,8,16"],
+     ["square_k1_study.csv"]),
+]
+
+
+@pytest.mark.parametrize("argv,files", REPORTING_RUNS, ids=["solve", "converge"])
+def test_closed_stdout_drops_only_the_report(argv, files, tmp_path, capsys):
+    # the reader of stdout is gone before the child prints: every file is
+    # still written, as by a run with an open stdout, and the exit is 0
+    with subprocess.Popen(
+        [sys.executable, "-m", "critifem.app", *argv, "--out", str(tmp_path / "closed")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=fresh_env(),
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 0, err
+    assert "Broken pipe" not in err and "Traceback" not in err
+    assert cli(argv + ["--out", str(tmp_path / "open")]) == 0
+    assert capsys.readouterr().out
+    for name in files:
+        assert filecmp.cmp(tmp_path / "closed" / name, tmp_path / "open" / name,
+                           shallow=False)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _files in REPORTING_RUNS],
+                         ids=["solve", "converge"])
+def test_run_that_fails_after_solving_prints_no_report(argv, tmp_path, capsys):
+    # --out names a regular file: the solve succeeds, the write fails
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # solve/converge outputs
 
