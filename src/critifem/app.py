@@ -8,7 +8,9 @@ benchmark iaea2d  packaged quarter-core problem: dominant k, flux fields
 oracle            closed-form eigenvalues of the homogeneous problem
 check-ellipticity coercivity report for a deck
 
-Each subcommand takes these options, as flags and as config keys alike:
+Each subcommand is declared once, in _SUBCOMMANDS, with its help text,
+the function that runs it and the options it takes, as flags and
+as config keys alike:
 
 solve             domain, mesh, degree, resolutions, num, deck, bc, out, tol
 converge          domain, degree, resolutions, num, deck, bc, out, tol
@@ -140,19 +142,6 @@ _OPTIONS = {
     "out": ("run", str, "output directory (default .)"),
     "tol": ("solver", float, "eigensolver tolerance"),
 }
-_SUBCOMMANDS = {
-    "solve": ("solve one mesh and write eigenfields", (
-        "domain", "mesh", "degree", "resolutions", "num", "deck", "bc", "out", "tol",
-    )),
-    "converge": ("refinement study and CSV table", (
-        "domain", "degree", "resolutions", "num", "deck", "bc", "out", "tol",
-    )),
-    "benchmark": ("packaged benchmark problems", (
-        "mesh", "degree", "num", "out", "tol",
-    )),
-    "oracle": ("closed-form eigenvalues (homogeneous deck)", ("domain", "num", "deck")),
-    "check-ellipticity": ("coercivity report for a deck", ("deck",)),
-}
 # flags not spelled --<option>
 _FLAG_SPELLING = {("oracle", "num"): "--modes"}
 # the GroupConstants fields, in declaration order
@@ -178,11 +167,16 @@ def _convert(convert, text, name):
 
 
 def parse_config(path, subcommand):
-    """Read a config file into {section: {key: (value, line_number)}},
-    accepting only the options (and deck sections) the subcommand takes."""
+    """Read a config file into (options, decks), accepting only the options
+    (and deck sections) the subcommand takes.
+
+    options maps each [run] and [solver] option, [run] first, to (text,
+    name), and decks maps each deck region, in file order, to (section
+    name, {key: (text, name)}); name, `<path>:<line>: <key>`, starts the
+    errors of that value."""
     takes = _SUBCOMMANDS[subcommand][1]
-    sections = {}
-    regions = set()  # the deck regions of the sections so far
+    sections = {}  # every section so far, by name
+    decks = {}
     current = None
     try:
         lines = _read_lines(path, "utf-8", ConfigError)
@@ -207,12 +201,12 @@ def parse_config(path, subcommand):
                 )
             if name in sections:
                 raise ConfigError(f"{path}:{ln}: duplicate section [{name}]")
+            current = sections[name] = {}
             if base == "deck":  # [deck] is region 1, and [deck.01] is [deck.1]
                 region = int(tag) if dot else 1
-                if region in regions:
+                if region in decks:
                     raise ConfigError(f"{path}:{ln}: duplicate deck region {region}")
-                regions.add(region)
-            current = sections.setdefault(name, {})
+                decks[region] = (name, current)
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected `key = value`, got {line!r}")
@@ -228,31 +222,28 @@ def parse_config(path, subcommand):
             raise ConfigError(f"{path}:{ln}: unknown key {key!r} for {subcommand}")
         if key in current:
             raise ConfigError(f"{path}:{ln}: duplicate key {key!r}")
-        current[key] = (value, ln)
-    return sections
+        current[key] = (value, f"{path}:{ln}: {key}")
+    return {**sections.get("run", {}), **sections.get("solver", {})}, decks
 
 
-def _inline_deck(sections, path):
-    """Build a deck from [deck]/[deck.<tag>] sections."""
+def _inline_deck(decks, path):
+    """Build a deck from the [deck]/[deck.<tag>] sections of parse_config."""
     deck = {}
-    for name, body in sections.items():
-        if name != "deck" and not name.startswith("deck."):
-            continue
-        tag = 1 if name == "deck" else int(name.split(".", 1)[1])
+    for region, (header, body) in decks.items():
         values = {
-            key: _convert(_DECK_KEYS[key], text, f"{path}:{ln}: {key}")
-            for key, (text, ln) in body.items()
+            key: _convert(_DECK_KEYS[key], text, name)
+            for key, (text, name) in body.items()
         }
         missing = [key for key in _CONSTANT_KEYS if key not in values]
         if missing:
-            raise ConfigError(f"{path}: [{name}] is missing {missing[0]}")
+            raise ConfigError(f"{path}: [{header}] is missing {missing[0]}")
         bc = values.pop("bc", BoundaryCondition.dirichlet())
         try:
-            deck[tag] = (GroupConstants(**values), bc)
+            deck[region] = (GroupConstants(**values), bc)
         except ValueError as e:
             # the range error starts with the constant's name: point at its line
             key, reason = str(e).split(" ", 1)
-            raise ConfigError(f"{path}:{body[key][1]}: {key}: {reason}") from None
+            raise ConfigError(f"{body[key][1]}: {reason}") from None
     return deck or None
 
 
@@ -282,12 +273,8 @@ def build_config(ns):
     the layers that use them, which raise ValueError.
     """
     takes = _SUBCOMMANDS[ns.subcommand][1]
-    sections = parse_config(ns.config, ns.subcommand) if ns.config else {}
-    given = {  # option -> (text, the name its errors start with)
-        key: (text, f"{ns.config}:{ln}: {key}")
-        for name in ("run", "solver")
-        for key, (text, ln) in sections.get(name, {}).items()
-    }
+    # option -> (text, the name its errors start with)
+    given, decks = parse_config(ns.config, ns.subcommand) if ns.config else ({}, {})
     for key in takes:
         if (text := getattr(ns, key)) is not None:
             given[key] = (text, _flag(ns.subcommand, key))
@@ -302,7 +289,7 @@ def build_config(ns):
 
     deck = deck_label = None
     if "deck" in takes:
-        inline = _inline_deck(sections, ns.config)
+        inline = _inline_deck(decks, ns.config)
         if "deck" in opts and inline is not None:
             raise ConfigError(
                 "deck name and inline [deck] sections are mutually exclusive"
@@ -545,6 +532,24 @@ def _cmd_check_ellipticity(cfg):
     return lines
 
 
+# Every subcommand, declared once: its help text, the options it takes
+# (each as a flag and as a config key), and the function that runs it.
+_SUBCOMMANDS = {
+    "solve": ("solve one mesh and write eigenfields", (
+        "domain", "mesh", "degree", "resolutions", "num", "deck", "bc", "out", "tol",
+    ), _cmd_solve),
+    "converge": ("refinement study and CSV table", (
+        "domain", "degree", "resolutions", "num", "deck", "bc", "out", "tol",
+    ), _cmd_converge),
+    "benchmark": ("packaged benchmark problems", (
+        "mesh", "degree", "num", "out", "tol",
+    ), _cmd_benchmark),
+    "oracle": ("closed-form eigenvalues (homogeneous deck)", ("domain", "num", "deck"),
+               _cmd_oracle),
+    "check-ellipticity": ("coercivity report for a deck", ("deck",), _cmd_check_ellipticity),
+}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -554,7 +559,7 @@ def _parser():
         description="two-group neutron-diffusion criticality solver",
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, takes) in _SUBCOMMANDS.items():
+    for name, (help_text, takes, _command) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         if name == "benchmark":
             sp.add_argument("which", choices=["iaea2d"])
@@ -562,15 +567,6 @@ def _parser():
             sp.add_argument(_flag(name, key), dest=key, help=_OPTIONS[key][2])
         sp.add_argument("--config", help="config file merged under the flags")
     return p
-
-
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "converge": _cmd_converge,
-    "benchmark": _cmd_benchmark,
-    "oracle": _cmd_oracle,
-    "check-ellipticity": _cmd_check_ellipticity,
-}
 
 
 def cli(argv=None):
@@ -581,7 +577,8 @@ def cli(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        print("\n".join(_COMMANDS[ns.subcommand](build_config(ns))), flush=True)
+        command = _SUBCOMMANDS[ns.subcommand][2]
+        print("\n".join(command(build_config(ns))), flush=True)
     except BrokenPipeError:
         # stdout's reader is gone, after every file was written: drop the
         # report, and point fd 1 at devnull so the flush at exit cannot fail

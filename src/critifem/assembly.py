@@ -31,7 +31,8 @@ facet entries reuse the slots of their owning cells. Matrices are scipy
 CSR throughout, with sorted, duplicate-free indices. Seven n x n matrices
 are stored: the five pencil blocks and the plain mass and stiffness. All
 seven hold the same two read-only index arrays (indices, indptr) and a
-data array of their own; the 2n x 2n A and B are built on request.
+read-only data array of their own; the 2n x 2n A and B are built on
+request.
 
 In 3-D the free DOFs are numbered in a geometric nested dissection order
 of the pattern and the DOF coordinates, the order in which the solver
@@ -69,7 +70,10 @@ class BlockSystem:
     the free DOFs, used for norms.
     The seven stored matrices share one CSR pattern: their indices and
     indptr are the same two read-only arrays, so an in-place edit of one
-    matrix's pattern raises instead of changing the other six.
+    matrix's pattern raises instead of changing the other six. Their data
+    arrays are read-only too, so an in-place edit of a block raises
+    instead of leaving a solve's factors stale; build a new system (or
+    dataclasses.replace one block) to change the pencil.
 
     A solve that has to factor the diagonal blocks leaves its factors on
     the system, and the next solve on the same system (the other half of
@@ -304,6 +308,8 @@ def assemble(mesh, dofmap, deck, k):
         return np.bincount(slot, weights=local.ravel(), minlength=nnz)[:nnz]
 
     def csr(data):
+        # read-only too: an in-place edit would leave a solve's factors stale
+        data.flags.writeable = False
         return sp.csr_matrix((data, indices, indptr), shape=(nf, nf))
 
     # one part, as in Mesh: a neck whose nodes are all Dirichlet nodes cuts

@@ -36,7 +36,6 @@ __all__ = [
     "read_gmsh",
     "write_msh",
     "mesh_size",
-    "cell_volumes",
 ]
 
 
@@ -220,11 +219,6 @@ class Mesh:
     @property
     def num_cells(self):
         return self.cells.shape[0]
-
-
-def cell_volumes(mesh):
-    """Unsigned cell volumes (areas in 2D)."""
-    return np.abs(_signed_volumes(mesh.vertices, mesh.cells))
 
 
 def mesh_size(mesh):

@@ -101,11 +101,14 @@ def test_parse_config_sections_and_lines(tmp_path):
         "[deck.3]",
         "D1 = 1.0",
     ]))
-    sections = parse_config(path, "solve")
-    assert sections["run"]["domain"] == ("square", 3)
-    assert sections["run"]["degree"] == ("2", 5)
-    assert sections["solver"]["tol"] == ("1e-9", 7)
-    assert sections["deck.3"]["D1"] == ("1.0", 9)
+    # each value carries the name its errors start with: path:line: key
+    options, decks = parse_config(path, "solve")
+    assert options == {
+        "domain": ("square", f"{path}:3: domain"),
+        "degree": ("2", f"{path}:5: degree"),
+        "tol": ("1e-9", f"{path}:7: tol"),
+    }
+    assert decks == {3: ("deck.3", {"D1": ("1.0", f"{path}:9: D1")})}
 
 
 @pytest.mark.parametrize("text,match", [
@@ -144,7 +147,7 @@ def test_readme_ini_blocks_parse(tmp_path):
     assert len(blocks) >= 2
     for i, block in enumerate(blocks):
         path = config_file(tmp_path, block, f"readme{i}.ini")
-        assert parse_config(path, "solve")
+        assert any(parse_config(path, "solve"))
         build(["solve", "--config", path])
 
 
@@ -188,7 +191,8 @@ def command(subcommand):
 
 
 @pytest.mark.parametrize("subcommand,key", [
-    (name, key) for name, (_help, takes) in app._SUBCOMMANDS.items() for key in takes
+    (name, key)
+    for name, (_help, takes, _command) in app._SUBCOMMANDS.items() for key in takes
 ])
 def test_flag_and_config_key_agree(subcommand, key, tmp_path):
     value = OPTION_VALUES[key]
@@ -242,7 +246,7 @@ def test_documented_option_lists_match_subcommands():
             for name, options in rows
         }
         assert documented == {
-            name: takes for name, (_help, takes) in app._SUBCOMMANDS.items()
+            name: takes for name, (_help, takes, _command) in app._SUBCOMMANDS.items()
         }
 
 

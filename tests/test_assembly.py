@@ -146,6 +146,7 @@ def test_blocks_share_one_read_only_pattern(make, k, bc):
         assert np.shares_memory(block.indptr, first.indptr), name
         assert not block.indices.flags.writeable, name
         assert not block.indptr.flags.writeable, name
+        assert not block.data.flags.writeable, name
         assert block.has_canonical_format, name
     # the data arrays stay separate
     for i, block in enumerate(blocks):
@@ -155,6 +156,8 @@ def test_blocks_share_one_read_only_pattern(make, k, bc):
         system.a11.indices[0] = 0
     with pytest.raises(ValueError, match="read-only"):
         system.f2.indptr[-1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        system.a11.data[0] = 0
 
 
 def test_dirichlet_reduction_counts():

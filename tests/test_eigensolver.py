@@ -987,6 +987,18 @@ def test_cube_ordering_fills_no_more_than_minimum_degree():
         lu.L.nnz + lu.U.nnz for lu in minimum_degree)
 
 
+@pytest.mark.parametrize("solve_first", [True, False], ids=["solves", "then-fresh"])
+def test_shared_system_fixture_starts_without_solver_state(square16_system, solve_first):
+    # the first case leaves its factors on the system it gets; the second,
+    # run after it, must get a system without them
+    _, _, system = square16_system
+    if solve_first:
+        solve_primal(system, SolverSettings(m=1))
+        assert system._factors is not None
+    else:
+        assert system._factors is None
+
+
 def test_replaced_system_factors_afresh(table1_deck, monkeypatch):
     system = _square_k2_system(table1_deck)
     settings = SolverSettings(m=2)

@@ -18,7 +18,7 @@ from critifem.mesh import (
     Mesh,
     MeshFormatError,
     _group_rows,
-    cell_volumes,
+    _signed_volumes,
     generate_disk,
     generate_lshape,
     generate_unit_cube,
@@ -233,6 +233,11 @@ def test_disk_counts(N):
     bverts = np.unique(mesh.boundary_facets)
     radii = np.sqrt(np.sum(mesh.vertices[bverts] ** 2, axis=1))
     assert np.max(np.abs(radii - 1.0)) < 1e-14
+
+
+def cell_volumes(mesh):
+    """Unsigned cell volumes (areas in 2D)."""
+    return np.abs(_signed_volumes(mesh.vertices, mesh.cells))
 
 
 def test_volumes_partition_domain():
