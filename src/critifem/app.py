@@ -182,6 +182,8 @@ def parse_config(path, subcommand):
         lines = _read_lines(path, "utf-8", ConfigError)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e.strerror or e}") from e
+    if lines:  # a byte-order mark is no part of the first line
+        lines[0] = lines[0].removeprefix("\ufeff")
     for ln, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -362,14 +364,14 @@ def write_vtk(mesh, solutions, path):
     _atomic_write(path, itertools.chain.from_iterable(parts))
 
 
-def _write_coefficient_csv(solutions, n_raw, path):
+def _write_coefficient_csv(solutions, path):
     # full higher-order coefficients, one row per scalar DOF
     header = ["dof"]
-    columns = [map(str, range(n_raw))]
+    columns = [map(str, range(len(solutions[0].phi1)))]
     for j, sol in enumerate(solutions, 1):
         for gname, vec in (("phi1", sol.phi1), ("phi2", sol.phi2)):
             header.append(f"{gname}_{j}")
-            col = np.asarray(vec)[:n_raw]
+            col = np.asarray(vec)
             col = col.astype(complex if np.iscomplexobj(col) else float, copy=False)
             columns.append(map(repr, col.tolist()))
     rows = map(",".join, zip(*columns, strict=True))
@@ -477,7 +479,7 @@ def _cmd_solve(cfg):
     write_vtk(mesh, solutions, base + ".vtk")
     lines = [*_spectrum_lines(solutions), f"wrote {base}.vtk"]
     if cfg.degree >= 2:
-        _write_coefficient_csv(solutions, dofmap.n, base + "_coefficients.csv")
+        _write_coefficient_csv(solutions, base + "_coefficients.csv")
         lines.append(f"wrote {base}_coefficients.csv")
     return lines
 

@@ -168,9 +168,8 @@ def _element_tables(dim, k):
     mass table is that of the boundary facets, scaled by the facet
     measure.
     """
-    quad = quadrature(dim, 2 * k)
-    vals, grads = tabulate(dim, k, quad.points_ref)
-    w = quad.weights
+    points, w = quadrature(dim, 2 * k)
+    vals, grads = tabulate(dim, k, points)
     mass_ref = np.einsum("q,iq,jq->ij", w, vals, vals)
     stiff_ref = np.einsum("q,iqd,jqf->dfij", w, grads, grads)
     return mass_ref, stiff_ref
@@ -247,9 +246,11 @@ def _facet_measure(mesh):
 def assemble(mesh, dofmap, deck, k):
     """Assemble the reduced block pencil for a deck on a mesh.
 
-    deck maps every region tag to a (GroupConstants, BoundaryCondition)
-    pair; a boundary facet takes the BC of the region of its adjacent
-    cell. The free DOFs must form one connected part of the pattern.
+    deck maps every region tag of the mesh to a (GroupConstants,
+    BoundaryCondition) pair; a boundary facet takes the BC of the region
+    of its adjacent cell. A region the deck lacks raises ValueError, and
+    an entry for a region that no cell carries is read by nothing. The
+    free DOFs must form one connected part of the pattern.
     """
     if dofmap.degree != k or dofmap.dim != mesh.dim:
         raise ValueError("dofmap does not match mesh/degree")

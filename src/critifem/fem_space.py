@@ -14,6 +14,8 @@ Quadrature uses conical-product Gauss-Jacobi rules whose 1-D factors
 come from the Golub-Welsch eigenproblem: all weights are positive at
 every degree (unlike tabulated tetrahedron rules, which go negative
 beyond degree 2) and the one-point rule degenerates to the centroid rule.
+A rule is two arrays, its points in the reference coordinates that
+tabulate takes (not barycentric ones) and its weights.
 
 Global DOF identity: the DOF of a vertex node is its vertex id (every
 mesh vertex belongs to a cell). Any other Lagrange node is identified by
@@ -38,7 +40,6 @@ import numpy as np
 from .mesh import _group_rows
 
 __all__ = [
-    "QuadratureRule",
     "DofMap",
     "tabulate",
     "quadrature",
@@ -100,26 +101,6 @@ def tabulate(dim, k, points):
     return F.prod(axis=1), dlam[..., 1:] - dlam[..., :1]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Positive-weight rule on the reference simplex.
-
-    points are barycentric (npts, dim+1); weights sum to the reference
-    volume (1/2 for the triangle, 1/6 for the tetrahedron, 1 for the
-    segment); exact for total polynomial degree <= degree.
-    """
-
-    dim: int
-    degree: int
-    points: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def points_ref(self):
-        """Reference coordinates: barycentric with the first entry dropped."""
-        return self.points[:, 1:]
-
-
 def _gauss_jacobi01(n, alpha):
     """n-point Gauss rule on [0, 1] for the weight (1 - x)^alpha.
 
@@ -144,11 +125,14 @@ def _gauss_jacobi01(n, alpha):
 def quadrature(dim, exactness_degree):
     """Simplex rule exact to the requested total degree, dim in {1,2,3}.
 
-    A conical product of n-point Gauss-Jacobi rules, 2n - 1 >= the
-    degree: reference coordinate j is t_j (1 - t_i) over every later
-    coordinate i, and its factor rule carries the weight (1 - t)^j, the
-    Jacobian of that collapse. Degrees above 6 are not part of the
-    supported contract (degree 6 covers the k=3 mass terms).
+    Returns (points, weights): points (npts, dim) in the reference
+    coordinates that tabulate takes, weights (npts,) positive and summing
+    to the reference volume (1 for the segment, 1/2 for the triangle, 1/6
+    for the tetrahedron). A conical product of n-point Gauss-Jacobi
+    rules, 2n - 1 >= the degree: reference coordinate j is t_j (1 - t_i)
+    over every later coordinate i, and its factor rule carries the weight
+    (1 - t)^j, the Jacobian of that collapse. Degrees above 6 are not
+    part of the supported contract (degree 6 covers the k=3 mass terms).
     """
     if dim not in (1, 2, 3):
         raise ValueError(f"unsupported quadrature dimension {dim}")
@@ -163,10 +147,8 @@ def quadrature(dim, exactness_degree):
         for i in range(j + 1, dim):
             c = c * (1.0 - t[i])
         coords.append(c.ravel())
-    pts = np.column_stack(coords)
-    wts = functools.reduce(np.multiply.outer, [w for _, w in rules]).ravel()
-    bary = np.column_stack([1.0 - pts.sum(axis=1), pts])
-    return QuadratureRule(dim, 2 * n - 1, bary, wts)
+    weights = functools.reduce(np.multiply.outer, [w for _, w in rules]).ravel()
+    return np.column_stack(coords), weights
 
 
 @dataclass(frozen=True)

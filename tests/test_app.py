@@ -863,6 +863,17 @@ def test_undecodable_config_names_its_line(newline, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_config_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.ini"
+    path.write_bytes(b"\xef\xbb\xbf[run]\nnum = 2\n")
+    assert cli(["oracle", "--config", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2
+    # the mark takes no line: a bad value after it keeps its line number
+    path.write_bytes(b"\xef\xbb\xbf[run]\nnum = two\n")
+    assert cli(["oracle", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: num: ")
+
+
 def test_exit_code_three_no_fission(tmp_path, capsys):
     path = config_file(tmp_path, "\n".join([
         "[deck]",
@@ -989,6 +1000,19 @@ def test_solve_writes_deterministic_vtk(tmp_path, capsys):
     assert cli(argv + ["--out", str(tmp_path / "b")]) == 0
     assert filecmp.cmp(vtk, tmp_path / "b" / "square_k1_modes.vtk",
                        shallow=False)
+
+
+def test_deck_region_that_no_cell_carries_is_unread(tmp_path):
+    body = "".join(f"{key} = {value}\n" for key, value in TABLE1_DECK.items())
+    other = body.replace("D1 = 1.0", "D1 = 2.0") + "bc = robin:0.5\n"
+    files = []
+    for name, text in (("one", f"[deck]\n{body}"),
+                       ("two", f"[deck]\n{body}[deck.2]\n{other}")):
+        path = config_file(tmp_path, text, f"{name}.ini")
+        assert cli(["solve", "--domain", "square", "--resolutions", "4",
+                    "--config", path, "--out", str(tmp_path / name)]) == 0
+        files.append(tmp_path / name / "square_k1_modes.vtk")
+    assert filecmp.cmp(*files, shallow=False)
 
 
 def test_solve_degree_two_writes_coefficient_sidecar(tmp_path):
@@ -1195,7 +1219,7 @@ def test_write_vtk_bytes_are_pinned(tmp_path):
 def test_coefficient_csv_bytes_are_pinned(tmp_path, k, digest):
     n = build_dofmap(read_gmsh(packaged_mesh_path()), k).n
     path = tmp_path / "coefficients.csv"
-    _write_coefficient_csv([synthetic_solution(n)], n, path)
+    _write_coefficient_csv([synthetic_solution(n)], path)
     assert sha256(path) == digest
 
 

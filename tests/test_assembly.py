@@ -274,9 +274,8 @@ def coo_reference_system(mesh, dofmap, deck, k):
     one COO->CSR sum per matrix, Dirichlet rows and columns dropped by
     indexing. Returns ({name: csr}, free DOFs)."""
     n = dofmap.n
-    quad = quadrature(mesh.dim, 2 * k)
-    vals, grads = tabulate(mesh.dim, k, quad.points_ref)
-    w = quad.weights
+    points, w = quadrature(mesh.dim, 2 * k)
+    vals, grads = tabulate(mesh.dim, k, points)
     v0 = mesh.vertices[mesh.cells[:, 0]]
     J = np.stack([mesh.vertices[mesh.cells[:, j + 1]] - v0 for j in range(mesh.dim)],
                  axis=-1)
@@ -300,9 +299,9 @@ def coo_reference_system(mesh, dofmap, deck, k):
 
     bcs = [deck[int(mesh.region_tags[c])][1] for c in mesh.boundary_cells]
     robin = np.array([bc.kind == "robin" for bc in bcs])
-    facet_quad = quadrature(mesh.dim - 1, 2 * k)
-    fvals, _ = tabulate(mesh.dim - 1, k, facet_quad.points_ref)
-    facet_mass = np.einsum("q,iq,jq->ij", facet_quad.weights, fvals, fvals)
+    facet_points, facet_w = quadrature(mesh.dim - 1, 2 * k)
+    fvals, _ = tabulate(mesh.dim - 1, k, facet_points)
+    facet_mass = np.einsum("q,iq,jq->ij", facet_w, fvals, fvals)
     pts = mesh.vertices[mesh.boundary_facets]
     if mesh.dim == 2:
         measure = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)

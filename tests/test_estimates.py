@@ -27,13 +27,13 @@ def phi1_errors(mesh, dofmap, phi):
     integrated cell by cell: phi is scaled to the exact L2 norm,
     (1/2)^(dim/2), and signed to agree with it."""
     dim = mesh.dim
-    quad = quadrature(dim, 6)
-    vals, grads = tabulate(dim, dofmap.degree, quad.points_ref)
+    points, weights = quadrature(dim, 6)
+    vals, grads = tabulate(dim, dofmap.degree, points)
     v = mesh.vertices[mesh.cells]
     J = (v[:, 1:] - v[:, :1]).transpose(0, 2, 1)  # (cells, x, ref)
     det = np.abs(np.linalg.det(J))
-    w = quad.weights * det[:, None]  # (cells, q)
-    x = v[:, 0, None, :] + np.einsum("cdr,qr->cqd", J, quad.points_ref, optimize=True)
+    w = weights * det[:, None]  # (cells, q)
+    x = v[:, 0, None, :] + np.einsum("cdr,qr->cqd", J, points, optimize=True)
     coef = phi[dofmap.cell_dofs]
     uh = coef @ vals
     duh = np.einsum("ci,iqr,crd->cqd", coef, grads, np.linalg.inv(J), optimize=True)
@@ -222,12 +222,12 @@ def split_square_phi1_errors(mesh, dofmap, phi, lam, adjoint):
     """L2 and H1-seminorm errors of phi against the exact fast flux
     u1(x) sin(pi y) of the j = 1 eigenvalue lam, on the quadrature of
     phi1_errors; phi is scaled to its best L2 fit."""
-    quad = quadrature(2, 6)
-    vals, grads = tabulate(2, dofmap.degree, quad.points_ref)
+    points, weights = quadrature(2, 6)
+    vals, grads = tabulate(2, dofmap.degree, points)
     v = mesh.vertices[mesh.cells]
     J = (v[:, 1:] - v[:, :1]).transpose(0, 2, 1)
-    w = quad.weights * np.abs(np.linalg.det(J))[:, None]
-    x = v[:, 0, None, :] + np.einsum("cdr,qr->cqd", J, quad.points_ref, optimize=True)
+    w = weights * np.abs(np.linalg.det(J))[:, None]
+    x = v[:, 0, None, :] + np.einsum("cdr,qr->cqd", J, points, optimize=True)
     coef = phi[dofmap.cell_dofs]
     uh = coef @ vals
     duh = np.einsum("ci,iqr,crd->cqd", coef, grads, np.linalg.inv(J), optimize=True)
