@@ -321,6 +321,16 @@ def build_config(ns):
 # ---------------------------------------------------------------------------
 # field serialization
 
+def _fields(solutions):
+    """(name, coefficient vector) of every field, in write order:
+    phi1_1, phi2_1, phi1_2, ..."""
+    return [
+        (f"{gname}_{j}", np.asarray(vec))
+        for j, sol in enumerate(solutions, 1)
+        for gname, vec in (("phi1", sol.phi1), ("phi2", sol.phi2))
+    ]
+
+
 def write_vtk(mesh, solutions, path):
     """Legacy ASCII VTK unstructured grid with the fluxes of each pair.
 
@@ -331,12 +341,15 @@ def write_vtk(mesh, solutions, path):
     part, <name>_im, exactly when that part is nonzero at some vertex.
     Deterministic byte-for-byte: full-precision repr coordinates and
     values, constant header.
+
+    Returns the scalar lines of each real field, in write order, and
+    None for a complex field: the first num_vertices rows of the field's
+    coefficient CSV column, which takes them as they are.
     """
     nv, nc = mesh.num_vertices, mesh.num_cells
     nloc = mesh.dim + 1
-    xyz = mesh.vertices.T.tolist()
-    if mesh.dim == 2:
-        xyz.append([0.0] * nv)
+    # a 2-D point's z is the constant 0.0, written as its repr
+    point = "{!r} {!r} {!r}" if mesh.dim == 3 else "{!r} {!r} 0.0"
     parts = [
         [
             "# vtk DataFile Version 3.0",
@@ -345,35 +358,47 @@ def write_vtk(mesh, solutions, path):
             "DATASET UNSTRUCTURED_GRID",
             f"POINTS {nv} double",
         ],
-        map("{!r} {!r} {!r}".format, *xyz),
+        map(point.format, *mesh.vertices.T.tolist()),
         [f"CELLS {nc} {nc * (nloc + 1)}"],
         map((f"{nloc}" + " {}" * nloc).format, *mesh.cells.T.tolist()),
         [f"CELL_TYPES {nc}"],
         itertools.repeat("5" if mesh.dim == 2 else "10", nc),
         [f"POINT_DATA {nv}"],
     ]
-    for j, sol in enumerate(solutions, 1):
-        for gname, vec in (("phi1", sol.phi1), ("phi2", sol.phi2)):
-            vertex = np.asarray(vec)[:nv]
-            scalars = [(f"{gname}_{j}", vertex.real)]
+    vertex_text = []
+    for name, vec in _fields(solutions):
+        vertex = vec[:nv]
+        if np.iscomplexobj(vertex):
+            # the real part, then the imaginary one if it is nonzero
+            text = None
+            scalars = [(name, map(repr, vertex.real.tolist()))]
             if np.any(vertex.imag):
-                scalars.append((f"{gname}_{j}_im", vertex.imag))
-            for name, values in scalars:
-                parts.append([f"SCALARS {name} double 1", "LOOKUP_TABLE default"])
-                parts.append(map(repr, values.astype(float).tolist()))
+                scalars.append((f"{name}_im", map(repr, vertex.imag.tolist())))
+        else:
+            text = list(map(repr, vertex.astype(float, copy=False).tolist()))
+            scalars = [(name, text)]
+        vertex_text.append(text)
+        for scalar, lines in scalars:
+            parts.append([f"SCALARS {scalar} double 1", "LOOKUP_TABLE default"])
+            parts.append(lines)
     _atomic_write(path, itertools.chain.from_iterable(parts))
+    return vertex_text
 
 
-def _write_coefficient_csv(solutions, path):
-    # full higher-order coefficients, one row per scalar DOF
+def _write_coefficient_csv(solutions, path, *, vertex_text=None):
+    # full higher-order coefficients, one row per scalar DOF; a real
+    # field's first rows are its write_vtk scalar lines when given.
+    # vertex_text is keyword-only: the bench tracer takes the last
+    # positional argument of a write call for the path it wrote
+    fields = _fields(solutions)
+    texts = vertex_text or [None] * len(fields)
     header = ["dof"]
-    columns = [map(str, range(len(solutions[0].phi1)))]
-    for j, sol in enumerate(solutions, 1):
-        for gname, vec in (("phi1", sol.phi1), ("phi2", sol.phi2)):
-            header.append(f"{gname}_{j}")
-            col = np.asarray(vec)
-            col = col.astype(complex if np.iscomplexobj(col) else float, copy=False)
-            columns.append(map(repr, col.tolist()))
+    columns = [map(str, range(len(fields[0][1])))]
+    for (name, col), text in zip(fields, texts, strict=True):
+        header.append(name)
+        col = col.astype(complex if np.iscomplexobj(col) else float, copy=False)
+        text = text or []
+        columns.append(itertools.chain(text, map(repr, col[len(text):].tolist())))
     rows = map(",".join, zip(*columns, strict=True))
     _atomic_write(path, itertools.chain([",".join(header)], rows))
 
@@ -476,10 +501,13 @@ def _cmd_solve(cfg):
         os.path.basename(cfg.mesh_path)
     )[0]
     base = os.path.join(cfg.out_dir, f"{stem}_k{cfg.degree}_modes")
-    write_vtk(mesh, solutions, base + ".vtk")
+    # each real field's vertex values are formatted once, for both files
+    vertex_text = write_vtk(mesh, solutions, base + ".vtk")
     lines = [*_spectrum_lines(solutions), f"wrote {base}.vtk"]
     if cfg.degree >= 2:
-        _write_coefficient_csv(solutions, base + "_coefficients.csv")
+        _write_coefficient_csv(
+            solutions, base + "_coefficients.csv", vertex_text=vertex_text
+        )
         lines.append(f"wrote {base}_coefficients.csv")
     return lines
 

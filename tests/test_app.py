@@ -1249,6 +1249,54 @@ def test_write_msh_3d_round_trip_bytes_are_pinned(tmp_path):
     assert sha256(second) == digest
 
 
+def vtk_scalar_lines(path, name, nv):
+    """The nv lines of one point-data scalar field of a legacy VTK file."""
+    lines = path.read_text().splitlines()
+    start = lines.index(f"SCALARS {name} double 1") + 2
+    return lines[start : start + nv]
+
+
+def quarter_core_solve(tmp_path, num):
+    """`solve` at degree 2 on the packaged mesh; the VTK and CSV paths."""
+    assert cli(["solve", "--mesh", str(packaged_mesh_path()), "--deck", "iaea-2d",
+                "--degree", "2", "--num", str(num), "--out", str(tmp_path)]) == 0
+    return (tmp_path / "iaea2d_quarter_k2_modes.vtk",
+            tmp_path / "iaea2d_quarter_k2_modes_coefficients.csv")
+
+
+@pytest.mark.filterwarnings("ignore:sigma_a1 = 0")
+def test_vtk_scalars_are_the_first_csv_rows(tmp_path):
+    # a real field's vertex values are written as the same text to both files
+    vtk, csv = quarter_core_solve(tmp_path, num=2)
+    nv = read_gmsh(packaged_mesh_path()).num_vertices
+    header, *rows = csv.read_text().splitlines()
+    header = header.split(",")
+    assert header == ["dof", "phi1_1", "phi2_1", "phi1_2", "phi2_2"]
+    columns = list(zip(*(row.split(",") for row in rows)))
+    assert len(columns[0]) > nv  # degree 2: rows past the vertices too
+    for name, column in zip(header[1:], columns[1:], strict=True):
+        assert vtk_scalar_lines(vtk, name, nv) == list(column[:nv])
+
+
+@pytest.mark.filterwarnings("ignore:sigma_a1 = 0")
+def test_solve_writes_the_standalone_writers_bytes(tmp_path, monkeypatch):
+    # phi1 real, whose vertex text solve shares between the files, and phi2
+    # complex, which each writer formats in its own way
+    fields = []
+
+    def synthetic_solve(system, settings):
+        fields.append(synthetic_solution(system.n_raw))
+        return [types.SimpleNamespace(lam=1 + 0j, k_eff=1.0, residual=0.0,
+                                      phi1=fields[0].phi1, phi2=fields[0].phi2)]
+
+    monkeypatch.setattr(app, "solve_primal", synthetic_solve)
+    vtk, csv = quarter_core_solve(tmp_path / "solve", num=1)
+    write_vtk(read_gmsh(packaged_mesh_path()), fields, tmp_path / "alone.vtk")
+    _write_coefficient_csv(fields, tmp_path / "alone.csv")
+    assert filecmp.cmp(vtk, tmp_path / "alone.vtk", shallow=False)
+    assert filecmp.cmp(csv, tmp_path / "alone.csv", shallow=False)
+
+
 # ---------------------------------------------------------------------------
 # quarter-core benchmark
 
