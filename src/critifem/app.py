@@ -67,6 +67,8 @@ timestamps), and every file is written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import contextvars
 import importlib.resources
 import itertools
 import os
@@ -331,6 +333,24 @@ def _fields(solutions):
     ]
 
 
+# Set by _shared_vertex_text: write_vtk keeps the scalar lines of each real
+# field in it, and the coefficient CSV takes them as the field's first rows.
+# Keyed by id() of the coefficient vector, which the entry holds, so that no
+# other vector can take that id while the entry lives.
+_VERTEX_TEXT = contextvars.ContextVar("_VERTEX_TEXT", default=None)
+
+
+@contextlib.contextmanager
+def _shared_vertex_text():
+    """Within: the vertex values of a real field are formatted once for
+    write_vtk and the coefficient CSV of the same solutions."""
+    token = _VERTEX_TEXT.set({})
+    try:
+        yield
+    finally:
+        _VERTEX_TEXT.reset(token)
+
+
 def write_vtk(mesh, solutions, path):
     """Legacy ASCII VTK unstructured grid with the fluxes of each pair.
 
@@ -341,10 +361,6 @@ def write_vtk(mesh, solutions, path):
     part, <name>_im, exactly when that part is nonzero at some vertex.
     Deterministic byte-for-byte: full-precision repr coordinates and
     values, constant header.
-
-    Returns the scalar lines of each real field, in write order, and
-    None for a complex field: the first num_vertices rows of the field's
-    coefficient CSV column, which takes them as they are.
     """
     nv, nc = mesh.num_vertices, mesh.num_cells
     nloc = mesh.dim + 1
@@ -365,39 +381,37 @@ def write_vtk(mesh, solutions, path):
         itertools.repeat("5" if mesh.dim == 2 else "10", nc),
         [f"POINT_DATA {nv}"],
     ]
-    vertex_text = []
+    kept = _VERTEX_TEXT.get()
     for name, vec in _fields(solutions):
         vertex = vec[:nv]
         if np.iscomplexobj(vertex):
             # the real part, then the imaginary one if it is nonzero
-            text = None
             scalars = [(name, map(repr, vertex.real.tolist()))]
             if np.any(vertex.imag):
                 scalars.append((f"{name}_im", map(repr, vertex.imag.tolist())))
         else:
-            text = list(map(repr, vertex.astype(float, copy=False).tolist()))
-            scalars = [(name, text)]
-        vertex_text.append(text)
+            lines = map(repr, vertex.astype(float, copy=False).tolist())
+            if kept is not None:
+                lines = list(lines)
+                kept[id(vec)] = vec, lines
+            scalars = [(name, lines)]
         for scalar, lines in scalars:
             parts.append([f"SCALARS {scalar} double 1", "LOOKUP_TABLE default"])
             parts.append(lines)
     _atomic_write(path, itertools.chain.from_iterable(parts))
-    return vertex_text
 
 
-def _write_coefficient_csv(solutions, path, *, vertex_text=None):
+def _write_coefficient_csv(solutions, path):
     # full higher-order coefficients, one row per scalar DOF; a real
-    # field's first rows are its write_vtk scalar lines when given.
-    # vertex_text is keyword-only: the bench tracer takes the last
-    # positional argument of a write call for the path it wrote
+    # field's first rows are the scalar lines write_vtk kept, if any
+    kept = _VERTEX_TEXT.get() or {}
     fields = _fields(solutions)
-    texts = vertex_text or [None] * len(fields)
     header = ["dof"]
     columns = [map(str, range(len(fields[0][1])))]
-    for (name, col), text in zip(fields, texts, strict=True):
+    for name, col in fields:
         header.append(name)
+        _, text = kept.get(id(col), (None, ()))
         col = col.astype(complex if np.iscomplexobj(col) else float, copy=False)
-        text = text or []
         columns.append(itertools.chain(text, map(repr, col[len(text):].tolist())))
     rows = map(",".join, zip(*columns, strict=True))
     _atomic_write(path, itertools.chain([",".join(header)], rows))
@@ -501,14 +515,15 @@ def _cmd_solve(cfg):
         os.path.basename(cfg.mesh_path)
     )[0]
     base = os.path.join(cfg.out_dir, f"{stem}_k{cfg.degree}_modes")
-    # each real field's vertex values are formatted once, for both files
-    vertex_text = write_vtk(mesh, solutions, base + ".vtk")
     lines = [*_spectrum_lines(solutions), f"wrote {base}.vtk"]
-    if cfg.degree >= 2:
-        _write_coefficient_csv(
-            solutions, base + "_coefficients.csv", vertex_text=vertex_text
-        )
-        lines.append(f"wrote {base}_coefficients.csv")
+    if cfg.degree < 2:
+        write_vtk(mesh, solutions, base + ".vtk")
+        return lines
+    # each real field's vertex values are formatted once, for both files
+    with _shared_vertex_text():
+        write_vtk(mesh, solutions, base + ".vtk")
+        _write_coefficient_csv(solutions, base + "_coefficients.csv")
+    lines.append(f"wrote {base}_coefficients.csv")
     return lines
 
 

@@ -183,14 +183,6 @@ class EigenSolution:
         return 1.0 / self.lam.real if self.lam.imag == 0 else math.nan
 
 
-def _fast_fission(system):
-    """F1, or None when it holds no nonzero value (nu Sigma_f1 = 0 in
-    every region, as in the quarter core). Its products are then +0.0,
-    which adds nothing to a sparse product (those never give -0.0), so
-    skipping them changes no bit of T' or of the residuals."""
-    return system.f1 if np.any(system.f1.data) else None
-
-
 def _factor(block, dissected):
     """Symmetric-mode SuperLU factor of an SPD block: in the block's own
     order when the system is dissected, else by minimum degree."""
@@ -220,13 +212,12 @@ class _FissionSource:
     def __init__(self, system, factors, adjoint):
         self.adjoint = adjoint
         self._lu11, self._lu22 = factors
-        f1 = _fast_fission(system)
         if adjoint:
-            self._fast = None if f1 is None else f1.T
+            self._fast = system.f1.T
             self._down = system.f2.T  # fast -> thermal right-hand side
             self._up = system.coupling.T  # thermal -> fast
         else:
-            self._fast = f1
+            self._fast = system.f1
             self._down = system.coupling
             self._up = system.f2
 
@@ -234,8 +225,7 @@ class _FissionSource:
         """T' z (T'* z in adjoint mode) for a real n x k block z, by one
         k-column solve with each block."""
         x1 = self._lu11.solve(z)
-        thermal = self._up @ self._lu22.solve(self._down @ x1)
-        return thermal if self._fast is None else self._fast @ x1 + thermal
+        return self._fast @ x1 + self._up @ self._lu22.solve(self._down @ x1)
 
     def vectors(self, lams, z):
         """Pencil eigenvectors [x1; x2] (columns) of the fission sources z
@@ -307,15 +297,13 @@ def _pencil_residual(system, lam, x, adjoint):
     """
     n = system.n
     x1, x2 = x[:n], x[n:]
-    f1 = _fast_fission(system)
     if adjoint:
-        b1 = np.zeros_like(x1) if f1 is None else f1.T @ x1
-        b2 = system.f2.T @ x1
+        b1, b2 = system.f1.T @ x1, system.f2.T @ x1
         r1 = system.a11.T @ x1 - system.coupling.T @ x2 - lam * b1
         r2 = system.a22.T @ x2 - lam * b2
         denom = np.hypot(np.linalg.norm(b1, axis=0), np.linalg.norm(b2, axis=0))
     else:
-        b1 = system.f2 @ x2 if f1 is None else f1 @ x1 + system.f2 @ x2
+        b1 = system.f1 @ x1 + system.f2 @ x2
         r1 = system.a11 @ x1 - lam * b1
         r2 = system.a22 @ x2 - system.coupling @ x1
         denom = np.linalg.norm(b1, axis=0)

@@ -559,7 +559,8 @@ def read_gmsh(path):
 
 
 def _atomic_write(path, lines):
-    """Write the lines, each ended by a newline, to path via temp file + rename.
+    """Write the lines as UTF-8, each ended by "\n", to path via temp file
+    + rename.
 
     The temp file is created with mode 0o666, so the process umask sets
     its permissions as it would for a plain open(path, "w").
@@ -573,9 +574,11 @@ def _atomic_write(path, lines):
         except FileExistsError:
             pass  # another writer's temp file: draw a new name
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
+        # binary: a text-mode file leaves a small object alive for good,
+        # which can pin the memory of whatever was freed around it
+        with os.fdopen(fd, "wb") as fh:
+            fh.write("\n".join(lines).encode())
+            fh.write(b"\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

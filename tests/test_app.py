@@ -1291,10 +1291,23 @@ def test_solve_writes_the_standalone_writers_bytes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(app, "solve_primal", synthetic_solve)
     vtk, csv = quarter_core_solve(tmp_path / "solve", num=1)
+    assert app._VERTEX_TEXT.get() is None  # nothing is kept past the writes
     write_vtk(read_gmsh(packaged_mesh_path()), fields, tmp_path / "alone.vtk")
     _write_coefficient_csv(fields, tmp_path / "alone.csv")
     assert filecmp.cmp(vtk, tmp_path / "alone.vtk", shallow=False)
     assert filecmp.cmp(csv, tmp_path / "alone.csv", shallow=False)
+
+
+def test_shared_vertex_text_goes_only_to_its_own_field(tmp_path):
+    # a CSV of other solutions than the VTK's formats its own values
+    mesh = generate_unit_square(2)
+    n = build_dofmap(mesh, 2).n
+    other = types.SimpleNamespace(phi1=synthetic_column(n, 5), phi2=synthetic_column(n, 6))
+    with app._shared_vertex_text():
+        write_vtk(mesh, [synthetic_solution(n)], tmp_path / "fields.vtk")
+        _write_coefficient_csv([other], tmp_path / "shared.csv")
+    _write_coefficient_csv([other], tmp_path / "alone.csv")
+    assert filecmp.cmp(tmp_path / "shared.csv", tmp_path / "alone.csv", shallow=False)
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,6 @@ def test_every_program_attribute_the_bench_names_exists(path):
 
 def test_write_vtk_takes_the_path_last():
     # the tracer counts output bytes as the size of the file named by the
-    # last positional argument of every write call; a parameter after the
-    # path must be keyword-only
+    # last positional argument of every write call
     for writer in (app.write_vtk, app._write_coefficient_csv):
-        parameters = inspect.signature(writer).parameters.values()
-        positional = [p.name for p in parameters if p.kind != p.KEYWORD_ONLY]
-        assert positional[-1] == "path"
+        assert list(inspect.signature(writer).parameters)[-1] == "path"

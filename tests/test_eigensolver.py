@@ -1074,50 +1074,3 @@ def test_solves_never_build_the_full_pencil(table1_deck, monkeypatch):
     # the properties still build the pencil on request
     assert system.A.shape == system.B.shape == (2 * system.n, 2 * system.n)
     assert len(calls) == 2
-
-
-# ---------------------------------------------------------------------------
-# an all-zero fast-fission block
-
-def _block_factors(system):
-    return tuple(eigensolver._factor(b, system.dissected) for b in (system.a11, system.a22))
-
-
-def test_empty_fast_fission_product_is_left_out(rng):
-    # nu_sigma_f1 = 0 in every quarter-core region: T' is F2 a22^{-1} C a11^{-1}
-    # and T'* is C^T a22^{-1} F2^T a11^{-1}, bit for bit
-    system = _quarter_core_k1_system()
-    assert not np.any(system.f1.data)
-    lu11, lu22 = factors = _block_factors(system)
-    z = rng.standard_normal((system.n, 2))
-    x1 = lu11.solve(z)
-    for adjoint, down, up in ((False, system.coupling, system.f2),
-                              (True, system.f2.T, system.coupling.T)):
-        source = eigensolver._FissionSource(system, factors, adjoint)
-        assert np.array_equal(source.apply(z), up @ lu22.solve(down @ x1))
-
-
-class _ZerosThatRaise:
-    """An all-zero block whose products raise."""
-
-    def __init__(self, block):
-        self.data = block.data
-
-    @property
-    def T(self):
-        return self
-
-    def __matmul__(self, other):
-        raise AssertionError("a product with an all-zero F1")
-
-
-@pytest.mark.parametrize("solve", [solve_primal, solve_adjoint])
-def test_empty_fast_fission_block_is_never_multiplied(solve):
-    system = _quarter_core_k1_system()
-    unused = dataclasses.replace(system, f1=_ZerosThatRaise(system.f1))
-    settings = SolverSettings(m=2)
-    got, want = solve(unused, settings), solve(system, settings)
-    for g, w in zip(got, want, strict=True):
-        assert (g.lam, g.residual) == (w.lam, w.residual)
-        assert np.array_equal(g.phi1, w.phi1) and np.array_equal(g.phi2, w.phi2)
-        assert residual(unused, g) <= 10 * settings.tol
