@@ -67,12 +67,11 @@ timestamps), and every file is written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
-import contextlib
-import contextvars
 import importlib.resources
 import itertools
 import os
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -333,24 +332,6 @@ def _fields(solutions):
     ]
 
 
-# Set by _shared_vertex_text: write_vtk keeps the scalar lines of each real
-# field in it, and the coefficient CSV takes them as the field's first rows.
-# Keyed by id() of the coefficient vector, which the entry holds, so that no
-# other vector can take that id while the entry lives.
-_VERTEX_TEXT = contextvars.ContextVar("_VERTEX_TEXT", default=None)
-
-
-@contextlib.contextmanager
-def _shared_vertex_text():
-    """Within: the vertex values of a real field are formatted once for
-    write_vtk and the coefficient CSV of the same solutions."""
-    token = _VERTEX_TEXT.set({})
-    try:
-        yield
-    finally:
-        _VERTEX_TEXT.reset(token)
-
-
 def write_vtk(mesh, solutions, path):
     """Legacy ASCII VTK unstructured grid with the fluxes of each pair.
 
@@ -361,6 +342,9 @@ def write_vtk(mesh, solutions, path):
     part, <name>_im, exactly when that part is nonzero at some vertex.
     Deterministic byte-for-byte: full-precision repr coordinates and
     values, constant header.
+
+    Returns {field name: its scalar lines} for each real field, which
+    _write_coefficient_csv takes as that field's first rows.
     """
     nv, nc = mesh.num_vertices, mesh.num_cells
     nloc = mesh.dim + 1
@@ -381,7 +365,7 @@ def write_vtk(mesh, solutions, path):
         itertools.repeat("5" if mesh.dim == 2 else "10", nc),
         [f"POINT_DATA {nv}"],
     ]
-    kept = _VERTEX_TEXT.get()
+    vertex_text = {}
     for name, vec in _fields(solutions):
         vertex = vec[:nv]
         if np.iscomplexobj(vertex):
@@ -390,27 +374,25 @@ def write_vtk(mesh, solutions, path):
             if np.any(vertex.imag):
                 scalars.append((f"{name}_im", map(repr, vertex.imag.tolist())))
         else:
-            lines = map(repr, vertex.astype(float, copy=False).tolist())
-            if kept is not None:
-                lines = list(lines)
-                kept[id(vec)] = vec, lines
+            lines = list(map(repr, vertex.astype(float, copy=False).tolist()))
+            vertex_text[name] = lines
             scalars = [(name, lines)]
         for scalar, lines in scalars:
             parts.append([f"SCALARS {scalar} double 1", "LOOKUP_TABLE default"])
             parts.append(lines)
     _atomic_write(path, itertools.chain.from_iterable(parts))
+    return vertex_text
 
 
-def _write_coefficient_csv(solutions, path):
-    # full higher-order coefficients, one row per scalar DOF; a real
-    # field's first rows are the scalar lines write_vtk kept, if any
-    kept = _VERTEX_TEXT.get() or {}
+def _write_coefficient_csv(solutions, vertex_text, path):
+    # full higher-order coefficients, one row per scalar DOF; a field's
+    # first rows are its lines in vertex_text (write_vtk's return), if any
     fields = _fields(solutions)
     header = ["dof"]
     columns = [map(str, range(len(fields[0][1])))]
     for name, col in fields:
         header.append(name)
-        _, text = kept.get(id(col), (None, ()))
+        text = vertex_text.get(name, ())
         col = col.astype(complex if np.iscomplexobj(col) else float, copy=False)
         columns.append(itertools.chain(text, map(repr, col[len(text):].tolist())))
     rows = map(",".join, zip(*columns, strict=True))
@@ -516,14 +498,10 @@ def _cmd_solve(cfg):
     )[0]
     base = os.path.join(cfg.out_dir, f"{stem}_k{cfg.degree}_modes")
     lines = [*_spectrum_lines(solutions), f"wrote {base}.vtk"]
-    if cfg.degree < 2:
-        write_vtk(mesh, solutions, base + ".vtk")
-        return lines
-    # each real field's vertex values are formatted once, for both files
-    with _shared_vertex_text():
-        write_vtk(mesh, solutions, base + ".vtk")
-        _write_coefficient_csv(solutions, base + "_coefficients.csv")
-    lines.append(f"wrote {base}_coefficients.csv")
+    vertex_text = write_vtk(mesh, solutions, base + ".vtk")
+    if cfg.degree >= 2:  # the vertex values are the coefficients at degree 1
+        _write_coefficient_csv(solutions, vertex_text, base + "_coefficients.csv")
+        lines.append(f"wrote {base}_coefficients.csv")
     return lines
 
 
@@ -642,6 +620,8 @@ def cli(argv=None):
 
 
 def main():
+    # a warning prints as one line, without the source line that raised it
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     sys.exit(cli())
 
 

@@ -654,6 +654,16 @@ def test_every_huge_option_value_exits_with_a_documented_code(tmp_path):
     assert [(argv, c) for argv, c in zip(argvs, codes) if c not in (0, 2, 3)] == []
 
 
+def test_three_robin_coefficients_exit_two(tmp_path, capsys):
+    code = cli(["solve", "--domain", "square", "--resolutions", "4",
+                "--bc", "robin:1,2,3", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --bc: at most two Robin coefficients, got 'robin:1,2,3'\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bc", ["robin:inf", "robin:nan", "robin:1,nan"])
 def test_non_finite_robin_flag_exits_two(bc, tmp_path, capsys):
     code = cli(["solve", "--domain", "square", "--resolutions", "4", "--bc", bc,
@@ -1219,7 +1229,7 @@ def test_write_vtk_bytes_are_pinned(tmp_path):
 def test_coefficient_csv_bytes_are_pinned(tmp_path, k, digest):
     n = build_dofmap(read_gmsh(packaged_mesh_path()), k).n
     path = tmp_path / "coefficients.csv"
-    _write_coefficient_csv([synthetic_solution(n)], path)
+    _write_coefficient_csv([synthetic_solution(n)], {}, path)
     assert sha256(path) == digest
 
 
@@ -1291,23 +1301,32 @@ def test_solve_writes_the_standalone_writers_bytes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(app, "solve_primal", synthetic_solve)
     vtk, csv = quarter_core_solve(tmp_path / "solve", num=1)
-    assert app._VERTEX_TEXT.get() is None  # nothing is kept past the writes
     write_vtk(read_gmsh(packaged_mesh_path()), fields, tmp_path / "alone.vtk")
-    _write_coefficient_csv(fields, tmp_path / "alone.csv")
+    _write_coefficient_csv(fields, {}, tmp_path / "alone.csv")
     assert filecmp.cmp(vtk, tmp_path / "alone.vtk", shallow=False)
     assert filecmp.cmp(csv, tmp_path / "alone.csv", shallow=False)
 
 
-def test_shared_vertex_text_goes_only_to_its_own_field(tmp_path):
-    # a CSV of other solutions than the VTK's formats its own values
+def test_write_vtk_returns_the_scalar_lines_of_each_real_field(tmp_path):
+    # phi1 real: its lines, as written; phi2 complex: nothing
     mesh = generate_unit_square(2)
-    n = build_dofmap(mesh, 2).n
-    other = types.SimpleNamespace(phi1=synthetic_column(n, 5), phi2=synthetic_column(n, 6))
-    with app._shared_vertex_text():
-        write_vtk(mesh, [synthetic_solution(n)], tmp_path / "fields.vtk")
-        _write_coefficient_csv([other], tmp_path / "shared.csv")
-    _write_coefficient_csv([other], tmp_path / "alone.csv")
-    assert filecmp.cmp(tmp_path / "shared.csv", tmp_path / "alone.csv", shallow=False)
+    path = tmp_path / "fields.vtk"
+    vertex_text = write_vtk(mesh, [synthetic_solution(build_dofmap(mesh, 2).n)], path)
+    assert vertex_text == {"phi1_1": vtk_scalar_lines(path, "phi1_1", mesh.num_vertices)}
+
+
+@pytest.mark.parametrize("degree,files", [
+    (1, ["square_k1_modes.vtk"]),
+    (2, ["square_k2_modes.vtk", "square_k2_modes_coefficients.csv"]),
+])
+def test_solve_writes_the_coefficient_csv_past_degree_one(degree, files, tmp_path,
+                                                          capsys):
+    assert cli(["solve", "--domain", "square", "--resolutions", "4", "--degree",
+                str(degree), "--num", "1", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+    wrote = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert wrote == [f"wrote {tmp_path / name}" for name in files]
 
 
 # ---------------------------------------------------------------------------
@@ -1347,6 +1366,20 @@ def test_benchmark_cli(tmp_path, capsys):
     assert "k_eff = 0.98" in out
     assert "boundary/max flux" in out
     assert (tmp_path / "iaea2d_k1.vtk").exists()
+
+
+def test_console_script_prints_each_warning_as_one_line(tmp_path):
+    # main() formats the warnings; the in-process cli() leaves them as they are
+    done = subprocess.run(
+        [sys.executable, "-m", "critifem.app", "benchmark", "iaea2d",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=fresh_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 2
+    for line, region in zip(lines, (4, 5)):
+        assert line.startswith(f"warning: sigma_a1 = 0 in region {region}: ")
 
 
 def test_benchmark_cli_rejects_other_deck(tmp_path, capsys):

@@ -325,6 +325,20 @@ def test_study_notes_a_pair_the_solver_returned_complex(monkeypatch):
     ]
 
 
+def test_study_notes_an_index_that_rises_under_refinement(monkeypatch):
+    # lambda_1 rises with the DOF count, lambda_2 falls as it should
+    def spy(system, settings):
+        zero = np.zeros(system.n_raw)
+        lams = (10.0 - 1.0 / system.n_raw, 20.0 + 1.0 / system.n_raw)
+        return [EigenSolution(lam + 0j, zero, zero, 0.0) for lam in lams]
+
+    monkeypatch.setattr(convergence, "solve_primal", spy)
+    study = run_study("square", 1, (4, 6, 8), m=2)
+    assert [note for note in study.notes if "monotone" in note] == [
+        "index 1 is not monotone under refinement"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # reports
 

@@ -294,6 +294,24 @@ def test_region_and_boundary_defaults():
 TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("dim,verts,cells,tags,message", [
+    (1, TRI, [[0, 1, 2]], [1], "dim must be 2 or 3, got 1"),
+    (3, TRI, [[0, 1, 2]], [1], r"vertices must be \(nv, 3\), got \(3, 2\)"),
+    (2, TRI.ravel(), [[0, 1, 2]], [1], r"vertices must be \(nv, 2\), got \(6,\)"),
+    (2, TRI, [[0, 1]], [1], r"cells must be \(nc, 3\), got \(1, 2\)"),
+    (2, TRI, [0, 1, 2], [1], r"cells must be \(nc, 3\), got \(3,\)"),
+    (2, TRI, [[0, 1, 2]], [1, 1], "region_tags length must match cell count"),
+    (2, [[0.0, 0.0], [1.0, np.nan], [0.0, 1.0]], [[0, 1, 2]], [1],
+     r"non-finite vertex 1: \[1.0, nan\]"),
+    (2, [[0.0, 0.0], [1.0, 0.0], [-np.inf, 1.0]], [[0, 1, 2]], [1],
+     r"non-finite vertex 2: \[-inf, 1.0\]"),
+], ids=["dim", "vertex-width", "vertex-rank", "cell-width", "cell-rank",
+        "region-tags", "nan", "inf"])
+def test_mesh_constructor_refusals(dim, verts, cells, tags, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Mesh(dim, np.array(verts), np.array(cells), np.array(tags))
+
+
 def test_orientation_fix():
     # clockwise cell gets its last two vertices swapped
     mesh = Mesh(2, TRI, np.array([[0, 2, 1]]), np.array([1]))
@@ -433,6 +451,21 @@ def test_mesh_arrays_immutable():
 
 # ---------------------------------------------------------------------------
 # MSH reader/writer
+
+def test_atomic_write_that_fails_leaves_the_target_as_it_was(tmp_path):
+    # lines that raise partway: no temp file is left, and the target keeps
+    # its bytes
+    def lines():
+        yield "first"
+        raise RuntimeError("no second line")
+
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError, match="no second line"):
+        mesh_module._atomic_write(target, lines())
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_bytes() == b"old\n"
+
 
 def test_roundtrip_bit_exact(tmp_path):
     for mesh in (generate_lshape(4), generate_disk(3), generate_unit_cube(2)):
