@@ -277,7 +277,8 @@ def build_config(ns):
     """
     takes = _SUBCOMMANDS[ns.subcommand][1]
     # option -> (text, the name its errors start with)
-    given, decks = parse_config(ns.config, ns.subcommand) if ns.config else ({}, {})
+    config = ns.config is not None and _convert(str, ns.config, "--config")
+    given, decks = parse_config(config, ns.subcommand) if config else ({}, {})
     for key in takes:
         if (text := getattr(ns, key)) is not None:
             given[key] = (text, _flag(ns.subcommand, key))
@@ -493,9 +494,7 @@ def _cmd_solve(cfg):
     dofmap = build_dofmap(mesh, cfg.degree)
     solutions = solve_primal(assemble(mesh, dofmap, cfg.deck, cfg.degree), cfg.settings)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    stem = cfg.domain if cfg.domain else os.path.splitext(
-        os.path.basename(cfg.mesh_path)
-    )[0]
+    stem = cfg.domain or os.path.splitext(os.path.basename(cfg.mesh_path))[0]
     base = os.path.join(cfg.out_dir, f"{stem}_k{cfg.degree}_modes")
     lines = [*_spectrum_lines(solutions), f"wrote {base}.vtk"]
     vertex_text = write_vtk(mesh, solutions, base + ".vtk")

@@ -28,11 +28,10 @@ has a slot in it, and a matrix's data is one np.bincount of its local
 entries over those slots; pairs touching a constrained DOF fall into a
 discard slot, so the reduction to free DOFs is part of the pattern. Robin
 facet entries reuse the slots of their owning cells. Matrices are scipy
-CSR throughout, with sorted, duplicate-free indices. Seven n x n matrices
-are stored: the five pencil blocks and the plain mass and stiffness. All
-seven hold the same two read-only index arrays (indices, indptr) and a
-read-only data array of their own; the 2n x 2n A and B are built on
-request.
+CSR throughout, with sorted, duplicate-free indices. Six n x n matrices
+are stored: the five pencil blocks and the plain mass. All six hold the
+same two read-only index arrays (indices, indptr) and a read-only data
+array of their own; the 2n x 2n A and B are built on request.
 
 In 3-D the free DOFs are numbered in a geometric nested dissection order
 of the pattern and the DOF coordinates, the order in which the solver
@@ -65,12 +64,12 @@ class BlockSystem:
     and n_raw, the unreduced count, follow from them. The pencil is held
     only as its five n x n blocks (a11, a22, coupling, f1, f2); A and B
     are the 2n x 2n pencil in the fast-then-thermal block ordering, built
-    from them on each access and never used by the solver. mass and
-    stiffness are the plain scalar matrices (coefficient 1) restricted to
-    the free DOFs, used for norms.
-    The seven stored matrices share one CSR pattern: their indices and
+    from them on each access and never used by the solver. mass is the
+    plain scalar mass matrix (coefficient 1) restricted to the free DOFs,
+    used for norms.
+    The six stored matrices share one CSR pattern: their indices and
     indptr are the same two read-only arrays, so an in-place edit of one
-    matrix's pattern raises instead of changing the other six. Their data
+    matrix's pattern raises instead of changing the other five. Their data
     arrays are read-only too, so an in-place edit of a block raises
     instead of leaving a solve's factors stale; build a new system (or
     dataclasses.replace one block) to change the pencil.
@@ -97,7 +96,6 @@ class BlockSystem:
     """
 
     mass: sp.csr_matrix
-    stiffness: sp.csr_matrix
     a11: sp.csr_matrix
     a22: sp.csr_matrix
     coupling: sp.csr_matrix  # M(s12); A21 = -coupling
@@ -354,7 +352,6 @@ def assemble(mesh, dofmap, deck, k):
 
     return BlockSystem(
         mass=csr(fill(cell_slot, mass_local)),
-        stiffness=csr(fill(cell_slot, stiff_local)),
         a11=csr(a11),
         a22=csr(a22),
         coupling=csr(fill(cell_slot, mass_with(s12))),

@@ -54,6 +54,15 @@ class GroupConstants:
                 raise ValueError(f"{f.name} must be finite and >= 0, got {v}")
 
 
+def _check_diffusion(gc, region):
+    """Raise ValueError unless D1, D2 > 0; return the " in region <tag>"
+    suffix of a region's messages ("" without a region)."""
+    where = f" in region {region}" if region is not None else ""
+    if gc.D1 <= 0 or gc.D2 <= 0:
+        raise ValueError(f"diffusion coefficients must be > 0{where}")
+    return where
+
+
 def validate_for_solve(gc, region=None):
     """Check constants are usable in an assembled solve.
 
@@ -62,9 +71,7 @@ def validate_for_solve(gc, region=None):
     down-scattering (and any Robin term), as in the reactor reflector
     regions where sigma_a1 = 0.
     """
-    where = f" in region {region}" if region is not None else ""
-    if gc.D1 <= 0 or gc.D2 <= 0:
-        raise ValueError(f"diffusion coefficients must be > 0{where}")
+    where = _check_diffusion(gc, region)
     if gc.sigma_a1 + gc.sigma_12 <= 0:
         raise ValueError(f"fast removal sigma_a1 + sigma_12 must be > 0{where}")
     if gc.sigma_a2 <= 0:
@@ -125,9 +132,7 @@ def ellipticity_check(gc, region=None):
     exists with sigma_12 / (2 (sigma_a1 + sigma_12)) < epsilon and
     epsilon < 2 sigma_a2 / sigma_12.
     """
-    if gc.D1 <= 0 or gc.D2 <= 0:
-        where = f" in region {region}" if region is not None else ""
-        raise ValueError(f"diffusion coefficients must be > 0{where}")
+    _check_diffusion(gc, region)
     m = (
         gc.sigma_12**2
         - 4.0 * gc.sigma_a2 * gc.sigma_12

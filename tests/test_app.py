@@ -86,6 +86,16 @@ def fresh_env(**extra):
     return dict(os.environ, PYTHONPATH=pythonpath, **extra)
 
 
+def run_console(argv, preexec_fn=None, **env):
+    """Run the console script's main() on argv in a fresh interpreter, with
+    these environment variables added; returns the completed process, its
+    output captured as text."""
+    return subprocess.run(
+        [sys.executable, "-m", "critifem.app", *argv], capture_output=True, text=True,
+        env=fresh_env(**env), timeout=120, preexec_fn=preexec_fn,
+    )
+
+
 # ---------------------------------------------------------------------------
 # config file parsing
 
@@ -321,10 +331,7 @@ def test_inline_deck_names_first_missing_constant(tmp_path, hashseed):
     # the string hash seed of the interpreter
     path = config_file(tmp_path, "[deck]\nD1 = 1.0\n")
     argv = ["solve", "--domain", "square", "--resolutions", "4", "--config", path]
-    done = subprocess.run(
-        [sys.executable, "-m", "critifem.app", *argv], capture_output=True, text=True,
-        env=fresh_env(PYTHONHASHSEED=hashseed), timeout=120,
-    )
+    done = run_console(argv, PYTHONHASHSEED=hashseed)
     assert done.returncode == 2
     assert "is missing D2\n" in done.stderr
 
@@ -474,10 +481,7 @@ def test_oracle_mode_count_is_bounded(domain):
     # square (disk): a child process capped at 1 GiB of address space
     # turns a missing bound into a failed test, not an exhausted machine.
     argv = ["oracle", "--domain", domain, "--modes", "99999999999999999999"]
-    done = subprocess.run(
-        [sys.executable, "-m", "critifem.app", *argv], capture_output=True, text=True,
-        env=fresh_env(), timeout=120, preexec_fn=_limit_address_space,
-    )
+    done = run_console(argv, preexec_fn=_limit_address_space)
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
     assert "at most 100 modes" in done.stderr
@@ -549,26 +553,28 @@ def test_every_empty_option_value_exits_two_naming_the_option(
 ):
     # an empty value is refused, never read as "unset", whether it comes
     # from a flag or from a config key (the baseline then goes in the file
-    # too, so that no flag overrides the empty key)
+    # too, so that no flag overrides the empty key); so is an empty --config
     monkeypatch.chdir(tmp_path)
     tagged_square(tmp_path / "five_regions.msh", FIVE_REGIONS)
-    failed = []
+    cases = [(command(subcommand) + ["--config="], "--config")]  # (argv, name)
     for key in app._SUBCOMMANDS[subcommand][1]:
         options = {**SWEEP_BASELINE[subcommand], key: ""}
         text = config_text(options)
-        path = config_file(tmp_path, text)
+        path = config_file(tmp_path, text, f"{key}.ini")
         line = text.splitlines().index(f"{key} = ") + 1
-        for argv, name in [
+        cases += [
             (with_options(subcommand, options),
              app._FLAG_SPELLING.get((subcommand, key), f"--{key}")),
             (command(subcommand) + ["--config", path], f"{path}:{line}: {key}"),
-        ]:
-            code = cli(argv)
-            captured = capsys.readouterr()
-            if (code, captured.out) != (2, "") or captured.err != (
-                f"error: {name}: empty value\n"
-            ):
-                failed.append((argv, code, captured.err))
+        ]
+    failed = []
+    for argv, name in cases:
+        code = cli(argv)
+        captured = capsys.readouterr()
+        if (code, captured.out) != (2, "") or captured.err != (
+            f"error: {name}: empty value\n"
+        ):
+            failed.append((argv, code, captured.err))
     assert failed == []
 
 
@@ -617,10 +623,7 @@ def test_out_of_memory_exits_two(domain, n, tmp_path):
     # space, and the generators set no bound on N: cli reports the
     # MemoryError like any input error
     argv = ["solve", "--domain", domain, "--resolutions", n, "--out", str(tmp_path)]
-    done = subprocess.run(
-        [sys.executable, "-m", "critifem.app", *argv], capture_output=True, text=True,
-        env=fresh_env(), timeout=120, preexec_fn=_limit_address_space,
-    )
+    done = run_console(argv, preexec_fn=_limit_address_space)
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
     assert done.stderr.startswith("error: out of memory: ")
@@ -1013,16 +1016,23 @@ def test_solve_writes_deterministic_vtk(tmp_path, capsys):
 
 
 def test_deck_region_that_no_cell_carries_is_unread(tmp_path):
+    # the generated square is all region 1; [solver] tol is read beside
+    # the decks, by solve and by a refinement study
     body = "".join(f"{key} = {value}\n" for key, value in TABLE1_DECK.items())
     other = body.replace("D1 = 1.0", "D1 = 2.0") + "bc = robin:0.5\n"
-    files = []
-    for name, text in (("one", f"[deck]\n{body}"),
-                       ("two", f"[deck]\n{body}[deck.2]\n{other}")):
-        path = config_file(tmp_path, text, f"{name}.ini")
-        assert cli(["solve", "--domain", "square", "--resolutions", "4",
-                    "--config", path, "--out", str(tmp_path / name)]) == 0
-        files.append(tmp_path / name / "square_k1_modes.vtk")
-    assert filecmp.cmp(*files, shallow=False)
+    for argv, output in [
+        (["solve", "--resolutions", "4"], "square_k1_modes.vtk"),
+        (["converge", "--resolutions", "4,8,16"], "square_k1_study.csv"),
+    ]:
+        files = []
+        for name, text in (("one", f"[deck]\n{body}"),
+                           ("two", f"[deck]\n{body}[deck.2]\n{other}")):
+            path = config_file(tmp_path, f"[solver]\ntol = 1e-10\n{text}", f"{name}.ini")
+            out = tmp_path / argv[0] / name
+            assert cli([*argv, "--domain", "square", "--config", path,
+                        "--out", str(out)]) == 0
+            files.append(out / output)
+        assert filecmp.cmp(*files, shallow=False)
 
 
 def test_solve_degree_two_writes_coefficient_sidecar(tmp_path):
@@ -1043,6 +1053,14 @@ def test_solve_from_mesh_file(tmp_path):
     assert cli(["solve", "--mesh", str(mesh_path), "--num", "1",
                 "--out", str(tmp_path)]) == 0
     assert (tmp_path / "patch_k1_modes.vtk").exists()
+    # the same from a config file alone: [run] sets every option, and the
+    # inline deck a Robin boundary
+    write_msh(generate_disk(4), tmp_path / "disk.msh")
+    body = "".join(f"{key} = {value}\n" for key, value in TABLE1_DECK.items())
+    path = config_file(tmp_path, f"[run]\nmesh = {tmp_path / 'disk.msh'}\ndegree = 2\n"
+                       f"num = 3\nout = {tmp_path}\n[deck]\n{body}bc = robin:0.5\n")
+    assert cli(["solve", "--config", path]) == 0
+    assert (tmp_path / "disk_k2_modes_coefficients.csv").exists()
 
 
 def test_dirichlet_and_robin_regions_on_one_boundary_solve(tmp_path, capsys):
@@ -1266,22 +1284,32 @@ def vtk_scalar_lines(path, name, nv):
     return lines[start : start + nv]
 
 
+# `solve` at degree 2 on the packaged mesh, without --num and --out
+QUARTER_CORE_K2 = ["solve", "--mesh", str(packaged_mesh_path()), "--deck", "iaea-2d",
+                   "--degree", "2"]
+
+
 def quarter_core_solve(tmp_path, num):
-    """`solve` at degree 2 on the packaged mesh; the VTK and CSV paths."""
-    assert cli(["solve", "--mesh", str(packaged_mesh_path()), "--deck", "iaea-2d",
-                "--degree", "2", "--num", str(num), "--out", str(tmp_path)]) == 0
+    """QUARTER_CORE_K2 with --num num into tmp_path; the VTK and CSV paths."""
+    assert cli(QUARTER_CORE_K2 + ["--num", str(num), "--out", str(tmp_path)]) == 0
     return (tmp_path / "iaea2d_quarter_k2_modes.vtk",
             tmp_path / "iaea2d_quarter_k2_modes_coefficients.csv")
 
 
 @pytest.mark.filterwarnings("ignore:sigma_a1 = 0")
 def test_vtk_scalars_are_the_first_csv_rows(tmp_path):
-    # a real field's vertex values are written as the same text to both files
-    vtk, csv = quarter_core_solve(tmp_path, num=2)
+    # a real field's vertex values are written as the same text to both
+    # files, and a second process writes the same bytes
+    vtk, csv = quarter_core_solve(tmp_path, num=5)
+    again = tmp_path / "again"
+    done = run_console(QUARTER_CORE_K2 + ["--num", "5", "--out", str(again)])
+    assert done.returncode == 0, done.stderr
+    for path in (vtk, csv):
+        assert filecmp.cmp(path, again / path.name, shallow=False)
     nv = read_gmsh(packaged_mesh_path()).num_vertices
     header, *rows = csv.read_text().splitlines()
     header = header.split(",")
-    assert header == ["dof", "phi1_1", "phi2_1", "phi1_2", "phi2_2"]
+    assert header == ["dof"] + [f"phi{g}_{j}" for j in range(1, 6) for g in (1, 2)]
     columns = list(zip(*(row.split(",") for row in rows)))
     assert len(columns[0]) > nv  # degree 2: rows past the vertices too
     for name, column in zip(header[1:], columns[1:], strict=True):
@@ -1318,10 +1346,12 @@ def test_write_vtk_returns_the_scalar_lines_of_each_real_field(tmp_path):
 @pytest.mark.parametrize("degree,files", [
     (1, ["square_k1_modes.vtk"]),
     (2, ["square_k2_modes.vtk", "square_k2_modes_coefficients.csv"]),
+    (1, ["cube_k1_modes.vtk"]),
 ])
 def test_solve_writes_the_coefficient_csv_past_degree_one(degree, files, tmp_path,
                                                           capsys):
-    assert cli(["solve", "--domain", "square", "--resolutions", "4", "--degree",
+    domain = files[0].split("_")[0]  # each file name starts with it
+    assert cli(["solve", "--domain", domain, "--resolutions", "4", "--degree",
                 str(degree), "--num", "1", "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == files
     wrote = [line for line in capsys.readouterr().out.splitlines()
@@ -1370,11 +1400,7 @@ def test_benchmark_cli(tmp_path, capsys):
 
 def test_console_script_prints_each_warning_as_one_line(tmp_path):
     # main() formats the warnings; the in-process cli() leaves them as they are
-    done = subprocess.run(
-        [sys.executable, "-m", "critifem.app", "benchmark", "iaea2d",
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=fresh_env(), timeout=120,
-    )
+    done = run_console(["benchmark", "iaea2d", "--out", str(tmp_path)])
     assert done.returncode == 0, done.stderr
     lines = done.stderr.splitlines()
     assert len(lines) == 2

@@ -26,6 +26,8 @@ from critifem.mesh import (
     read_gmsh,
 )
 
+from conftest import free_stiffness
+
 GC = GroupConstants(D1=1.0, D2=0.5, sigma_a1=0.2, sigma_a2=0.1, sigma_12=0.1,
                     nu_sigma_f1=0.3, nu_sigma_f2=0.1)
 ROBIN0 = BoundaryCondition.robin(0.0)  # natural boundary: nothing constrained
@@ -52,7 +54,8 @@ def one_triangle_system(gc=GC, bc=ROBIN0):
 
 def test_single_triangle_stiffness_and_mass():
     system = one_triangle_system()
-    assert np.max(np.abs(system.stiffness.toarray() - K_EXACT)) < 1e-14
+    K = free_stiffness(REF_TRIANGLE, build_dofmap(REF_TRIANGLE, 1), system)
+    assert np.max(np.abs(K.toarray() - K_EXACT)) < 1e-14
     assert np.max(np.abs(system.mass.toarray() - M_EXACT)) < 1e-14
     # P1 mass row sums are area / 3
     assert np.max(np.abs(system.mass.toarray().sum(axis=1) - 1.0 / 6.0)) < 1e-15
@@ -88,7 +91,7 @@ def test_robin_boundary_mass_unit_square():
     deck = {1: (GC, BoundaryCondition.robin(alpha))}
     system = assemble(mesh, dofmap, deck, 1)
     boundary = (system.a11.toarray()
-                - GC.D1 * system.stiffness.toarray()
+                - GC.D1 * free_stiffness(mesh, dofmap, system).toarray()
                 - (GC.sigma_a1 + GC.sigma_12) * system.mass.toarray()) / alpha
     expect = np.array([
         [2 / 3, 1 / 6, 1 / 6, 0.0],
@@ -104,9 +107,10 @@ def test_distinct_group_robin_coefficients():
     dofmap = build_dofmap(mesh, 1)
     deck = {1: (GC, BoundaryCondition.robin(0.2, 0.9))}
     system = assemble(mesh, dofmap, deck, 1)
-    r1 = system.a11.toarray() - GC.D1 * system.stiffness.toarray() \
+    K = free_stiffness(mesh, dofmap, system).toarray()
+    r1 = system.a11.toarray() - GC.D1 * K \
         - (GC.sigma_a1 + GC.sigma_12) * system.mass.toarray()
-    r2 = system.a22.toarray() - GC.D2 * system.stiffness.toarray() \
+    r2 = system.a22.toarray() - GC.D2 * K \
         - GC.sigma_a2 * system.mass.toarray()
     assert np.max(np.abs(r2 - r1 * (0.9 / 0.2))) < 1e-13
 
@@ -128,7 +132,7 @@ def test_block_pattern(square16_system):
     assert np.max(np.abs(B[n:, :])) == 0.0
 
 
-BLOCKS = ("a11", "a22", "coupling", "f1", "f2", "mass", "stiffness")
+BLOCKS = ("a11", "a22", "coupling", "f1", "f2", "mass")
 
 
 @pytest.mark.parametrize("make, k, bc", [
@@ -376,11 +380,14 @@ def test_matrices_match_coo_reference(case, k):
     for name, ref in expect.items():
         q = both if name in ("A", "B") else p
         ref = ref[q][:, q]
-        got = getattr(system, name)
+        if name == "stiffness":  # not stored: the oracle checks the test helper
+            got = free_stiffness(mesh, dofmap, system)
+        else:
+            got = getattr(system, name)
+            # the LU and bmat rely on sorted, duplicate-free indices
+            assert got.has_canonical_format, name
         assert isinstance(got, sp.csr_matrix)
         assert got.shape == ref.shape
-        # the LU and bmat rely on sorted, duplicate-free indices
-        assert got.has_canonical_format, name
         scale = max(abs(ref).max(), 1e-300)
         assert abs(got - ref).max() <= 1e-13 * scale, name
 
@@ -411,11 +418,11 @@ def test_robin_k3_diagonal_blocks_are_pinned(make, digest):
 # source problem
 
 def test_source_solve_residual_and_bounds(square16_system, rng):
-    _, _, system = square16_system
+    mesh, dofmap, system = square16_system
     gc = GC
     alpha1 = min(gc.D1, gc.sigma_a1 + gc.sigma_12)
     alpha2 = min(gc.D2, gc.sigma_a2)
-    H1 = (system.stiffness + system.mass).toarray()
+    H1 = (free_stiffness(mesh, dofmap, system) + system.mass).toarray()
     M = system.mass.toarray()
     A = system.A.tocsc()
     for _ in range(5):

@@ -40,6 +40,8 @@ from critifem.mesh import (
     read_gmsh,
 )
 
+from conftest import free_stiffness
+
 
 def make_system(a11, a22, coupling, f1, f2):
     """Hand-built reduced pencil with identity mass, no constraints."""
@@ -51,7 +53,6 @@ def make_system(a11, a22, coupling, f1, f2):
     }
     return BlockSystem(
         mass=sp.csr_matrix(np.eye(n)),
-        stiffness=sp.csr_matrix((n, n)),
         a11=sp.csr_matrix(a11),
         a22=sp.csr_matrix(blocks["a22"]),
         coupling=sp.csr_matrix(blocks["coupling"]),
@@ -145,7 +146,7 @@ def test_krylov_shortfall_raises_cheaply(solve, monkeypatch):
     zero = sp.csr_matrix((n, n))
     f1 = sp.csr_matrix(([1.0, 1.0, 1.0], ([0, 700, 1400], [0, 700, 1400])), shape=(n, n))
     system = BlockSystem(
-        mass=eye, stiffness=zero, a11=a11, a22=eye, coupling=zero, f1=f1, f2=zero,
+        mass=eye, a11=a11, a22=eye, coupling=zero, f1=f1, f2=zero,
         free_dofs=np.arange(n), constrained_dofs=np.array([], dtype=int),
     )
     applies = _count_applies(monkeypatch)
@@ -243,8 +244,9 @@ def test_square_dispersion_relation(square16_system, table1_gc):
 
     from critifem.convergence import analytic_eigenvalue
 
-    _, _, system = square16_system
-    mu_h = spla.eigsh(system.stiffness, k=1, M=system.mass, sigma=0.0,
+    mesh, dofmap, system = square16_system
+    K = free_stiffness(mesh, dofmap, system)
+    mu_h = spla.eigsh(K, k=1, M=system.mass, sigma=0.0,
                       which="LM", return_eigenvectors=False)[0]
     sol = solve_primal(system, SolverSettings(m=1))[0]
     p1 = system.restrict(sol.phi1)
@@ -504,7 +506,7 @@ def test_genuinely_complex_pair_stays_complex_in_the_krylov_path():
     zero = sp.csr_matrix((n, n))
     eye = sp.identity(n, format="csr")
     system = BlockSystem(
-        mass=eye, stiffness=zero, a11=a11, a22=eye, coupling=zero,
+        mass=eye, a11=a11, a22=eye, coupling=zero,
         f1=f1, f2=zero, free_dofs=np.arange(n), constrained_dofs=np.array([], dtype=int),
     )
     assert n > 10 * 4 + 40
@@ -536,7 +538,7 @@ def test_near_real_complex_pair_is_complex_for_every_consumer(solve):
     zero = sp.csr_matrix((n, n))
     eye = sp.identity(n, format="csr")
     system = BlockSystem(
-        mass=eye, stiffness=zero, a11=a11, a22=eye, coupling=zero,
+        mass=eye, a11=a11, a22=eye, coupling=zero,
         f1=f1, f2=zero, free_dofs=np.arange(n), constrained_dofs=np.array([], dtype=int),
     )
     sols = solve(system, SolverSettings(m=3))
@@ -600,11 +602,15 @@ def _octant_cube(N):
     return Mesh(3, vertices[first], merged.ravel()[cells], np.tile(mesh.region_tags, 8))
 
 
+def _mesh(domain, N):
+    return _octant_cube(N) if domain == "octants" else GENERATORS[domain](N)
+
+
 @functools.cache
 def _assembled(domain, N, k, deck="paper-table1"):
     if domain == "nonsymmetric":  # hand-built: n = N, blocks drawn from the seed
         return _nonsymmetric_pencil(N, int(deck[len("seed:"):]))
-    mesh = _octant_cube(N) if domain == "octants" else GENERATORS[domain](N)
+    mesh = _mesh(domain, N)
     return assemble(mesh, build_dofmap(mesh, k), _deck(deck), k)
 
 
@@ -697,8 +703,10 @@ def _closed_form_eigenvalues(case):
     so each generalized eigenvalue kappa of (K, M), with its multiplicity,
     gives the pencil eigenvalue analytic_eigenvalue(kappa, gc), in the same
     order: a symmetric oracle far past the reach of dense QZ."""
-    system = _system(*case)
-    kappa = scipy.linalg.eigh(system.stiffness.toarray(), system.mass.toarray(),
+    domain, N, degree, _deck_name = case
+    mesh, system = _mesh(domain, N), _system(*case)
+    K = free_stiffness(mesh, build_dofmap(mesh, degree), system)
+    kappa = scipy.linalg.eigh(K.toarray(), system.mass.toarray(),
                               subset_by_index=[0, 9], eigvals_only=True)
     gc = _deck(case[3])[1][0]
     return np.array([analytic_eigenvalue(k, gc) for k in kappa])
